@@ -508,7 +508,7 @@ def criterion_10(seed: int) -> CriterionResult:
     passed = passed and decreasing and coverage
 
     levels = wc.build_cone((8, 16, 32))
-    report = wc.ghost_defect(levels, k_max=30, seed=seed)
+    report = wc.ghost_defect(levels, k_max=30)
     details["ghost"] = {"sup_lambda": report.sup_lambda, "gapped": report.gapped,
                         "bound_ok": report.bound_ok()}
     passed = passed and report.gapped and report.bound_ok()

@@ -185,10 +185,7 @@ class WalkStatistics:
 
 def _row_propagate(op: MarkovOperator, rows: np.ndarray) -> np.ndarray:
     """One step of r <- r A for a batch of row distributions."""
-    out = np.zeros_like(rows)
-    for _inv, perm, w in op._terms:
-        out += w * rows[:, perm]
-    return out
+    return rows @ op.matrix
 
 
 def hit_fields_exact(action: FiniteAction, mu: DiscreteMeasure,

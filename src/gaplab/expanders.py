@@ -2,7 +2,9 @@
 
 The scalar Poincare constant of a connected graph with generator labels Q is
 1 / (2 |Q| (1 - lambda_2)), where lambda_2 is the top eigenvalue of the
-uniform neighbor-averaging operator on mean-zero functions.  Edge sums run
+symmetrized uniform neighbor-averaging operator on mean-zero functions,
+solved by the spectral kernel of ``rep_markov`` (dense eigh on the smallest
+graphs, Lanczos above; the eigenvector comes with it).  Edge sums run
 over ordered pairs (v, s v), one per label, which is the convention that
 makes this relation exact.  Vector-valued constants are bounded from below
 by ratio ascent; a sequence of quotients is certified uniform when the
@@ -13,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .group_core import CayleyGraph, FiniteAction, word_ball
+from .group_core import CayleyGraph, FiniteAction, GroupElement, word_ball
+from .measures import DiscreteMeasure
+from .rep_markov import MarkovOperator, Representation, _symmetrized_top
 
 __all__ = [
     "ScalarPoincare",
@@ -34,7 +36,6 @@ __all__ = [
     "certify_sequence",
 ]
 
-DENSE_EIG_LIMIT = 1400
 UNIFORM_SLOPE_THRESHOLD = 0.5
 
 
@@ -51,34 +52,15 @@ class ScalarPoincare:
 def _averaging_eigensolve(graph: CayleyGraph) -> Tuple[float, np.ndarray]:
     """Top mean-zero eigenvalue (and eigenvector) of the symmetrized
     neighbor-averaging operator."""
-    n = graph.n_vertices
-    labels = graph.labels
-    # A f (v) = (1 / |Q|) sum_s f(s v)
-    col_list = [graph.edge_targets[lab] for lab in labels]
-    # constants are an eigenvalue-1 line; shift them to -1 (the spectral
-    # floor) so the algebraically largest eigenvalue is the mean-zero top
-    if n <= DENSE_EIG_LIMIT:
-        a = np.zeros((n, n))
-        for cols in col_list:
-            np.add.at(a, (np.arange(n), cols), 1.0 / len(labels))
-        sym = (a + a.T) / 2.0
-        vals, vecs = np.linalg.eigh(sym - np.full((n, n), 2.0 / n))
-        vec = vecs[:, -1]
-        return float(vals[-1]), vec - vec.mean()
-    data = np.full(n * len(labels), 1.0 / len(labels))
-    cols = np.concatenate(col_list)
-    rows = np.tile(np.arange(n), len(labels))
-    a_sp = csr_matrix((data, (rows, cols)), shape=(n, n))
-    sym = (a_sp + a_sp.T) * 0.5
-
-    def matvec(v):
-        return sym @ v - np.full(n, 2.0 * v.mean())
-
-    lin = LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.cos(np.arange(n) * 1.7) + 0.1
-    vals, vecs = eigsh(lin, k=1, which="LA", v0=v0, tol=0)
-    vec = vecs[:, 0]
-    return float(vals[0]), vec - vec.mean()
+    # mass 1 / |Q| per label; labels acting by the same permutation add up
+    atoms: Dict[GroupElement, float] = {}
+    for lab in graph.labels:
+        el = graph.action.generator_element(lab)
+        atoms[el] = atoms.get(el, 0.0) + 1.0 / len(graph.labels)
+    op = MarkovOperator(Representation(graph.action), DiscreteMeasure(atoms))
+    top = _symmetrized_top(op)
+    vec = top.vector[:, 0]
+    return top.value, vec - vec.mean()
 
 
 def poincare_scalar(graph: CayleyGraph) -> ScalarPoincare:

@@ -23,7 +23,6 @@ __all__ = [
     "FiniteAction",
     "CayleyGraph",
     "TorusGridMetric",
-    "DistanceTable",
     "SubsetMetricView",
     "build_cyclic",
     "build_sl2_quotient",
@@ -178,22 +177,6 @@ class TorusGridMetric:
     def ball(self, center: int, radius: float) -> np.ndarray:
         """Indices within `radius` of `center` (closed ball)."""
         return np.flatnonzero(self.distances_from(center) <= radius + 1e-15)
-
-
-class DistanceTable:
-    """Explicit metric given by a full distance matrix."""
-
-    def __init__(self, table: np.ndarray) -> None:
-        self.table = np.asarray(table, dtype=float)
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.table[i, j])
-
-    def distances_from(self, center: int) -> np.ndarray:
-        return self.table[center]
-
-    def ball(self, center: int, radius: float) -> np.ndarray:
-        return np.flatnonzero(self.table[center] <= radius + 1e-15)
 
 
 class SubsetMetricView:
@@ -482,13 +465,6 @@ def element_ball(
             break
         frontier = new_frontier
     return sorted(found.values(), key=lambda e: (e.word_length, e.perm))
-
-
-def word_length_table(action: FiniteAction, labels: Optional[Sequence[str]] = None,
-                      r_max: Optional[int] = None) -> Dict[Tuple[int, ...], int]:
-    """Exact word length of every element reachable within r_max (or fully)."""
-    r = r_max if r_max is not None else action.n_points + 1
-    return {el.perm: el.word_length for el in word_ball(action, r, labels)}
 
 
 # -- Cayley graphs ----------------------------------------------------------

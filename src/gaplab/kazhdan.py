@@ -19,7 +19,7 @@ import numpy as np
 
 from .group_core import GroupElement, element_ball
 from .measures import AdmissibilityCertificate, DiscreteMeasure, uniform_on
-from .rep_markov import Decomposition, MarkovOperator, Representation
+from .rep_markov import Decomposition, MarkovOperator, Representation, _symmetrized_top
 
 __all__ = [
     "ModulusResult",
@@ -218,17 +218,7 @@ def _top_symmetric_eigenvalue(rep: Representation, q_set: Sequence[GroupElement]
     """Top signed eigenvalue, on the mean-zero complement, of the symmetrized
     uniform averaging operator over Q."""
     op = MarkovOperator(Representation(rep.action, p=2.0, d=1), uniform_on(q_set))
-    dec = op.decomposition
-    w = rep.action.weights
-    n = rep.n_points
-    a = op.dense()
-    sw = np.sqrt(w)
-    conj = a * (sw[:, None] / sw[None, :])
-    sym = (conj + conj.T) / 2.0
-    # deflate invariant directions: subtract the weighted orbit projectors
-    pmat = dec.mean_matrix() * (sw[:, None] / sw[None, :])
-    vals = np.linalg.eigvalsh(sym - pmat * 2.0)  # push invariants below -1
-    return float(vals[-1]) if n > dec.n_orbits else -1.0
+    return _symmetrized_top(op).value
 
 
 # -- conversions --------------------------------------------------------------

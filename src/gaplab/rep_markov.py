@@ -10,11 +10,14 @@ the usual constants / mean-zero splitting.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .group_core import FiniteAction, GroupElement
 from .measures import DiscreteMeasure, convolve, translate
@@ -75,17 +78,6 @@ class Representation:
         inv = el.inverse().perm_array()
         return f[inv]
 
-    def apply_label(self, label: str, values: np.ndarray) -> np.ndarray:
-        f = self._coerce(values)
-        inv = self.action.perms[self.action.gens.inverse_label(label)]
-        return f[inv]
-
-    def random_field(self, rng: np.random.Generator, mean_zero: bool = False) -> np.ndarray:
-        f = rng.standard_normal((self.n_points, self.d))
-        if mean_zero:
-            f = Decomposition(self).complement(f)
-        return f
-
 
 class VectorField:
     """A field over the action space with its norm cached on first use."""
@@ -117,8 +109,10 @@ class Decomposition:
         """Weighted mean on each orbit, broadcast back as an invariant field."""
         f = self.rep._coerce(values)
         w = self.rep.action.weights
-        sums = np.zeros((self.n_orbits, f.shape[1]))
-        np.add.at(sums, self.orbit_of, w[:, None] * f)
+        wf = w[:, None] * f
+        sums = np.column_stack([np.bincount(self.orbit_of, weights=wf[:, j],
+                                            minlength=self.n_orbits)
+                                for j in range(f.shape[1])])
         means = sums / self.orbit_mass[:, None]
         return means[self.orbit_of]
 
@@ -148,45 +142,45 @@ class NormEstimate:
     value: float
     quality: str  # "exact" (p = 2) or "lower_bound"
     p: float
+    # p = 2: sqrt(value^2 + residual), the residual enclosure of the computed
+    # Ritz value; it bounds the nearest eigenvalue, not certainly the top one
     upper: float = 1.0
-    iterations: int = 0
-    converged: bool = True
+    iterations: int = 0  # operator applications of the spectral solve
+    converged: bool = True  # the solve raises ArpackNoConvergence otherwise
 
 
 class MarkovOperator:
-    """Averaging operator A f(x) = sum_g mu(g) f(g^-1 x), stored sparsely."""
+    """Averaging operator A f(x) = sum_g mu(g) f(g^-1 x), stored as the CSR ``matrix``."""
 
     def __init__(self, rep: Representation, measure: DiscreteMeasure) -> None:
         if measure.degree != rep.n_points:
             raise ValueError("measure atoms are not realized on the action space")
         self.rep = rep
         self.measure = measure
-        self._terms: List[Tuple[np.ndarray, np.ndarray, float]] = []
-        for el, w in measure.items():
-            perm = el.perm_array()
-            inv = np.empty_like(perm)
-            inv[perm] = np.arange(len(perm))
-            self._terms.append((inv, perm, float(w)))
+        atoms = list(measure.items())
+        # row x holds mu(g) at column g^-1 x, one entry per atom; repeats are summed
+        cols = np.stack([np.argsort(el.perm_array()) for el, _ in atoms], axis=1)
+        vals = np.tile([float(w) for _, w in atoms], rep.n_points)
+        indptr = np.arange(0, cols.size + 1, len(atoms))
+        self.matrix = csr_matrix((vals, cols.ravel(), indptr), shape=(rep.n_points,) * 2)
+        self.matrix.sum_duplicates()
         self.decomposition = Decomposition(rep)
+
+    @cached_property
+    def _transpose(self) -> csr_matrix:
+        # built once: forming matrix.T on every call costs 3x the product
+        return self.matrix.T.tocsr()
 
     @property
     def n_points(self) -> int:
         return self.rep.n_points
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        f = self.rep._coerce(values)
-        out = np.zeros_like(f)
-        for inv, _perm, w in self._terms:
-            out += w * f[inv]
-        return out
+        return self.matrix @ self.rep._coerce(values)
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
         """Adjoint for the weighted pairing; same array op as the plain transpose."""
-        f = self.rep._coerce(values)
-        out = np.zeros_like(f)
-        for _inv, perm, w in self._terms:
-            out += w * f[perm]
-        return out
+        return self._transpose @ self.rep._coerce(values)
 
     def apply_power(self, values: np.ndarray, k: int) -> np.ndarray:
         f = self.rep._coerce(values)
@@ -195,84 +189,85 @@ class MarkovOperator:
         return f
 
     def dense(self) -> np.ndarray:
-        n = self.n_points
-        if n > DENSE_LIMIT:
-            raise ValueError(f"refusing dense {n} x {n} operator")
-        a = np.zeros((n, n))
-        rows = np.arange(n)
-        for inv, _perm, w in self._terms:
-            np.add.at(a, (rows, inv), w)
-        return a
-
-    def row_sums(self) -> np.ndarray:
-        return np.full(self.n_points, sum(w for _, _, w in self._terms))
+        if self.n_points > DENSE_LIMIT:
+            raise ValueError(f"refusing dense {self.n_points} x {self.n_points} operator")
+        return self.matrix.toarray()
 
     def to_coo(self) -> List[Tuple[int, int, float]]:
-        """Coordinate-list export of the sparse action table."""
-        entries: Dict[Tuple[int, int], float] = {}
-        for inv, _perm, w in self._terms:
-            for i in range(self.n_points):
-                key = (i, int(inv[i]))
-                entries[key] = entries.get(key, 0.0) + w
-        return [(i, j, v) for (i, j), v in sorted(entries.items())]
+        """Coordinate-list export of the matrix, sorted by (row, col)."""
+        coo = self.matrix.tocoo()
+        return sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
 
 
 def markov_operator(rep: Representation, mu: DiscreteMeasure) -> MarkovOperator:
     return MarkovOperator(rep, mu)
 
 
-# -- restricted norm ---------------------------------------------------------
+# -- the spectral kernel -----------------------------------------------------
+
+# Operators of at most this many coordinates are formed and solved by dense
+# eigh.  On the tiniest ones ARPACK's last bits change between calls in one
+# process (lambda_2 of Z/3 and Z/4 did), which breaks byte-identical reports;
+# test_small_spectra_replay_bit_identical fails for any cutoff below 4.  The
+# margin up to 32 costs nothing: a 32 x 32 eigh takes microseconds.
+DENSE_EIG_SIZE = 32
 
 
-def _weighted_inner(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sum(weights[:, None] * u * v))
+@dataclass
+class _TopEigenpair:
+    value: float
+    vector: np.ndarray  # a field of shape (n_points, d)
+    residual: float  # |M x - value x| for the unit coordinate vector x
+    applications: int  # calls of the operator, including the residual check
 
 
-def _power_iteration_l2(op: MarkovOperator, seed: int, tol: float, max_iter: int
-                        ) -> Tuple[float, int, bool]:
-    """Largest singular value of A restricted to the mean-zero complement.
+def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
+                   dec: Decomposition) -> _TopEigenpair:
+    """Top eigenpair of a self-adjoint operator S on the mean-zero complement.
 
-    Power iteration on (Pc A^T A Pc) in the weighted inner product, with the
-    invariant directions deflated each step.
+    ``apply`` maps fields to fields, is self-adjoint for the weighted pairing
+    and is the identity on invariant fields, as every averaging operator and
+    its Gram powers are.  In the coordinates x = sqrt(w) f that pairing is
+    Euclidean and the orbit mean is an orthogonal projector P; the kernel
+    solves M = S - 2P, which keeps the complement spectrum of S and shifts
+    the invariant fields to -1.  Small operators go to dense eigh, larger
+    ones to Lanczos (eigsh with a fixed start vector and tol=0), which
+    raises ArpackNoConvergence instead of returning an unconverged value.
+    Some eigenvalue of M lies within ``residual`` of ``value``.  The vector
+    is returned as a field, in the complement up to rounding.
     """
-    dec = op.decomposition
-    rep = op.rep
-    w = rep.action.weights
-    if dec.complement_dim() == 0:
-        return 0.0, 0, True
-    best = 0.0
-    iterations = 0
-    converged = True
-    for start in range(2):
-        rng = np.random.default_rng(seed + 101 * start)
-        v = dec.complement(rng.standard_normal((rep.n_points, rep.d)))
-        nrm = np.sqrt(_weighted_inner(w, v, v))
-        if nrm == 0.0:
-            continue
-        v /= nrm
-        rayleigh_old = np.inf
-        ok = False
-        for it in range(1, max_iter + 1):
-            av = op.apply(v)
-            u = dec.complement(op.apply_transpose(av))
-            rayleigh = _weighted_inner(w, v, u)
-            if abs(rayleigh - rayleigh_old) < tol:
-                iterations += it
-                ok = True
-                break
-            rayleigh_old = rayleigh
-            nrm = np.sqrt(_weighted_inner(w, u, u))
-            if nrm < 1e-300:
-                rayleigh = max(rayleigh, 0.0)
-                iterations += it
-                ok = True
-                break
-            v = u / nrm
-        if not ok:
-            iterations += max_iter
-            converged = False
-        best = max(best, float(np.sqrt(max(rayleigh, 0.0))))
-    return best, iterations, converged
+    rep = dec.rep
+    shape = (rep.n_points, rep.d)
+    size = rep.n_points * rep.d
+    sw = np.sqrt(rep.action.weights)[:, None]
+    applications = 0
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        f = np.reshape(x, shape) / sw
+        return (sw * (apply(f) - 2.0 * dec.mean(f))).ravel()
+
+    if size <= DENSE_EIG_SIZE:
+        mat = np.column_stack([matvec(e) for e in np.eye(size)])
+        vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+        theta, x = float(vals[-1]), vecs[:, -1]
+    else:
+        lin = LinearOperator((size, size), matvec=matvec, dtype=float)
+        v0 = np.cos(np.arange(size) * 1.7) + 0.1
+        vals, vecs = eigsh(lin, k=1, which="LA", v0=v0, tol=0)
+        theta, x = float(vals[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(matvec(x) - theta * x))
+    return _TopEigenpair(theta, x.reshape(shape) / sw, residual, applications)
+
+
+def _symmetrized_top(op: MarkovOperator) -> _TopEigenpair:
+    """Top eigenpair of (A + A*) / 2 on the mean-zero complement."""
+    return _top_eigenpair(lambda f: (op.apply(f) + op.apply_transpose(f)) / 2.0,
+                          op.decomposition)
+
+
+# -- restricted norm ---------------------------------------------------------
 
 
 def _lp_norm_and_grad(rep: Representation, f: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -326,14 +321,21 @@ def _lp_ascent(op: MarkovOperator, f0: np.ndarray, max_iter: int = 400) -> float
     return float(ratio)
 
 
-def restricted_norm(op: MarkovOperator, seed: int = 0, n_starts: int = 8,
-                    tol: float = 1e-13, max_iter: int = 100_000) -> NormEstimate:
+def _unit_complement(dec: Decomposition, f: np.ndarray) -> np.ndarray:
+    """f projected to the mean-zero complement and scaled to unit norm."""
+    f = dec.complement(f)
+    return f / dec.rep.norm(f)
+
+
+def restricted_norm(op: MarkovOperator, seed: int = 0, n_starts: int = 8) -> NormEstimate:
     """Norm of the averaging operator restricted to the mean-zero complement.
 
-    p = 2: exact largest singular value by power iteration with deflation of
-    the invariant fields.  The stopping rule watches the Rayleigh quotient;
-    the default is tighter than the guaranteed 1e-10 so that k-th powers of
-    the result stay accurate.  p != 2: a certified lower bound from
+    Both exponents start from the spectral kernel on A*A, whose top eigenpair
+    on the complement is the squared top singular value and its direction.
+    p = 2: the singular value, taken as |A x| for the computed unit direction
+    x rather than as sqrt(theta), whose rounding error of about 1e-8 would
+    swamp small norms; ``upper`` is the residual enclosure sqrt(value^2 +
+    residual) of that Ritz value.  p != 2: a certified lower bound from
     multi-start projected gradient ascent (paired with the trivial upper
     bound 1); the starts include the p = 2 singular direction, whose ratio
     already equals the spectral radius for symmetric operators.
@@ -341,29 +343,18 @@ def restricted_norm(op: MarkovOperator, seed: int = 0, n_starts: int = 8,
     rep = op.rep
     if op.decomposition.complement_dim() == 0:
         return NormEstimate(value=0.0, quality="exact", p=rep.p, upper=0.0)
+    top = _top_eigenpair(lambda f: op.apply_transpose(op.apply(f)), op.decomposition)
     if rep.p == 2.0:
-        value, iterations, converged = _power_iteration_l2(op, seed, tol, max_iter)
-        if not converged:
-            warnings.warn("power iteration hit the iteration cap", RuntimeWarning)
-        return NormEstimate(value=value, quality="exact", p=2.0,
-                            upper=value, iterations=iterations, converged=converged)
-    # p != 2: ascent from seeded starts plus the l2 singular direction
-    rep2 = Representation(rep.action, p=2.0, d=rep.d)
-    op2 = MarkovOperator(rep2, op.measure)
-    dec2 = op2.decomposition
-    rng = np.random.default_rng(seed)
-    v = dec2.complement(rng.standard_normal((rep.n_points, rep.d)))
-    for _ in range(200):
-        u = dec2.complement(op2.apply_transpose(op2.apply(v)))
-        nrm = np.sqrt(_weighted_inner(rep.action.weights, u, u))
-        if nrm < 1e-300:
-            break
-        v = u / nrm
-    best = _lp_ascent(op, v)
+        sigma = rep.norm(op.apply(_unit_complement(op.decomposition, top.vector)))
+        return NormEstimate(value=sigma, quality="exact", p=2.0,
+                            upper=math.sqrt(sigma**2 + top.residual),
+                            iterations=top.applications + 1)
+    best = _lp_ascent(op, top.vector)
     for start in range(n_starts):
         srng = np.random.default_rng(seed + 7919 * (start + 1))
         best = max(best, _lp_ascent(op, srng.standard_normal((rep.n_points, rep.d))))
-    return NormEstimate(value=best, quality="lower_bound", p=rep.p, upper=1.0)
+    return NormEstimate(value=best, quality="lower_bound", p=rep.p, upper=1.0,
+                        iterations=top.applications)
 
 
 # -- projections -------------------------------------------------------------
@@ -397,7 +388,6 @@ def neumann_projection(op: MarkovOperator, norm: Optional[NormEstimate] = None,
 
 @dataclass
 class IterateResult:
-    power: Optional[np.ndarray]
     defect: float
     k: int
     mode: str  # "operator-norm" or "sampled-ratio"
@@ -405,27 +395,38 @@ class IterateResult:
 
 def iterate_to_projection(op: MarkovOperator, k: int, seed: int = 0,
                           n_samples: int = 16) -> IterateResult:
-    """A^k and its distance to the limiting projection.
+    """Distance of A^k to the limiting projection P.
 
-    p = 2: exact operator norm of A^k - P on a dense matrix.  Otherwise the
-    defect is the sup of |A^k f - P f|_p / |f|_p over seeded sample fields.
+    p = 2: the operator norm |A^k - P|, attained on the complement (A^k - P
+    vanishes on invariant fields) at the top eigenvector of (A^k)* A^k there,
+    which the spectral kernel finds; the defect is |(A^k - P) x| for that
+    unit vector x.  Otherwise the defect is the sup of |A^k f - P f|_p / |f|_p
+    over seeded sample fields.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     rep = op.rep
-    if rep.p == 2.0 and op.n_points <= DENSE_LIMIT:
-        a = op.dense()
-        pmat = op.decomposition.mean_matrix()
-        ak = np.linalg.matrix_power(a, k)
-        defect = float(np.linalg.norm(_weighted_conjugate(rep, ak - pmat), 2))
-        return IterateResult(power=ak, defect=defect, k=k, mode="operator-norm")
+    if rep.p == 2.0:
+        dec = op.decomposition
+        if dec.complement_dim() == 0:
+            return IterateResult(defect=0.0, k=k, mode="operator-norm")
+
+        def gram(f: np.ndarray) -> np.ndarray:
+            f = op.apply_power(f, k)
+            for _ in range(k):
+                f = op.apply_transpose(f)
+            return f
+
+        x = _unit_complement(dec, _top_eigenpair(gram, dec).vector)
+        defect = rep.norm(op.apply_power(x, k) - dec.mean(x))
+        return IterateResult(defect=defect, k=k, mode="operator-norm")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         f = rng.standard_normal((rep.n_points, rep.d))
         residual = op.apply_power(f, k) - op.decomposition.mean(f)
         worst = max(worst, rep.norm(residual) / rep.norm(f))
-    return IterateResult(power=None, defect=worst, k=k, mode="sampled-ratio")
+    return IterateResult(defect=worst, k=k, mode="sampled-ratio")
 
 
 def _weighted_conjugate(rep: Representation, mat: np.ndarray) -> np.ndarray:

@@ -27,7 +27,13 @@ from .group_core import (
     word_ball,
 )
 from .measures import DiscreteMeasure, uniform_on
-from .rep_markov import MarkovOperator, Representation, markov_operator, restricted_norm
+from .rep_markov import (
+    NON_GAPPED,
+    Representation,
+    iterate_to_projection,
+    markov_operator,
+    restricted_norm,
+)
 
 __all__ = [
     "WarpedLevel",
@@ -47,8 +53,6 @@ __all__ = [
     "LocalityReport",
     "ghost_locality",
 ]
-
-NON_GAPPED = 1.0 - 1e-6
 
 
 class WarpedLevel:
@@ -355,50 +359,8 @@ def level_measure(level: WarpedLevel) -> DiscreteMeasure:
     )
 
 
-def _defect_curve(op: MarkovOperator, k_max: int, seed: int = 0,
-                  tol: float = 1e-13, max_iter: int = 5000) -> np.ndarray:
-    """|A^k - P| for k = 1..k_max by warm-started power iteration.
-
-    A^k - P agrees with A^k on the mean-zero complement and vanishes on
-    invariant fields, so the norm is the top singular value of the
-    complement-restricted power.
-    """
-    rep = op.rep
-    dec = op.decomposition
-    w = rep.action.weights
-    if dec.complement_dim() == 0:
-        return np.zeros(k_max)
-    rng = np.random.default_rng(seed)
-    v = dec.complement(rng.standard_normal((rep.n_points, 1)))
-    v /= math.sqrt(float(np.sum(w[:, None] * v * v)))
-    out = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        rayleigh_old = np.inf
-        rayleigh = 0.0
-        for _ in range(max_iter):
-            av = v
-            for _ in range(k):
-                av = op.apply(av)
-            u = av
-            for _ in range(k):
-                u = op.apply_transpose(u)
-            u = dec.complement(u)
-            rayleigh = float(np.sum(w[:, None] * v * u))
-            if abs(rayleigh - rayleigh_old) < tol:
-                break
-            rayleigh_old = rayleigh
-            nrm = math.sqrt(float(np.sum(w[:, None] * u * u)))
-            if nrm < 1e-300:
-                rayleigh = max(rayleigh, 0.0)
-                break
-            v = u / nrm
-        out[k - 1] = math.sqrt(max(rayleigh, 0.0))
-    return out
-
-
 def ghost_defect(levels: Sequence[WarpedLevel], k_max: int,
-                 measures: Optional[Sequence[DiscreteMeasure]] = None,
-                 seed: int = 0) -> GhostReport:
+                 measures: Optional[Sequence[DiscreteMeasure]] = None) -> GhostReport:
     """Per-level gaps and the defect curves |A^k - P|, k <= k_max.
 
     The cone-level defect is the sup over levels; the report flags whether
@@ -412,14 +374,15 @@ def ghost_defect(levels: Sequence[WarpedLevel], k_max: int,
         mu = measures[i] if measures is not None else level_measure(level)
         rep = Representation(level.action, p=2.0, d=1)
         op = markov_operator(rep, mu)
-        est = restricted_norm(op, seed=seed)
+        est = restricted_norm(op)
         gapped = est.value < NON_GAPPED
         if not gapped:
             warnings.warn(
                 f"level m={level.m} has no measured gap (lambda={est.value})",
                 RuntimeWarning,
             )
-        defects = _defect_curve(op, k_max, seed=seed)
+        defects = np.array([iterate_to_projection(op, k).defect
+                            for k in range(1, k_max + 1)])
         rows.append(LevelDefect(m=level.m, t=level.t, lam=est.value,
                                 defects=defects, gapped=gapped))
     sup_lambda = max(r.lam for r in rows)

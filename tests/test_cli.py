@@ -88,6 +88,18 @@ def test_run_markov_z4_lambda_in_report(tmp_path):
     assert len(csv) == 10  # header + k = 0..8
 
 
+def test_run_markov_projection_walk_passes_decay_bound(tmp_path):
+    # on Z/3 the lazy walk is the projection: lambda = 0 and every defect is
+    # rounding noise, which must stay under the 1e-9 slack of the decay check
+    config = ExperimentConfig(
+        kind="markov",
+        fixture={"builder": "cyclic", "n": 3},
+        measure={"kind": "lazy_uniform"},
+        params={"k_max": 20},
+    )
+    assert run(config, tmp_path) == 0
+
+
 def test_run_markov_operator_export(tmp_path):
     config = ExperimentConfig(
         kind="markov",
@@ -238,3 +250,24 @@ def test_fixture_hash_present_and_stable(tmp_path):
     run(config, tmp_path)
     b = json.loads((tmp_path / "report.json").read_text())["fixture_hash"]
     assert a == b and len(a) == 64
+
+
+def test_run_unconverged_eigensolve_fails_invariant(tmp_path, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from gaplab import rep_markov
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(rep_markov, "eigsh", no_convergence)
+    config = ExperimentConfig(
+        kind="markov",
+        fixture={"builder": "cyclic", "n": 64},  # above the dense cutoff
+        params={"k_max": 2},
+    )
+    assert run(config, tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "invariant-failure"
+    assert report["failed_invariant"] == "eigensolve-not-converged"

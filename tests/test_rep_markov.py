@@ -180,7 +180,7 @@ def test_neumann_rejects_non_gapped():
 def test_neumann_agrees_with_iteration_limit():
     _act, _rep, op = _z4_setup()
     p = neumann_projection(op)
-    ak = iterate_to_projection(op, 60).power
+    ak = np.linalg.matrix_power(op.dense(), 60)
     assert np.max(np.abs(ak - p)) <= 1e-9
 
 
@@ -291,6 +291,22 @@ def test_identities_random_actions_seeded():
         assert report.ok, report.violations()
 
 
+def test_csr_apply_matches_atom_gathers():
+    # reference: the per-atom sums A f = sum mu(g) f(g^-1 .), A* f = sum mu(g) f(g .)
+    rng = np.random.default_rng(5)
+    act = _random_action(rng)
+    ball = word_ball(act, 2)
+    idx = rng.choice(len(ball), size=5, replace=False)
+    w = rng.random(5) + 0.1
+    mu = DiscreteMeasure({ball[i]: float(x) for i, x in zip(idx, w / w.sum())})
+    op = markov_operator(Representation(act, d=2), mu)
+    f = rng.standard_normal((act.n_points, 2))
+    gather = sum(x * f[el.inverse().perm_array()] for el, x in mu.items())
+    scatter = sum(x * f[el.perm_array()] for el, x in mu.items())
+    assert np.allclose(op.apply(f), gather, rtol=0, atol=1e-15)
+    assert np.allclose(op.apply_transpose(f), scatter, rtol=0, atol=1e-15)
+
+
 def test_submultiplicativity_of_restricted_norm():
     act = build_cyclic(6)
     rep = Representation(act)
@@ -341,3 +357,78 @@ def test_operator_coo_export():
     for i, j, v in coo:
         dense[i, j] += v
     assert np.allclose(dense, op.dense())
+
+
+def _lazy_uniform(act):
+    return uniform_on([act.identity_element()]
+                      + [act.generator_element(lab) for lab in act.gens.labels])
+
+
+def test_restricted_norm_z1024_closed_form_with_error_bound():
+    act = build_cyclic(1024)
+    est = restricted_norm(markov_operator(Representation(act), _lazy_uniform(act)))
+    closed = (1.0 + 2.0 * np.cos(2.0 * np.pi / 1024)) / 3.0
+    assert est.quality == "exact" and est.converged
+    assert abs(est.value - closed) <= 1e-12
+    assert 0.0 <= est.upper - est.value <= 1e-12
+    assert est.iterations > 0
+
+
+@pytest.mark.parametrize("m", [4, 8])  # 16 points go dense, 64 go to Lanczos
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_iterate_defect_matches_dense_svd(m, k):
+    act = build_sl2_quotient(m, variant="b")
+    rep = Representation(act)
+    # a non-self-adjoint measure: A* has the inverse generators
+    mu = DiscreteMeasure({act.identity_element(): 0.5,
+                          act.generator_element("e12"): 0.3,
+                          act.generator_element("e21"): 0.2})
+    op = markov_operator(rep, mu)
+    assert not np.allclose(op.dense(), op.dense().T)
+    sw = np.sqrt(act.weights)
+    diff = np.linalg.matrix_power(op.dense(), k) - op.decomposition.mean_matrix()
+    reference = np.linalg.norm(diff * (sw[:, None] / sw[None, :]), 2)
+    res = iterate_to_projection(op, k)
+    assert res.mode == "operator-norm"
+    assert abs(res.defect - reference) <= 1e-12
+
+
+def _small_spectra():
+    from gaplab.expanders import poincare_scalar
+    from gaplab.group_core import CayleyGraph
+
+    out = []
+    for act in (build_cyclic(2), build_cyclic(3), build_cyclic(4),
+                build_sl2_quotient(3, variant="a")):
+        op = markov_operator(Representation(act), _lazy_uniform(act))
+        out.append((restricted_norm(op).value, poincare_scalar(CayleyGraph(act)).lambda2))
+    return out
+
+
+def test_small_spectra_replay_bit_identical():
+    before = _small_spectra()
+    big = build_sl2_quotient(16, variant="b")
+    restricted_norm(markov_operator(Representation(big), _lazy_uniform(big)))
+    assert _small_spectra() == before
+
+
+def _whole_group_uniform(act):
+    g = act.generator_element("g")
+    elements = [act.identity_element()]
+    for _ in range(act.n_points - 1):
+        elements.append(elements[-1].compose(g))
+    return uniform_on(elements)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (build_cyclic(3), _lazy_uniform),  # dense: the lazy walk on Z/3 is P
+    lambda: (build_cyclic(64), _whole_group_uniform),  # Lanczos: A = P as well
+], ids=["z3-lazy-dense", "z64-uniform-lanczos"])
+def test_spectral_values_at_rounding_level_when_a_is_projection(build):
+    act, measure = build()
+    op = markov_operator(Representation(act), measure(act))
+    assert np.allclose(op.dense(), op.decomposition.mean_matrix(), atol=1e-15)
+    # sqrt of the kernel eigenvalue can be off by about 1e-8 here (1.1e-8 on Z/3)
+    assert restricted_norm(op).value <= 1e-14
+    for k in (1, 20):
+        assert iterate_to_projection(op, k).defect <= 1e-14
