@@ -7,6 +7,7 @@ from .group_core import (
     FiniteAction,
     GeneratorSystem,
     GroupElement,
+    Sl2GroupTable,
     build_cyclic,
     build_sl2_quotient,
     cayley_graph,
@@ -59,7 +60,6 @@ from .expanders import (
 )
 from .ergodic_walk import (
     ShrinkingTargetPlan,
-    Sl2GroupTable,
     conditioned_series,
     ergodic_error_curve,
     estimate_drift_mc,

@@ -36,7 +36,13 @@ from .kazhdan import (
     kazhdan_constant_oracle,
     norm_bound_from_kappa,
 )
-from .measures import DiscreteMeasure, certify_admissible, uniform_extended, uniform_on
+from .measures import (
+    DiscreteMeasure,
+    certify_admissible,
+    lazy_uniform,
+    uniform_extended,
+    uniform_on,
+)
 from .rep_markov import (
     Representation,
     markov_operator,
@@ -105,13 +111,6 @@ class AcceptanceReport:
 # -- shared fixtures -----------------------------------------------------------
 
 
-def _lazy_uniform(action: FiniteAction) -> DiscreteMeasure:
-    return uniform_on(
-        [action.identity_element()]
-        + [action.generator_element(lab) for lab in action.gens.labels]
-    )
-
-
 def _gapped_fixtures() -> List[Tuple[str, FiniteAction, DiscreteMeasure]]:
     z2 = build_cyclic(2)
     z4 = build_cyclic(4)
@@ -121,8 +120,8 @@ def _gapped_fixtures() -> List[Tuple[str, FiniteAction, DiscreteMeasure]]:
         ("Z/2", z2, uniform_on([z2.identity_element(), z2.generator_element("g")])),
         ("Z/4", z4, uniform_on([z4.identity_element(), z4.generator_element("g"),
                                 z4.generator_element("g^-1")])),
-        ("SL2(Z/5) regular", sl2, _lazy_uniform(sl2)),
-        ("(Z/16)^2 torus", torus, _lazy_uniform(torus)),
+        ("SL2(Z/5) regular", sl2, lazy_uniform(sl2)),
+        ("(Z/16)^2 torus", torus, lazy_uniform(torus)),
     ]
 
 
@@ -342,7 +341,7 @@ def criterion_6(seed: int) -> CriterionResult:
 def criterion_7(seed: int) -> CriterionResult:
     """Quantitative ergodic decay on the 16-torus for p in {1.5, 2, 3}."""
     action = build_sl2_quotient(16, variant="b")
-    mu = _lazy_uniform(action)
+    mu = lazy_uniform(action)
     rng = np.random.default_rng(seed + 5)
     f = rng.standard_normal(action.n_points)
     details: Dict[str, object] = {}
@@ -378,7 +377,7 @@ def criterion_8(seed: int) -> CriterionResult:
     passed = True
     # (Z/8)^2 fixture with two alternating 4-point targets
     action = build_sl2_quotient(8, variant="b")
-    mu = _lazy_uniform(action)
+    mu = lazy_uniform(action)
     plan = _alternating_plan(action, 20)
     fields = ew.hit_fields_exact(action, mu, plan)
     mean_gap = max(
@@ -417,7 +416,7 @@ def criterion_8(seed: int) -> CriterionResult:
     # divergent-case envelope on the primitive orbit of the 64-torus
     big = build_sl2_quotient(64, variant="b")
     sub = orbit_restriction(big, big.points.index((1, 0)))
-    mu64 = _lazy_uniform(sub)
+    mu64 = lazy_uniform(sub)
     center = sub.points.index((1, 0))
     horizon = 1000
     radii = [0.45 * n ** (-0.125) for n in range(1, horizon + 1)]

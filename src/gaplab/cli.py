@@ -40,7 +40,14 @@ from .kazhdan import (
     kazhdan_constant_oracle,
     norm_bound_from_kappa,
 )
-from .measures import DiscreteMeasure, certify_admissible, dirac, uniform_extended, uniform_on
+from .measures import (
+    DiscreteMeasure,
+    certify_admissible,
+    dirac,
+    lazy_uniform,
+    uniform_extended,
+    uniform_on,
+)
 from .rep_markov import (
     Representation,
     iterate_to_projection,
@@ -167,10 +174,7 @@ def build_fixture(spec: dict) -> FiniteAction:
 def build_measure(action: FiniteAction, spec: dict) -> DiscreteMeasure:
     kind = spec.get("kind", "lazy_uniform")
     if kind == "lazy_uniform":
-        return uniform_on(
-            [action.identity_element()]
-            + [action.generator_element(lab) for lab in action.gens.labels]
-        )
+        return lazy_uniform(action)
     if kind == "uniform_gens":
         return uniform_on([action.generator_element(lab) for lab in action.gens.labels])
     if kind == "dirac_e":
@@ -182,8 +186,8 @@ def build_measure(action: FiniteAction, spec: dict) -> DiscreteMeasure:
 # -- experiment runners ------------------------------------------------------------
 
 
-def _run_markov(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    action = build_fixture(config.fixture)
+def _run_markov(config: ExperimentConfig, action: FiniteAction
+               ) -> Tuple[dict, Dict[str, List[List]]]:
     mu = build_measure(action, config.measure)
     p = float(config.params.get("p", 2.0))
     k_max = int(config.params.get("k_max", 20))
@@ -213,8 +217,8 @@ def _run_markov(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
     return report, series
 
 
-def _run_projection(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    action = build_fixture(config.fixture)
+def _run_projection(config: ExperimentConfig, action: FiniteAction
+                   ) -> Tuple[dict, Dict[str, List[List]]]:
     mu = build_measure(action, config.measure)
     rep = Representation(action)
     op = markov_operator(rep, mu)
@@ -231,8 +235,8 @@ def _run_projection(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List
     return report, {}
 
 
-def _run_kazhdan(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    action = build_fixture(config.fixture)
+def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
+                ) -> Tuple[dict, Dict[str, List[List]]]:
     q = [action.generator_element(lab) for lab in action.gens.labels]
     rep = Representation(action, p=float(config.params.get("p", 2.0)))
     mu, cert = uniform_extended(q, action.identity_element())
@@ -310,8 +314,8 @@ def _run_expander(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]
     return report, {"quotients": rows}
 
 
-def _run_ergodic(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    action = build_fixture(config.fixture)
+def _run_ergodic(config: ExperimentConfig, action: FiniteAction
+                ) -> Tuple[dict, Dict[str, List[List]]]:
     mu = build_measure(action, config.measure)
     k_max = int(config.params.get("k_max", 25))
     exponents = config.params.get("exponents", [2.0])
@@ -342,8 +346,8 @@ def _run_ergodic(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]
     return report, series
 
 
-def _run_shrinking(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    action = build_fixture(config.fixture)
+def _run_shrinking(config: ExperimentConfig, action: FiniteAction
+                  ) -> Tuple[dict, Dict[str, List[List]]]:
     mu = build_measure(action, config.measure)
     params = config.params
     horizon = int(params.get("horizon", 50))
@@ -452,13 +456,16 @@ def _run_ghost(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
     return report, {"defects": rows}
 
 
-RUNNERS = {
+# runners of the kinds that run on one fixture, built once by ``run``
+FIXTURE_RUNNERS = {
     "markov": _run_markov,
     "projection": _run_projection,
     "kazhdan": _run_kazhdan,
-    "expander": _run_expander,
     "ergodic": _run_ergodic,
     "shrinking": _run_shrinking,
+}
+RUNNERS = {
+    "expander": _run_expander,
     "warped": _run_warped,
     "ghost": _run_ghost,
 }
@@ -485,10 +492,13 @@ def run(config: ExperimentConfig, out_dir: Path) -> int:
         "kind": config.kind,
     }
     try:
-        if config.kind in ("markov", "projection", "kazhdan", "ergodic", "shrinking"):
-            base["fixture_hash"] = action_fingerprint(build_fixture(config.fixture))
         try:
-            report, series = RUNNERS[config.kind](config)
+            if config.kind in FIXTURE_RUNNERS:
+                action = build_fixture(config.fixture)
+                base["fixture_hash"] = action_fingerprint(action)
+                report, series = FIXTURE_RUNNERS[config.kind](config, action)
+            else:
+                report, series = RUNNERS[config.kind](config)
         except ArpackNoConvergence as exc:
             raise InvariantFailure("eigensolve-not-converged", str(exc)) from exc
     except ConfigError as exc:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .group_core import FiniteAction, SL2_GENERATOR_MATRICES
+from .group_core import FiniteAction, Sl2GroupTable
 from .measures import DiscreteMeasure
 from .rep_markov import (
     MarkovOperator,
@@ -269,6 +269,17 @@ def _trial_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(32)) + np.uint64(trial)))
 
 
+def _draw_indices(weights: Sequence[float], trials: int, n_steps: int,
+                  seed: int) -> np.ndarray:
+    """(trials, n_steps) atom indices drawn by weight, each trial from its own stream."""
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    gidx = np.empty((trials, n_steps), dtype=np.int64)
+    for t in range(trials):
+        gidx[t] = np.searchsorted(cum, _trial_stream(seed, t).random(n_steps))
+    return gidx
+
+
 def shrinking_series_mc(action: FiniteAction, mu: DiscreteMeasure,
                         plan: ShrinkingTargetPlan, trials: int, seed: int,
                         start: int) -> McStatistics:
@@ -281,15 +292,8 @@ def shrinking_series_mc(action: FiniteAction, mu: DiscreteMeasure,
         raise ValueError("need at least one trial")
     atoms = [(el.inverse().perm_array(), w) for el, w in mu.items()]
     inv_perms = np.stack([a for a, _ in atoms])
-    weights = np.array([w for _, w in atoms])
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
     n_steps = plan.horizon
-    # pre-draw each trajectory's generator indices from its own stream
-    gidx = np.empty((trials, n_steps), dtype=np.int64)
-    for t in range(trials):
-        u = _trial_stream(seed, t).random(n_steps)
-        gidx[t] = np.searchsorted(cum, u)
+    gidx = _draw_indices([w for _, w in atoms], trials, n_steps, seed)
     pos = np.full(trials, start, dtype=np.int64)
     hits = np.zeros(n_steps)
     per_trial = np.zeros(trials)
@@ -368,131 +372,6 @@ def moment_inequality_check(action: FiniteAction, mu: DiscreteMeasure,
     return MomentReport(rows=rows, c_p=c_p, lam=lam, p=p)
 
 
-# -- word-length tracking on SL2 quotients ---------------------------------------
-
-
-class Sl2GroupTable:
-    """SL2(Z/m) with multiplication tables and exact word lengths.
-
-    Elements are the reachable products of the elementary generators
-    (all of SL2(Z/m)); word lengths are breadth-first distances for the
-    symmetric generating set.  Matrices are encoded into flat ids, so the
-    closure runs level-by-level on arrays.
-    """
-
-    MAX_MODULUS = 64  # the encoded id table has m^4 entries
-
-    def __init__(self, m: int) -> None:
-        if not 2 <= m <= self.MAX_MODULUS:
-            raise ValueError(f"need modulus in [2, {self.MAX_MODULUS}], got {m}")
-        self.m = int(m)
-        self.labels = tuple(SL2_GENERATOR_MATRICES)
-        gens = {lab: np.array([x % m for x in mat], dtype=np.int64)
-                for lab, mat in SL2_GENERATOR_MATRICES.items()}
-        ident = np.array([[1 % m, 0, 0, 1 % m]], dtype=np.int64)
-        id_of = np.full(m**4, -1, dtype=np.int64)
-        id_of[self._encode(ident)] = 0
-        chunks = [ident]
-        lengths = [np.zeros(1, dtype=np.int64)]
-        frontier = ident
-        count = 1
-        depth = 0
-        while frontier.size:
-            depth += 1
-            cands = np.concatenate(
-                [_batch_mat_mul(frontier, g, m) for g in gens.values()]
-            )
-            encs = self._encode(cands)
-            fresh = np.flatnonzero(id_of[encs] < 0)
-            if fresh.size == 0:
-                break
-            _uniq, first = np.unique(encs[fresh], return_index=True)
-            new_rows = cands[fresh[first]]
-            new_encs = encs[fresh[first]]
-            id_of[new_encs] = count + np.arange(len(new_rows))
-            count += len(new_rows)
-            chunks.append(new_rows)
-            lengths.append(np.full(len(new_rows), depth, dtype=np.int64))
-            frontier = new_rows
-        self.elements = np.concatenate(chunks)
-        self.word_length = np.concatenate(lengths)
-        self._id_of = id_of
-        self.identity = 0
-        self.n_elements = len(self.elements)
-        self.right_mult = {
-            lab: self._lookup(_batch_mat_mul(self.elements, g, m))
-            for lab, g in gens.items()
-        }
-
-    def _encode(self, mats: np.ndarray) -> np.ndarray:
-        m = self.m
-        return ((mats[:, 0] * m + mats[:, 1]) * m + mats[:, 2]) * m + mats[:, 3]
-
-    def _lookup(self, mats: np.ndarray) -> np.ndarray:
-        ids = self._id_of[self._encode(mats)]
-        if np.any(ids < 0):
-            raise ValueError("matrix outside the generated group")
-        return ids
-
-    def inverse_ids(self) -> np.ndarray:
-        inv = self.elements[:, [3, 1, 2, 0]].copy()
-        inv[:, 1] = (-self.elements[:, 1]) % self.m
-        inv[:, 2] = (-self.elements[:, 2]) % self.m
-        return self._lookup(inv)
-
-    def act_on_point(self, point: Tuple[int, int], inverse: bool = False) -> np.ndarray:
-        """For every group element g, the image g . point (or g^-1 . point)."""
-        x, y = point
-        a, b, c, d = (self.elements[:, i] for i in range(4))
-        if inverse:
-            # inverse of (a b; c d) in SL2 is (d -b; -c a)
-            a, b, c, d = d, (-b) % self.m, (-c) % self.m, a
-        nx = (a * x + b * y) % self.m
-        ny = (c * x + d * y) % self.m
-        return np.stack([nx, ny], axis=1)
-
-    def step_distribution(self, mu_labels: Dict[str, float]) -> List[Tuple[Optional[str], float]]:
-        out = []
-        total = 0.0
-        for lab, w in mu_labels.items():
-            if w < 0:
-                raise ValueError("negative weight")
-            total += w
-            if lab == "e":
-                out.append((None, float(w)))
-            elif lab in self.right_mult:
-                out.append((lab, float(w)))
-            else:
-                raise ValueError(f"unknown label {lab!r}")
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("label weights do not sum to 1")
-        return out
-
-    def convolution_step(self, dist: np.ndarray, mu_labels: Dict[str, float]) -> np.ndarray:
-        """One step of the walk distribution under right multiplication."""
-        out = np.zeros_like(dist)
-        for lab, w in self.step_distribution(mu_labels):
-            if lab is None:
-                out += w * dist
-            else:
-                out[self.right_mult[lab]] += w * dist
-        return out
-
-
-def _batch_mat_mul(mats: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
-    a, b, c, d = mats[:, 0], mats[:, 1], mats[:, 2], mats[:, 3]
-    e, f_, g_, h = int(g[0]), int(g[1]), int(g[2]), int(g[3])
-    return np.stack(
-        [
-            (a * e + b * g_) % m,
-            (a * f_ + b * h) % m,
-            (c * e + d * g_) % m,
-            (c * f_ + d * h) % m,
-        ],
-        axis=1,
-    )
-
-
 # -- drift ----------------------------------------------------------------------
 
 
@@ -516,12 +395,7 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
     """
     steps = table.step_distribution(mu_labels)
     labels = [lab for lab, _ in steps]
-    cum = np.cumsum([w for _, w in steps])
-    cum[-1] = 1.0
-    gidx = np.empty((trials, n_steps), dtype=np.int64)
-    for t in range(trials):
-        u = _trial_stream(seed, t).random(n_steps)
-        gidx[t] = np.searchsorted(cum, u)
+    gidx = _draw_indices([w for _, w in steps], trials, n_steps, seed)
     pos = np.full(trials, table.identity, dtype=np.int64)
     mean_lengths = np.zeros(n_steps)
     for n in range(n_steps):
@@ -580,19 +454,22 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
                                   trials=drift_trials, seed=seed)
     a = drift_fraction * drift.two_a / 2.0
     starts = np.asarray(list(starts), dtype=np.int64)
-    point_lookup = {tuple(p): i for i, p in enumerate(action.points)}
-    if any(max(p) >= table.m for p in action.points):
+    m = table.m
+    points = np.asarray(action.points, dtype=np.int64).reshape(action.n_points, -1)
+    if points.shape[1] != 2 or points.min() < 0 or points.max() >= m:
         raise ValueError("group table modulus does not match the action grid")
-    # for each start x, the point index of g^-1 x per group element (or -1)
-    act_inv = np.empty((len(starts), table.n_elements), dtype=np.int64)
-    for row, s in enumerate(starts):
-        images = table.act_on_point(tuple(action.points[int(s)]), inverse=True)
-        act_inv[row] = [point_lookup.get((int(x), int(y)), -1) for x, y in images]
-        if act_inv[row, table.identity] != int(s):
-            raise ValueError("group table does not act compatibly on the fixture")
+    index_of = np.full(m * m, -1, dtype=np.int64)
+    index_of[points[:, 0] * m + points[:, 1]] = np.arange(action.n_points)
+    # for each start x and group element g = (ga gb; gc gd), the point index
+    # of g^-1 x = (gd x - gb y, ga y - gc x)
+    ga, gb, gc, gd = table.elements.T
+    xs, ys = points[starts, 0][:, None], points[starts, 1][:, None]
+    act_inv = index_of[((gd * xs - gb * ys) % m) * m + (ga * ys - gc * xs) % m]
+    if np.any(act_inv < 0):
+        raise ValueError("group table maps a start outside the fixture")
+    if np.any(act_inv[:, table.identity] != starts):
+        raise ValueError("group table does not act compatibly on the fixture")
     horizon = plan.horizon
-    valid = act_inv >= 0
-    safe_idx = np.clip(act_inv, 0, None)
     dist = np.zeros(table.n_elements)
     dist[table.identity] = 1.0
     cond = np.zeros((len(starts), horizon))
@@ -603,7 +480,7 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
         cut = table.word_length > a * n
         tail_mass[n - 1] = float(dist[cut].sum())
         member = plan.membership(n)
-        in_target = valid & member[safe_idx]          # (n_starts, |G|)
+        in_target = member[act_inv]          # (n_starts, |G|)
         uncond[:, n - 1] = in_target @ dist
         cond[:, n - 1] = in_target @ (dist * cut)
     return ConditionedStatistics(

@@ -34,6 +34,7 @@ __all__ = [
     "action_to_json",
     "action_fingerprint",
     "SL2_GENERATOR_MATRICES",
+    "Sl2GroupTable",
 ]
 
 PROB_TOL = 1e-12
@@ -130,20 +131,6 @@ class GroupElement:
     def key(self) -> str:
         """Stable serialization id."""
         return ",".join(str(i) for i in self.perm)
-
-
-def _mat_mul(
-    a: Tuple[int, int, int, int], b: Tuple[int, int, int, int], mod: Optional[int]
-) -> Tuple[int, int, int, int]:
-    out = (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
-    if mod is not None:
-        out = tuple(x % mod for x in out)  # type: ignore[assignment]
-    return out  # type: ignore[return-value]
 
 
 class TorusGridMetric:
@@ -331,22 +318,138 @@ _SL2_GENS = GeneratorSystem(
 )
 
 
-def _sl2_elements(m: int) -> Tuple[List[Tuple[int, int, int, int]], Dict[Tuple[int, int, int, int], int]]:
-    """Enumerate SL2(Z/m) by breadth-first closure from the identity."""
-    gens = [tuple(x % m for x in mat) for mat in SL2_GENERATOR_MATRICES.values()]
-    ident = (1 % m, 0, 0, 1 % m)
-    index = {ident: 0}
-    elements = [ident]
-    queue = deque([ident])
-    while queue:
-        a = queue.popleft()
-        for g in gens:
-            b = _mat_mul(g, a, m)
-            if b not in index:
-                index[b] = len(elements)
-                elements.append(b)
-                queue.append(b)
-    return elements, index
+def _sl2_mul(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """Products x y mod m of 2x2 matrices stored as rows (a, b, c, d).
+
+    Either side may be a single matrix, multiplied against every row of the
+    other.
+    """
+    a, b, c, d = np.asarray(x).T
+    e, f, g, h = np.asarray(y).T
+    return np.stack(
+        [(a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m],
+        axis=-1,
+    )
+
+
+def _sl2_codes(mats: np.ndarray, m: int) -> np.ndarray:
+    return ((mats[:, 0] * m + mats[:, 1]) * m + mats[:, 2]) * m + mats[:, 3]
+
+
+def _sl2_find(index: Tuple[np.ndarray, np.ndarray], codes: np.ndarray) -> np.ndarray:
+    """Ids of the matrices with the given codes, -1 where there is none."""
+    sorted_codes, ids = index
+    out = np.full(len(codes), -1, dtype=np.int64)
+    if len(sorted_codes):
+        order = np.argsort(codes)  # sorted queries search several times faster
+        pos = np.minimum(np.searchsorted(sorted_codes, codes[order]), len(sorted_codes) - 1)
+        hit = sorted_codes[pos] == codes[order]
+        out[order[hit]] = ids[pos[hit]]
+    return out
+
+
+def _sl2_closure(m: int):
+    """SL2(Z/m) by breadth-first closure under left multiplication.
+
+    Returns the elements as rows (a, b, c, d) -- the identity first, then in
+    order of first discovery by (parent, generator label), as a queue-driven
+    search meets them -- their word lengths, ``left_mult[label][i]``, the id
+    of s * element i, and the lookup index (sorted codes, their ids).
+    """
+    gens = [np.array([x % m for x in mat], dtype=np.int64)
+            for mat in SL2_GENERATOR_MATRICES.values()]
+    frontier = np.array([[1 % m, 0, 0, 1 % m]], dtype=np.int64)
+    chunks, lengths, products = [frontier], [np.zeros(1, dtype=np.int64)], []
+    empty = np.zeros(0, dtype=np.int64)
+    # (sorted codes, ids) of the levels at depth - 1 and depth
+    previous, current = (empty, empty), (_sl2_codes(frontier, m), np.zeros(1, dtype=np.int64))
+    count, depth = 1, 0
+    while len(frontier):
+        depth += 1
+        # one row per parent, one column per generator: the order of discovery
+        cands = np.stack([_sl2_mul(g, frontier, m) for g in gens], axis=1)
+        codes = _sl2_codes(cands.reshape(-1, 4), m)
+        # the generators come in inverse pairs, so s * x lies one level below
+        # x, on its level or one level above
+        ids = _sl2_find(current, codes)
+        miss = np.flatnonzero(ids < 0)
+        ids[miss] = _sl2_find(previous, codes[miss])
+        fresh = miss[ids[miss] < 0]
+        new_codes, first, inverse = np.unique(codes[fresh], return_index=True,
+                                              return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ids[fresh] = count + rank[inverse.ravel()]
+        products.append(ids.reshape(len(frontier), len(gens)))
+        frontier = cands.reshape(-1, 4)[fresh[np.sort(first)]]
+        chunks.append(frontier)
+        lengths.append(np.full(len(frontier), depth, dtype=np.int64))
+        previous, current = current, (new_codes, count + rank)
+        count += len(frontier)
+    elements = np.concatenate(chunks)
+    left = np.concatenate(products)
+    left_mult = {lab: left[:, j] for j, lab in enumerate(SL2_GENERATOR_MATRICES)}
+    all_codes = _sl2_codes(elements, m)
+    order = np.argsort(all_codes)
+    return elements, np.concatenate(lengths), left_mult, (all_codes[order], order)
+
+
+class Sl2GroupTable:
+    """SL2(Z/m) with multiplication tables and exact word lengths.
+
+    Elements are the reachable products of the elementary generators (all of
+    SL2(Z/m)) in the order of ``build_sl2_quotient(m, "a")``'s points; word
+    lengths are breadth-first distances for the symmetric generating set.
+    Matrices are looked up through their sorted flat codes.
+    """
+
+    MAX_MODULUS = 64  # |SL2(Z/64)| = 196,608 elements
+
+    def __init__(self, m: int) -> None:
+        if not 2 <= m <= self.MAX_MODULUS:
+            raise ValueError(f"need modulus in [2, {self.MAX_MODULUS}], got {m}")
+        self.m = int(m)
+        self.labels = tuple(SL2_GENERATOR_MATRICES)
+        self.elements, self.word_length, _left, self._index = _sl2_closure(self.m)
+        self.identity = 0
+        self.n_elements = len(self.elements)
+        self.right_mult = {
+            lab: self._lookup(_sl2_mul(self.elements, [x % m for x in mat], m))
+            for lab, mat in SL2_GENERATOR_MATRICES.items()
+        }
+
+    def _lookup(self, mats: np.ndarray) -> np.ndarray:
+        ids = _sl2_find(self._index, _sl2_codes(mats, self.m))
+        if np.any(ids < 0):
+            raise ValueError("matrix outside the generated group")
+        return ids
+
+    def step_distribution(self, mu_labels: Dict[str, float]) -> List[Tuple[Optional[str], float]]:
+        out = []
+        total = 0.0
+        for lab, w in mu_labels.items():
+            if w < 0:
+                raise ValueError("negative weight")
+            total += w
+            if lab == "e":
+                out.append((None, float(w)))
+            elif lab in self.right_mult:
+                out.append((lab, float(w)))
+            else:
+                raise ValueError(f"unknown label {lab!r}")
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError("label weights do not sum to 1")
+        return out
+
+    def convolution_step(self, dist: np.ndarray, mu_labels: Dict[str, float]) -> np.ndarray:
+        """One step of the walk distribution under right multiplication."""
+        out = np.zeros_like(dist)
+        for lab, w in self.step_distribution(mu_labels):
+            if lab is None:
+                out += w * dist
+            else:
+                out[self.right_mult[lab]] += w * dist
+        return out
 
 
 def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
@@ -362,16 +465,11 @@ def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
     if variant == "a":
         if m < 2:
             raise ValueError(f"variant 'a' requires modulus >= 2, got {m}")
-        elements, index = _sl2_elements(m)
+        elements, _lengths, left_mult, _index = _sl2_closure(m)
         n = len(elements)
-        perms = {}
-        for lab, mat in SL2_GENERATOR_MATRICES.items():
-            g = tuple(x % m for x in mat)
-            perms[lab] = np.asarray(
-                [index[_mat_mul(g, a, m)] for a in elements], dtype=np.int64
-            )
+        points = [tuple(row) for row in elements.tolist()]
         weights = np.full(n, 1.0 / n)
-        return FiniteAction(elements, weights, _SL2_GENS, perms, name=f"SL2(Z/{m})")
+        return FiniteAction(points, weights, _SL2_GENS, left_mult, name=f"SL2(Z/{m})")
     if m < 1:
         raise ValueError(f"variant 'b' requires modulus >= 1, got {m}")
     n = m * m

@@ -19,7 +19,13 @@ import numpy as np
 
 from .group_core import GroupElement, element_ball
 from .measures import AdmissibilityCertificate, DiscreteMeasure, uniform_on
-from .rep_markov import Decomposition, MarkovOperator, Representation, _symmetrized_top
+from .rep_markov import (
+    Decomposition,
+    MarkovOperator,
+    Representation,
+    _lp_norm_and_grad,
+    _symmetrized_top,
+)
 
 __all__ = [
     "ModulusResult",
@@ -102,15 +108,6 @@ def _displacement(rep: Representation, q_inv_perms: List[np.ndarray],
     return out
 
 
-def _lp_grad(rep: Representation, u: np.ndarray) -> np.ndarray:
-    p = rep.p
-    w = rep.action.weights[:, None]
-    nrm = rep.norm(u)
-    if nrm == 0.0:
-        return np.zeros_like(u)
-    return w * np.abs(u) ** (p - 1.0) * np.sign(u) * nrm ** (1.0 - p)
-
-
 def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
                             seed: int = 0, n_starts: int = 64,
                             max_iter: int = 3000,
@@ -131,9 +128,6 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
     q_inv = [el.inverse().perm_array() for el in q_set]
     q_perm = [el.perm_array() for el in q_set]
 
-    def objective(v: np.ndarray) -> float:
-        return float(np.max(_displacement(rep, q_inv, v)))
-
     def normalize(v: np.ndarray) -> Optional[np.ndarray]:
         v = dec.complement(v)
         nrm = rep.norm(v)
@@ -145,16 +139,15 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
         v = normalize(v0)
         if v is None:
             return math.inf, v0
-        val = objective(v)
+        # the accepted point keeps its displacements: the objective is their max
+        disps = _displacement(rep, q_inv, v)
+        val = float(np.max(disps))
         step = 0.5
         for _ in range(max_iter):
-            disps = _displacement(rep, q_inv, v)
-            top = float(np.max(disps))
-            active = [i for i, dspl in enumerate(disps) if dspl >= top - tie_tol]
+            active = [i for i, dspl in enumerate(disps) if dspl >= val - tie_tol]
             grad = np.zeros_like(v)
             for i in active:
-                u = v - v[q_inv[i]]
-                gu = _lp_grad(rep, u)
+                _, gu = _lp_norm_and_grad(rep, v - v[q_inv[i]])
                 grad += gu - gu[q_perm[i]]
             grad /= len(active)
             grad = dec.complement(grad)
@@ -165,9 +158,10 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
             while step > 1e-14:
                 cand = normalize(v - step * grad)
                 if cand is not None:
-                    cval = objective(cand)
+                    cdisps = _displacement(rep, q_inv, cand)
+                    cval = float(np.max(cdisps))
                     if cval < val - 1e-15:
-                        v, val = cand, cval
+                        v, val, disps = cand, cval, cdisps
                         step *= 1.5
                         moved = True
                         break

@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from .group_core import GroupElement
+from .group_core import FiniteAction, GroupElement
 
 __all__ = [
     "DiscreteMeasure",
@@ -27,6 +27,7 @@ __all__ = [
     "power",
     "dirac",
     "uniform_on",
+    "lazy_uniform",
     "translate",
     "reflect",
     "measure_to_json",
@@ -84,6 +85,14 @@ def uniform_on(elements: Iterable[GroupElement]) -> DiscreteMeasure:
     if not els:
         raise ValueError("uniform measure needs a nonempty support")
     return DiscreteMeasure({el: 1.0 / len(els) for el in els})
+
+
+def lazy_uniform(action: FiniteAction) -> DiscreteMeasure:
+    """Uniform measure on the identity and the generators of an action."""
+    return uniform_on(
+        [action.identity_element()]
+        + [action.generator_element(lab) for lab in action.gens.labels]
+    )
 
 
 def translate(g: GroupElement, mu: DiscreteMeasure) -> DiscreteMeasure:

@@ -26,7 +26,7 @@ from .group_core import (
     build_sl2_quotient,
     word_ball,
 )
-from .measures import DiscreteMeasure, uniform_on
+from .measures import DiscreteMeasure, lazy_uniform
 from .rep_markov import (
     NON_GAPPED,
     Representation,
@@ -350,15 +350,6 @@ class GhostReport:
         return bool(np.all(self.cone_defects() <= self.sup_lambda**ks + tol))
 
 
-def level_measure(level: WarpedLevel) -> DiscreteMeasure:
-    """Lazy uniform measure on the identity and the generators."""
-    act = level.action
-    return uniform_on(
-        [act.identity_element()]
-        + [act.generator_element(lab) for lab in act.gens.labels]
-    )
-
-
 def ghost_defect(levels: Sequence[WarpedLevel], k_max: int,
                  measures: Optional[Sequence[DiscreteMeasure]] = None) -> GhostReport:
     """Per-level gaps and the defect curves |A^k - P|, k <= k_max.
@@ -371,7 +362,7 @@ def ghost_defect(levels: Sequence[WarpedLevel], k_max: int,
         raise ValueError("k_max must be >= 1")
     rows = []
     for i, level in enumerate(levels):
-        mu = measures[i] if measures is not None else level_measure(level)
+        mu = measures[i] if measures is not None else lazy_uniform(level.action)
         rep = Representation(level.action, p=2.0, d=1)
         op = markov_operator(rep, mu)
         est = restricted_norm(op)

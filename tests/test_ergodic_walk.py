@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaplab.group_core import build_cyclic, build_sl2_quotient, orbit_restriction
-from gaplab.measures import dirac, uniform_on
+from gaplab.measures import dirac, lazy_uniform, uniform_on
 from gaplab.rep_markov import Representation, markov_operator, restricted_norm
 from gaplab.ergodic_walk import (
     Sl2GroupTable,
@@ -27,11 +27,7 @@ def _torus_fixture(m):
     act = build_sl2_quotient(m, variant="b")
     idx = {p: i for i, p in enumerate(act.points)}
     sub = orbit_restriction(act, idx[(1, 0)])
-    mu = uniform_on(
-        [sub.identity_element()]
-        + [sub.generator_element(lab) for lab in sub.gens.labels]
-    )
-    return sub, mu
+    return sub, lazy_uniform(sub)
 
 
 # -- ergodic decay -------------------------------------------------------------
@@ -343,6 +339,7 @@ def test_group_table_orders():
     assert Sl2GroupTable(2).n_elements == 6
     assert Sl2GroupTable(3).n_elements == 24
     assert Sl2GroupTable(4).n_elements == 48
+    assert Sl2GroupTable(64).n_elements == 196608  # 64^3 (1 - 1/4)
 
 
 def test_group_table_word_lengths_match_group_core_bfs():
@@ -422,6 +419,22 @@ def test_conditioned_series_exact_cross_check():
     assert np.all(cs.hit_probs <= cs.unconditioned + 1e-15)
     assert np.all(cs.tail_mass <= 1.0 + 1e-12)
     assert cs.a > 0
+
+
+def test_conditioned_rejects_image_outside_fixture():
+    # every g^-1 (1, 0) with g in SL2(Z/2) other than the identity leaves
+    # the two-point fixture; the table must not drop that mass silently
+    from gaplab.group_core import FiniteAction, GeneratorSystem
+
+    gens = GeneratorSystem(labels=("s", "s^-1"), inverses={"s": "s^-1", "s^-1": "s"})
+    ident = np.arange(2)
+    act = FiniteAction([(0, 0), (1, 0)], np.full(2, 0.5), gens,
+                       {"s": ident, "s^-1": ident})
+    plan = plan_from_sets(act, [[1], [1]])
+    table = Sl2GroupTable(2)
+    with pytest.raises(ValueError, match="outside the fixture"):
+        conditioned_series(act, MU_LABELS, plan, 0.0, table, [1],
+                           drift_steps=8, drift_trials=20, seed=0)
 
 
 def test_conditioned_rejects_bad_fraction():

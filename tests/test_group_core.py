@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gaplab.group_core import (
     GeneratorSystem,
     GroupElement,
     SL2_GENERATOR_MATRICES,
+    Sl2GroupTable,
     action_to_json,
     build_cyclic,
     build_sl2_quotient,
@@ -71,6 +73,55 @@ def test_sl2_variant_a_mod2_order_six():
 def test_sl2_variant_a_mod3_order():
     act = build_sl2_quotient(3, variant="a")
     assert act.n_points == len(_brute_force_sl2(3)) == 24
+
+
+def _deque_sl2(m):
+    """Reference enumeration: SL2(Z/m) by a queue-driven breadth-first search
+    under left multiplication, with left-translation perms per generator."""
+
+    def mul(x, y):
+        return ((x[0] * y[0] + x[1] * y[2]) % m, (x[0] * y[1] + x[1] * y[3]) % m,
+                (x[2] * y[0] + x[3] * y[2]) % m, (x[2] * y[1] + x[3] * y[3]) % m)
+
+    gens = {lab: tuple(x % m for x in mat) for lab, mat in SL2_GENERATOR_MATRICES.items()}
+    ident = (1 % m, 0, 0, 1 % m)
+    index = {ident: 0}
+    elements = [ident]
+    queue = deque([ident])
+    while queue:
+        a = queue.popleft()
+        for g in gens.values():
+            b = mul(g, a)
+            if b not in index:
+                index[b] = len(elements)
+                elements.append(b)
+                queue.append(b)
+    perms = {lab: [index[mul(g, a)] for a in elements] for lab, g in gens.items()}
+    return elements, perms
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_sl2_variant_a_matches_deque_reference(m):
+    elements, perms = _deque_sl2(m)
+    act = build_sl2_quotient(m, variant="a")
+    assert act.points == elements
+    assert all(type(x) is int for x in act.points[-1])
+    for lab in SL2_GENERATOR_MATRICES:
+        assert act.perms[lab].tolist() == perms[lab]
+
+
+def test_sl2_table_shares_the_quotient_order():
+    table = Sl2GroupTable(7)
+    act = build_sl2_quotient(7, variant="a")
+    assert [tuple(row) for row in table.elements.tolist()] == act.points
+    assert table.word_length[0] == 0
+    assert np.all(np.diff(table.word_length) >= 0)  # breadth-first levels
+
+
+def test_sl2_table_rejects_moduli_outside_range():
+    for m in (0, 1, 65):
+        with pytest.raises(ValueError):
+            Sl2GroupTable(m)
 
 
 def test_sl2_variant_b_mod2_hand_arithmetic():

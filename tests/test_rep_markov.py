@@ -5,6 +5,7 @@ from gaplab.group_core import build_cyclic, build_sl2_quotient, word_ball
 from gaplab.measures import (
     DiscreteMeasure,
     dirac,
+    lazy_uniform,
     uniform_on,
 )
 from gaplab.rep_markov import (
@@ -359,14 +360,9 @@ def test_operator_coo_export():
     assert np.allclose(dense, op.dense())
 
 
-def _lazy_uniform(act):
-    return uniform_on([act.identity_element()]
-                      + [act.generator_element(lab) for lab in act.gens.labels])
-
-
 def test_restricted_norm_z1024_closed_form_with_error_bound():
     act = build_cyclic(1024)
-    est = restricted_norm(markov_operator(Representation(act), _lazy_uniform(act)))
+    est = restricted_norm(markov_operator(Representation(act), lazy_uniform(act)))
     closed = (1.0 + 2.0 * np.cos(2.0 * np.pi / 1024)) / 3.0
     assert est.quality == "exact" and est.converged
     assert abs(est.value - closed) <= 1e-12
@@ -400,7 +396,7 @@ def _small_spectra():
     out = []
     for act in (build_cyclic(2), build_cyclic(3), build_cyclic(4),
                 build_sl2_quotient(3, variant="a")):
-        op = markov_operator(Representation(act), _lazy_uniform(act))
+        op = markov_operator(Representation(act), lazy_uniform(act))
         out.append((restricted_norm(op).value, poincare_scalar(CayleyGraph(act)).lambda2))
     return out
 
@@ -408,7 +404,7 @@ def _small_spectra():
 def test_small_spectra_replay_bit_identical():
     before = _small_spectra()
     big = build_sl2_quotient(16, variant="b")
-    restricted_norm(markov_operator(Representation(big), _lazy_uniform(big)))
+    restricted_norm(markov_operator(Representation(big), lazy_uniform(big)))
     assert _small_spectra() == before
 
 
@@ -421,7 +417,7 @@ def _whole_group_uniform(act):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: (build_cyclic(3), _lazy_uniform),  # dense: the lazy walk on Z/3 is P
+    lambda: (build_cyclic(3), lazy_uniform),  # dense: the lazy walk on Z/3 is P
     lambda: (build_cyclic(64), _whole_group_uniform),  # Lanczos: A = P as well
 ], ids=["z3-lazy-dense", "z64-uniform-lanczos"])
 def test_spectral_values_at_rounding_level_when_a_is_projection(build):

@@ -12,7 +12,6 @@ from gaplab.warped_cone import (
     ghost_defect,
     ghost_locality,
     ghost_projection,
-    level_measure,
     propagation_check,
     propagation_exhaustive,
     warped_distance,
@@ -200,10 +199,10 @@ def test_propagation_exhaustive_small_words(level8):
 def test_iterated_operator_propagation_bounded_by_k(level8):
     # A^k mixes words of length <= k, so its matrix support stays within
     # warped distance k
+    from gaplab.measures import lazy_uniform
     from gaplab.rep_markov import Representation, markov_operator
-    from gaplab.warped_cone import level_measure
 
-    op = markov_operator(Representation(level8.action), level_measure(level8))
+    op = markov_operator(Representation(level8.action), lazy_uniform(level8.action))
     dists = level8.all_distances()
     a = op.dense()
     power = np.eye(level8.n_points)
@@ -318,7 +317,9 @@ def test_ghost_locality_decreasing_across_levels():
 
 
 def test_level_measure_is_lazy_uniform():
+    from gaplab.measures import lazy_uniform
+
     level = build_warped_level(4)
-    mu = level_measure(level)
+    mu = lazy_uniform(level.action)
     assert len(mu) == 5
     assert all(w == pytest.approx(0.2) for _, w in mu.items())
