@@ -31,7 +31,6 @@ from .rep_markov import (
     MarkovOperator,
     NormEstimate,
     Representation,
-    VectorField,
     iterate_to_projection,
     markov_operator,
     neumann_projection,
@@ -39,7 +38,6 @@ from .rep_markov import (
     restricted_norm,
 )
 from .kazhdan import (
-    ConvexityModulus,
     KazhdanCertificate,
     boost_pair,
     hecke_conversion,

@@ -115,10 +115,6 @@ class ErgodicCurve:
     field_norm: float
     slope: Optional[float]
 
-    def bound_slack(self) -> np.ndarray:
-        ks = np.arange(1, len(self.errors) + 1)
-        return self.lam**ks * self.field_norm - self.errors
-
 
 def ergodic_error_curve(rep: Representation, f: np.ndarray, mu: DiscreteMeasure,
                         K: int, norm_estimate: Optional[NormEstimate] = None

@@ -139,9 +139,6 @@ class TorusGridMetric:
     def __init__(self, m: int) -> None:
         self.m = int(m)
 
-    def coords(self, index: int) -> Tuple[int, int]:
-        return divmod(int(index), self.m)
-
     def distance(self, i: int, j: int) -> float:
         m = self.m
         xi, yi = divmod(int(i), m)
@@ -247,9 +244,6 @@ class FiniteAction:
         if el.is_identity():
             el.word_length = 0
         return el
-
-    def generator_elements(self) -> Dict[str, GroupElement]:
-        return {lab: self.generator_element(lab) for lab in self.gens.labels}
 
     def orbits(self) -> List[np.ndarray]:
         """Orbits of the permutation group generated by the generator maps."""

@@ -20,6 +20,7 @@ import numpy as np
 from .group_core import GroupElement, element_ball
 from .measures import AdmissibilityCertificate, DiscreteMeasure, uniform_on
 from .rep_markov import (
+    DENSE_LIMIT,
     Decomposition,
     MarkovOperator,
     Representation,
@@ -29,7 +30,6 @@ from .rep_markov import (
 
 __all__ = [
     "ModulusResult",
-    "ConvexityModulus",
     "modulus",
     "KazhdanOracleResult",
     "kazhdan_constant_oracle",
@@ -70,17 +70,6 @@ def modulus(p: float, t: float) -> ModulusResult:
     return ModulusResult((p - 1.0) * t * t / 8.0, False)
 
 
-class ConvexityModulus:
-    """Evaluator form of the modulus for a fixed exponent."""
-
-    def __init__(self, p: float) -> None:
-        self.p = float(p)
-        self.exact = self.p == 2.0
-
-    def __call__(self, t: float) -> float:
-        return modulus(self.p, t).value
-
-
 # -- the kappa oracle ---------------------------------------------------------
 
 
@@ -99,15 +88,6 @@ class KazhdanOracleResult:
     p: float
 
 
-def _displacement(rep: Representation, q_inv_perms: List[np.ndarray],
-                  v: np.ndarray) -> np.ndarray:
-    """Per-element displacements |v - pi_s v|_p for s in Q."""
-    out = np.empty(len(q_inv_perms))
-    for i, inv in enumerate(q_inv_perms):
-        out[i] = rep.norm(v - v[inv])
-    return out
-
-
 def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
                             seed: int = 0, n_starts: int = 64,
                             max_iter: int = 3000,
@@ -116,16 +96,19 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
 
     Multi-start projected subgradient descent with step halving; ties in the
     max are handled by averaging the active subgradients.  When the
-    complement is trivial the constant is vacuously +inf.
+    complement is trivial the constant is vacuously +inf.  The quadratic-form
+    starts are dense n x n, so actions above DENSE_LIMIT points are refused.
     """
     q_set = list(dict.fromkeys(Q))
     if not q_set:
         raise ValueError("empty Kazhdan set")
+    if rep.n_points > DENSE_LIMIT:
+        raise ValueError(f"refusing dense {rep.n_points} x {rep.n_points} quadratic form")
     dec = Decomposition(rep)
     if dec.complement_dim() == 0:
         return KazhdanOracleResult(best=math.inf, lower_bound=math.inf,
                                    minimizer=None, p=rep.p)
-    q_inv = [el.inverse().perm_array() for el in q_set]
+    q_inv = np.stack([el.inverse().perm_array() for el in q_set])  # (|Q|, n)
     q_perm = [el.perm_array() for el in q_set]
 
     def normalize(v: np.ndarray) -> Optional[np.ndarray]:
@@ -140,11 +123,11 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
         if v is None:
             return math.inf, v0
         # the accepted point keeps its displacements: the objective is their max
-        disps = _displacement(rep, q_inv, v)
+        disps = rep.norm(v - v[q_inv])
         val = float(np.max(disps))
         step = 0.5
         for _ in range(max_iter):
-            active = [i for i, dspl in enumerate(disps) if dspl >= val - tie_tol]
+            active = np.flatnonzero(disps >= val - tie_tol)
             grad = np.zeros_like(v)
             for i in active:
                 _, gu = _lp_norm_and_grad(rep, v - v[q_inv[i]])
@@ -158,7 +141,7 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
             while step > 1e-14:
                 cand = normalize(v - step * grad)
                 if cand is not None:
-                    cdisps = _displacement(rep, q_inv, cand)
+                    cdisps = rep.norm(cand - cand[q_inv])
                     cval = float(np.max(cdisps))
                     if cval < val - 1e-15:
                         v, val, disps = cand, cval, cdisps
@@ -172,7 +155,6 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
 
     # seeded random starts plus the quadratic-form eigen-direction
     starts: List[np.ndarray] = []
-    rng = np.random.default_rng(seed)
     quad = np.zeros((rep.n_points, rep.n_points))
     for inv in q_inv:
         m = np.eye(rep.n_points)

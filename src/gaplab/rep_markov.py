@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,7 +24,6 @@ from .measures import DiscreteMeasure, convolve, translate
 
 __all__ = [
     "Representation",
-    "VectorField",
     "Decomposition",
     "MarkovOperator",
     "NormEstimate",
@@ -66,32 +65,33 @@ class Representation:
             )
         return f
 
-    def norm(self, values: np.ndarray) -> float:
-        f = self._coerce(values)
+    def norm(self, values: np.ndarray) -> Union[float, np.ndarray]:
+        """Weighted l_p norm of one field, or of every field of a stack.
+
+        One field, of shape (n_points, d) or (n_points,) when d = 1, gives a
+        float.  A stack of shape (k, n_points, d) gives its k norms as an array,
+        equal bit for bit to the norms of the fields taken one at a time.
+        """
+        f = np.asarray(values, dtype=float)
+        if f.ndim != 3:
+            f = self._coerce(f)
+        elif f.shape[1:] != (self.n_points, self.d):
+            raise ValueError(
+                f"stack shape {f.shape} does not match (k, {self.n_points}, {self.d})"
+            )
         p = self.p
-        per_point = np.sum(np.abs(f) ** p, axis=1)
-        return float(np.sum(self.action.weights * per_point) ** (1.0 / p))
+        sums = np.sum(self.action.weights * np.sum(np.abs(f) ** p, axis=-1), axis=-1)
+        if f.ndim == 2:
+            return float(sums ** (1.0 / p))
+        # one scalar root per norm: numpy's array power differs from its scalar
+        # power in the last bit on a few percent of inputs
+        return np.array([s ** (1.0 / p) for s in sums])
 
     def apply_element(self, el: GroupElement, values: np.ndarray) -> np.ndarray:
         """(pi_g f)(x) = f(g^-1 x)."""
         f = self._coerce(values)
         inv = el.inverse().perm_array()
         return f[inv]
-
-
-class VectorField:
-    """A field over the action space with its norm cached on first use."""
-
-    def __init__(self, rep: Representation, values: np.ndarray) -> None:
-        self.rep = rep
-        self.values = rep._coerce(values)
-        self._norm: Optional[float] = None
-
-    @property
-    def norm(self) -> float:
-        if self._norm is None:
-            self._norm = self.rep.norm(self.values)
-        return self._norm
 
 
 class Decomposition:

@@ -171,7 +171,8 @@ def ball_measure_profile(level: WarpedLevel, R: float,
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    dists = level.all_distances()
+    # searches stop at R: farther points stay at inf, nearer ones are exact
+    dists = dijkstra(level.graph, directed=True, limit=R + 1e-12)
     inside = dists <= R + 1e-12
     measures = inside @ level.weights
     arg = int(np.argmax(measures))

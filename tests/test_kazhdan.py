@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gaplab.group_core import build_cyclic, element_ball
+from gaplab.group_core import build_cyclic, build_sl2_quotient, element_ball
 from gaplab.kazhdan import (
     BoostResult,
-    ConvexityModulus,
     KazhdanCertificate,
     boost_pair,
     decay_certificate,
@@ -19,7 +18,13 @@ from gaplab.kazhdan import (
     product_average_bound,
 )
 from gaplab.measures import certify_admissible, uniform_extended, uniform_on
-from gaplab.rep_markov import Representation, markov_operator, restricted_norm
+from gaplab.rep_markov import (
+    DENSE_LIMIT,
+    Decomposition,
+    Representation,
+    markov_operator,
+    restricted_norm,
+)
 
 
 # -- modulus ------------------------------------------------------------------
@@ -82,12 +87,6 @@ def test_modulus_rejects_out_of_range():
         modulus(2.0, 2.5)
     with pytest.raises(ValueError):
         modulus(1.0, 1.0)
-
-
-def test_convexity_modulus_evaluator():
-    delta = ConvexityModulus(2.0)
-    assert delta.exact
-    assert delta(1.0) == pytest.approx(1.0 - math.sqrt(0.75))
 
 
 # -- kappa oracle -------------------------------------------------------------
@@ -153,6 +152,35 @@ def test_oracle_rejects_empty_q():
     act = build_cyclic(4)
     with pytest.raises(ValueError):
         kazhdan_constant_oracle(Representation(act), [])
+
+
+@pytest.mark.parametrize("labels", [("g", "g^-1"), ("e", "g")])
+def test_oracle_lp_vector_fields_max_displacement(labels):
+    # p = 3, d = 2: best is the max over Q of the per-field displacement norms
+    # at the returned minimizer, which is a unit mean-zero field; the identity
+    # in Q displaces nothing, so a max over the wrong entries would show
+    act = build_cyclic(4)
+    rep = Representation(act, p=3.0, d=2)
+    q = [act.identity_element() if lab == "e" else act.generator_element(lab)
+         for lab in labels]
+    res = kazhdan_constant_oracle(rep, q, n_starts=8, seed=2)
+    v = res.minimizer
+    assert v.shape == (4, 2)
+    disps = [rep.norm(v - v[s.inverse().perm_array()]) for s in q]
+    assert res.best == pytest.approx(max(disps), abs=1e-12)
+    assert rep.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(Decomposition(rep).mean(v))) <= 1e-12
+    assert res.lower_bound is None
+
+
+def test_oracle_refuses_dense_oversize_action():
+    # SL2(Z/17) has 4,896 points, above the dense limit of the quadratic form
+    act = build_sl2_quotient(17, "a")
+    assert act.n_points > DENSE_LIMIT
+    rep = Representation(act)
+    q = [act.generator_element(lab) for lab in act.gens.labels]
+    with pytest.raises(ValueError, match="refusing dense"):
+        kazhdan_constant_oracle(rep, q)
 
 
 def test_oracle_full_group_mix_of_quadratics():

@@ -12,7 +12,6 @@ from gaplab.rep_markov import (
     Decomposition,
     MarkovOperator,
     Representation,
-    VectorField,
     iterate_to_projection,
     markov_operator,
     neumann_projection,
@@ -342,11 +341,25 @@ def test_torus_action_per_orbit_decomposition():
     assert np.max(np.abs(pn - dec.mean_matrix())) <= 1e-10
 
 
-def test_vector_field_norm_cache():
-    act = build_cyclic(4)
-    rep = Representation(act, p=3.0)
-    vf = VectorField(rep, np.arange(4.0))
-    assert vf.norm == pytest.approx(rep.norm(np.arange(4.0)))
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_norm_matches_per_field(p, d):
+    act = build_sl2_quotient(4, "b")
+    rep = Representation(act, p=p, d=d)
+    stack = np.random.default_rng(3).standard_normal((5, act.n_points, d))
+    norms = rep.norm(stack)
+    assert isinstance(norms, np.ndarray) and norms.shape == (5,)
+    per_field = np.array([rep.norm(f) for f in stack])
+    assert np.allclose(norms, per_field, rtol=1e-15, atol=0.0)
+    single = rep.norm(stack[0])
+    assert type(single) is float
+    assert single == norms[0]
+    with pytest.raises(ValueError):
+        rep.norm(np.zeros((5, act.n_points, d + 1)))
+    with pytest.raises(ValueError):
+        rep.norm(np.zeros((5, act.n_points + 1, d)))
+    with pytest.raises(ValueError):
+        Decomposition(rep).mean(stack)
 
 
 def test_operator_coo_export():

@@ -152,6 +152,17 @@ def test_ball_profile_below_min_edge(level8):
     assert prof.max_measure == pytest.approx(1.0 / level8.n_points)
 
 
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("R", [0.0, 1.5, 3.0])
+def test_ball_profile_matches_all_pairs_balls(m, R):
+    # the bounded searches must find the same balls as the full distance matrix
+    level = build_warped_level(m)
+    measures = (level.all_distances() <= R + 1e-12) @ level.weights
+    prof = ball_measure_profile(level, R)
+    assert prof.argmax_center == int(np.argmax(measures))
+    assert prof.max_measure == float(measures[prof.argmax_center])
+
+
 def test_ball_profile_decreasing_across_levels():
     values = []
     for m in (8, 16, 32):
