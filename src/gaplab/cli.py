@@ -49,6 +49,7 @@ from .measures import (
     uniform_on,
 )
 from .rep_markov import (
+    DENSE_LIMIT,
     Representation,
     iterate_to_projection,
     markov_operator,
@@ -217,8 +218,16 @@ def _run_markov(config: ExperimentConfig, action: FiniteAction
     return report, series
 
 
+def _require_dense(action: FiniteAction) -> None:
+    """Refuse, before any solve, a fixture too large for dense n x n matrices."""
+    if action.n_points > DENSE_LIMIT:
+        raise ConfigError("$.fixture", f"{action.n_points} points exceed the "
+                          f"dense limit of {DENSE_LIMIT} for this kind")
+
+
 def _run_projection(config: ExperimentConfig, action: FiniteAction
                    ) -> Tuple[dict, Dict[str, List[List]]]:
+    _require_dense(action)
     mu = build_measure(action, config.measure)
     rep = Representation(action)
     op = markov_operator(rep, mu)
@@ -237,6 +246,7 @@ def _run_projection(config: ExperimentConfig, action: FiniteAction
 
 def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
                 ) -> Tuple[dict, Dict[str, List[List]]]:
+    _require_dense(action)
     q = [action.generator_element(lab) for lab in action.gens.labels]
     rep = Representation(action, p=float(config.params.get("p", 2.0)))
     mu, cert = uniform_extended(q, action.identity_element())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +275,37 @@ def test_run_unconverged_eigensolve_fails_invariant(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "invariant-failure"
     assert report["failed_invariant"] == "eigensolve-not-converged"
+
+
+@pytest.mark.parametrize("kind", ["kazhdan", "projection"])
+def test_run_refuses_oversize_dense_fixture(tmp_path, capsys, kind):
+    # SL2(Z/17) acting on itself has 4,896 points, above the dense limit:
+    # refused as a config error before any solve, with one line on stderr
+    path = _write_config(tmp_path, {
+        "kind": kind,
+        "fixture": {"builder": "sl2", "m": 17, "variant": "a"},
+    })
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.fixture: 4896 points")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
+def test_run_report_identical_across_processes_and_blas_threads(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = _write_config(tmp_path, {
+        "kind": "kazhdan",
+        "fixture": {"builder": "sl2", "m": 5, "variant": "a"},
+        "params": {"n_starts": 8},
+        "seed": 100,
+    })
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "gaplab.cli", "run", str(path),
+                        "--out-dir", str(out)], env=env, check=True, timeout=300)
+        blobs.append((out / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]

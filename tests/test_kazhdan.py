@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from gaplab import kazhdan
 from gaplab.group_core import build_cyclic, build_sl2_quotient, element_ball
 from gaplab.kazhdan import (
     BoostResult,
@@ -22,6 +24,7 @@ from gaplab.rep_markov import (
     DENSE_LIMIT,
     Decomposition,
     Representation,
+    _lp_norm_and_grad,
     markov_operator,
     restricted_norm,
 )
@@ -196,6 +199,98 @@ def test_oracle_full_group_mix_of_quadratics():
     assert res.best == pytest.approx(math.sqrt(8.0 / 3.0), abs=5e-3)
     assert res.lower_bound == pytest.approx(math.sqrt(2.0), abs=1e-8)
     assert res.lower_bound <= res.best + 1e-9
+
+
+def _oracle_case(name):
+    if name == "sl2-5":
+        act = build_sl2_quotient(5, "a")
+        return act, [act.generator_element(lab) for lab in act.gens.labels]
+    n = {"z2": 2, "z3": 3, "z4": 4}[name]
+    act = build_cyclic(n)
+    labels = ["g", "g^-1"] if n == 4 else ["g"]
+    return act, [act.generator_element(lab) for lab in labels]
+
+
+def _count_rng_calls(monkeypatch):
+    # only the oracle's own seeded starts: eigsh draws generators of its own
+    seeds = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_code is kazhdan.kazhdan_constant_oracle.__code__:
+            seeds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return seeds
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "sl2-5"])
+def test_oracle_exit_matches_full_search(name, monkeypatch):
+    # a quadratic bound of 0 keeps every random start running; the certified
+    # exit must return the same best, bit for bit
+    act, q = _oracle_case(name)
+    rep = Representation(act)
+    certified = kazhdan_constant_oracle(rep, q, n_starts=1)
+    assert certified.best <= certified.lower_bound + 1e-9
+    monkeypatch.setattr(kazhdan, "_top_symmetric_eigenvalue", lambda rep, q: 1.0)
+    seeds = _count_rng_calls(monkeypatch)
+    full = kazhdan_constant_oracle(rep, q, n_starts=1)
+    assert full.lower_bound == 0.0
+    assert len(seeds) == 1
+    assert full.best == certified.best
+
+
+def test_oracle_skips_random_starts_once_certified(monkeypatch):
+    seeds = _count_rng_calls(monkeypatch)
+    act, q = _oracle_case("sl2-5")
+    res = kazhdan_constant_oracle(Representation(act), q, n_starts=8)
+    assert res.best <= res.lower_bound + 1e-9
+    assert seeds == []
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_oracle_runs_random_starts_when_not_certified(p, monkeypatch):
+    # Z/4 with Q the whole group: at p = 2 the bound sqrt(2) lies below the
+    # minimum sqrt(8/3); at p = 3 there is no bound at all
+    act = build_cyclic(4)
+    ball = element_ball(
+        [act.generator_element("g"), act.generator_element("g^-1")], 3
+    )
+    seeds = _count_rng_calls(monkeypatch)
+    res = kazhdan_constant_oracle(Representation(act, p=p), ball, n_starts=5, seed=5)
+    assert len(seeds) == 5
+    if p == 2.0:
+        assert res.best > res.lower_bound + 1e-3
+    else:
+        assert res.lower_bound is None
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", ["z12", "sl2-5"])
+def test_mean_displacement_grad_matches_per_generator_loop(name, d, p):
+    # reference: one _lp_norm_and_grad per active generator, summed in order;
+    # the identity in Q gives a zero displacement, whose gradient is zero
+    act = build_sl2_quotient(5, "a") if name == "sl2-5" else build_cyclic(12)
+    rep = Representation(act, p=p, d=d)
+    q = [act.identity_element()] + [act.generator_element(lab) for lab in act.gens.labels]
+    q_inv = np.stack([s.inverse().perm_array() for s in q])
+    q_perm = np.stack([s.perm_array() for s in q])
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        v = rng.standard_normal((act.n_points, d))
+        active = np.flatnonzero(rng.random(len(q)) < 0.6)
+        if active.size == 0:
+            continue
+        want = np.zeros_like(v)
+        for i in active:
+            _, gu = _lp_norm_and_grad(rep, v - v[q_inv[i]])
+            want += gu - gu[q_perm[i]]
+        want /= len(active)
+        norms = rep.norm(v - v[q_inv[active]])
+        got = kazhdan._mean_displacement_grad(rep, v, norms, q_inv[active], q_perm[active])
+        assert np.array_equal(got, want)
 
 
 # -- conversions --------------------------------------------------------------
