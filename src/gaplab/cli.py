@@ -49,11 +49,12 @@ from .measures import (
     uniform_on,
 )
 from .rep_markov import (
-    DENSE_LIMIT,
+    DenseLimitError,
     Representation,
     iterate_to_projection,
     markov_operator,
     neumann_projection,
+    require_dense,
     restricted_norm,
 )
 
@@ -218,16 +219,9 @@ def _run_markov(config: ExperimentConfig, action: FiniteAction
     return report, series
 
 
-def _require_dense(action: FiniteAction) -> None:
-    """Refuse, before any solve, a fixture too large for dense n x n matrices."""
-    if action.n_points > DENSE_LIMIT:
-        raise ConfigError("$.fixture", f"{action.n_points} points exceed the "
-                          f"dense limit of {DENSE_LIMIT} for this kind")
-
-
 def _run_projection(config: ExperimentConfig, action: FiniteAction
                    ) -> Tuple[dict, Dict[str, List[List]]]:
-    _require_dense(action)
+    require_dense(action.n_points, "projector")  # refuse before the solve runs
     mu = build_measure(action, config.measure)
     rep = Representation(action)
     op = markov_operator(rep, mu)
@@ -246,7 +240,7 @@ def _run_projection(config: ExperimentConfig, action: FiniteAction
 
 def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
                 ) -> Tuple[dict, Dict[str, List[List]]]:
-    _require_dense(action)
+    require_dense(action.n_points, "quadratic form")  # refuse before the solve runs
     q = [action.generator_element(lab) for lab in action.gens.labels]
     rep = Representation(action, p=float(config.params.get("p", 2.0)))
     mu, cert = uniform_extended(q, action.identity_element())
@@ -511,6 +505,8 @@ def run(config: ExperimentConfig, out_dir: Path) -> int:
                 report, series = RUNNERS[config.kind](config)
         except ArpackNoConvergence as exc:
             raise InvariantFailure("eigensolve-not-converged", str(exc)) from exc
+        except DenseLimitError as exc:
+            raise ConfigError("$.fixture", str(exc)) from exc
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2

@@ -20,11 +20,12 @@ import numpy as np
 from .group_core import GroupElement, element_ball
 from .measures import AdmissibilityCertificate, DiscreteMeasure, uniform_on
 from .rep_markov import (
-    DENSE_LIMIT,
     Decomposition,
     MarkovOperator,
     Representation,
+    _lp_norm_and_grad,
     _symmetrized_top,
+    require_dense,
 )
 
 __all__ = [
@@ -111,14 +112,13 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
     q_set = list(dict.fromkeys(Q))
     if not q_set:
         raise ValueError("empty Kazhdan set")
-    if rep.n_points > DENSE_LIMIT:
-        raise ValueError(f"refusing dense {rep.n_points} x {rep.n_points} quadratic form")
+    require_dense(rep.n_points, "quadratic form")
     dec = Decomposition(rep)
     if dec.complement_dim() == 0:
         return KazhdanOracleResult(best=math.inf, lower_bound=math.inf,
                                    minimizer=None, p=rep.p)
     q_inv = np.stack([el.inverse().perm_array() for el in q_set])  # (|Q|, n)
-    q_perm = np.stack([el.perm_array() for el in q_set])
+    q_perm = [el.perm_array() for el in q_set]
 
     def normalize(v: np.ndarray) -> Optional[np.ndarray]:
         v = dec.complement(v)
@@ -137,9 +137,12 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
         step = 0.5
         for _ in range(max_iter):
             active = np.flatnonzero(disps >= val - tie_tol)
-            grad = dec.complement(
-                _mean_displacement_grad(rep, v, disps[active], q_inv[active], q_perm[active])
-            )
+            grad = np.zeros_like(v)
+            for i in active:
+                _, gu = _lp_norm_and_grad(rep, v - v[q_inv[i]])
+                grad += gu - gu[q_perm[i]]
+            grad /= len(active)
+            grad = dec.complement(grad)
             gmax = float(np.max(np.abs(grad)))
             if gmax < 1e-14:
                 break
@@ -195,27 +198,6 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
                 best, best_v = val, v
     return KazhdanOracleResult(best=float(best), lower_bound=lower,
                                minimizer=best_v, p=rep.p)
-
-
-def _mean_displacement_grad(rep: Representation, v: np.ndarray, norms: np.ndarray,
-                            q_inv: np.ndarray, q_perm: np.ndarray) -> np.ndarray:
-    """Mean over the given s of the gradient in v of |v - pi_s v|_p.
-
-    ``norms`` holds the k displacement norms already measured and ``q_inv``,
-    ``q_perm`` the (k, n) index arrays of s^-1 and s.  Each norm enters as a
-    scalar power, so every term equals the one built from _lp_norm_and_grad
-    bit for bit (numpy's array power differs in the last bit on a few percent
-    of inputs); the terms are summed in the given order.
-    """
-    p = rep.p
-    diffs = v - v[q_inv]
-    scale = np.array([float(n) ** (1.0 - p) if n > 0.0 else 0.0 for n in norms])
-    grads = (rep.action.weights[:, None] * np.abs(diffs) ** (p - 1.0) * np.sign(diffs)
-             * scale[:, None, None])
-    grad = np.zeros_like(v)
-    for gu, perm in zip(grads, q_perm):
-        grad += gu - gu[perm]
-    return grad / len(norms)
 
 
 def _top_symmetric_eigenvalue(rep: Representation, q_set: Sequence[GroupElement]) -> float:

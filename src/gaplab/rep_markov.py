@@ -34,9 +34,22 @@ __all__ = [
     "operator_identities_check",
     "IdentityReport",
     "IterateResult",
+    "DenseLimitError",
+    "require_dense",
 ]
 
 DENSE_LIMIT = 4096  # largest N for which dense N x N matrices are built
+
+
+class DenseLimitError(ValueError):
+    """A dense n x n matrix was asked for with n above DENSE_LIMIT."""
+
+
+def require_dense(n: int, what: str) -> None:
+    """Refuse a dense n x n ``what`` when n exceeds DENSE_LIMIT."""
+    if n > DENSE_LIMIT:
+        raise DenseLimitError(f"refusing dense {n} x {n} {what} "
+                              f"(limit {DENSE_LIMIT} points)")
 
 
 class Representation:
@@ -125,8 +138,7 @@ class Decomposition:
 
     def mean_matrix(self) -> np.ndarray:
         n = self.rep.n_points
-        if n > DENSE_LIMIT:
-            raise ValueError(f"refusing dense {n} x {n} projector")
+        require_dense(n, "projector")
         w = self.rep.action.weights
         out = np.zeros((n, n))
         for orb in self.rep.action.orbits():
@@ -189,8 +201,7 @@ class MarkovOperator:
         return f
 
     def dense(self) -> np.ndarray:
-        if self.n_points > DENSE_LIMIT:
-            raise ValueError(f"refusing dense {self.n_points} x {self.n_points} operator")
+        require_dense(self.n_points, "operator")
         return self.matrix.toarray()
 
     def to_coo(self) -> List[Tuple[int, int, float]]:

@@ -288,7 +288,7 @@ def test_run_refuses_oversize_dense_fixture(tmp_path, capsys, kind):
     out = tmp_path / "out"
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error at $.fixture: 4896 points")
+    assert err.startswith("config error at $.fixture: refusing dense 4896 x 4896")
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert not (out / "report.json").exists()
 

@@ -24,7 +24,6 @@ from gaplab.rep_markov import (
     DENSE_LIMIT,
     Decomposition,
     Representation,
-    _lp_norm_and_grad,
     markov_operator,
     restricted_norm,
 )
@@ -264,33 +263,6 @@ def test_oracle_runs_random_starts_when_not_certified(p, monkeypatch):
         assert res.best > res.lower_bound + 1e-3
     else:
         assert res.lower_bound is None
-
-
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("name", ["z12", "sl2-5"])
-def test_mean_displacement_grad_matches_per_generator_loop(name, d, p):
-    # reference: one _lp_norm_and_grad per active generator, summed in order;
-    # the identity in Q gives a zero displacement, whose gradient is zero
-    act = build_sl2_quotient(5, "a") if name == "sl2-5" else build_cyclic(12)
-    rep = Representation(act, p=p, d=d)
-    q = [act.identity_element()] + [act.generator_element(lab) for lab in act.gens.labels]
-    q_inv = np.stack([s.inverse().perm_array() for s in q])
-    q_perm = np.stack([s.perm_array() for s in q])
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        v = rng.standard_normal((act.n_points, d))
-        active = np.flatnonzero(rng.random(len(q)) < 0.6)
-        if active.size == 0:
-            continue
-        want = np.zeros_like(v)
-        for i in active:
-            _, gu = _lp_norm_and_grad(rep, v - v[q_inv[i]])
-            want += gu - gu[q_perm[i]]
-        want /= len(active)
-        norms = rep.norm(v - v[q_inv[active]])
-        got = kazhdan._mean_displacement_grad(rep, v, norms, q_inv[active], q_perm[active])
-        assert np.array_equal(got, want)
 
 
 # -- conversions --------------------------------------------------------------

@@ -9,13 +9,16 @@ from gaplab.measures import (
     uniform_on,
 )
 from gaplab.rep_markov import (
+    DENSE_LIMIT,
     Decomposition,
+    DenseLimitError,
     MarkovOperator,
     Representation,
     iterate_to_projection,
     markov_operator,
     neumann_projection,
     operator_identities_check,
+    require_dense,
     restricted_norm,
 )
 
@@ -147,6 +150,21 @@ def test_mean_preservation():
     rng = np.random.default_rng(5)
     f = rng.standard_normal((act.n_points, 1))
     assert np.allclose(dec.mean(op.apply(f)), dec.mean(f), atol=1e-12)
+
+
+def test_dense_refusals_share_one_limit():
+    # SL2(Z/17) has 4,896 points: the dense operator and projector are both
+    # refused through require_dense, whose error is a ValueError
+    require_dense(DENSE_LIMIT, "operator")
+    with pytest.raises(DenseLimitError, match="refusing dense 4097 x 4097 operator"):
+        require_dense(DENSE_LIMIT + 1, "operator")
+    act = build_sl2_quotient(17, "a")
+    op = markov_operator(Representation(act), uniform_on([act.generator_element("e12")]))
+    with pytest.raises(DenseLimitError, match="4896 x 4896 operator"):
+        op.dense()
+    with pytest.raises(DenseLimitError, match="4896 x 4896 projector"):
+        op.decomposition.mean_matrix()
+    assert issubclass(DenseLimitError, ValueError)
 
 
 def test_neumann_projection_trivial_rep():
