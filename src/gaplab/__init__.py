@@ -31,6 +31,7 @@ from .rep_markov import (
     MarkovOperator,
     NormEstimate,
     Representation,
+    defect_curve,
     iterate_to_projection,
     markov_operator,
     neumann_projection,

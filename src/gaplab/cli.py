@@ -51,7 +51,7 @@ from .measures import (
 from .rep_markov import (
     DenseLimitError,
     Representation,
-    iterate_to_projection,
+    defect_curve,
     markov_operator,
     neumann_projection,
     require_dense,
@@ -198,12 +198,11 @@ def _run_markov(config: ExperimentConfig, action: FiniteAction
     est = restricted_norm(op, seed=config.seed)
     rows = []
     failures = []
-    for k in range(0, k_max + 1):
-        res = iterate_to_projection(op, k, seed=config.seed)
+    for k, defect in enumerate(defect_curve(op, k_max, seed=config.seed).tolist()):
         bound = est.value**k if k else float(np.inf)
-        if est.quality == "exact" and k >= 1 and res.defect > est.value**k + 1e-9:
+        if est.quality == "exact" and k >= 1 and defect > est.value**k + 1e-9:
             failures.append(f"decay-bound k={k}")
-        rows.append([k, res.defect, bound if k else ""])
+        rows.append([k, defect, bound if k else ""])
     report = {
         "lambda": tag(est.value, "measured"),
         "quality": est.quality,

@@ -31,6 +31,7 @@ __all__ = [
     "restricted_norm",
     "neumann_projection",
     "iterate_to_projection",
+    "defect_curve",
     "operator_identities_check",
     "IdentityReport",
     "IterateResult",
@@ -182,6 +183,16 @@ class MarkovOperator:
     def _transpose(self) -> csr_matrix:
         # built once: forming matrix.T on every call costs 3x the product
         return self.matrix.T.tocsr()
+
+    @cached_property
+    def _gram_top(self) -> _TopEigenpair:
+        """Top eigenpair of A*A on the complement, solved once per operator.
+
+        ``restricted_norm`` and ``defect_curve`` both read it; callers must not
+        write to its vector.
+        """
+        return _top_eigenpair(lambda f: self.apply_transpose(self.apply(f)),
+                              self.decomposition)
 
     @property
     def n_points(self) -> int:
@@ -354,7 +365,7 @@ def restricted_norm(op: MarkovOperator, seed: int = 0, n_starts: int = 8) -> Nor
     rep = op.rep
     if op.decomposition.complement_dim() == 0:
         return NormEstimate(value=0.0, quality="exact", p=rep.p, upper=0.0)
-    top = _top_eigenpair(lambda f: op.apply_transpose(op.apply(f)), op.decomposition)
+    top = op._gram_top
     if rep.p == 2.0:
         sigma = rep.norm(op.apply(_unit_complement(op.decomposition, top.vector)))
         return NormEstimate(value=sigma, quality="exact", p=2.0,
@@ -404,40 +415,77 @@ class IterateResult:
     mode: str  # "operator-norm" or "sampled-ratio"
 
 
-def iterate_to_projection(op: MarkovOperator, k: int, seed: int = 0,
-                          n_samples: int = 16) -> IterateResult:
-    """Distance of A^k to the limiting projection P.
+def _gram_defect(op: MarkovOperator, k: int) -> float:
+    """|(A^k - P) x| at the top eigenvector x of (A^k)* A^k on the complement."""
+    dec = op.decomposition
 
-    p = 2: the operator norm |A^k - P|, attained on the complement (A^k - P
-    vanishes on invariant fields) at the top eigenvector of (A^k)* A^k there,
-    which the spectral kernel finds; the defect is |(A^k - P) x| for that
-    unit vector x.  Otherwise the defect is the sup of |A^k f - P f|_p / |f|_p
-    over seeded sample fields.
+    def gram(f: np.ndarray) -> np.ndarray:
+        f = op.apply_power(f, k)
+        for _ in range(k):
+            f = op.apply_transpose(f)
+        return f
+
+    x = _unit_complement(dec, _top_eigenpair(gram, dec).vector)
+    return op.rep.norm(op.apply_power(x, k) - dec.mean(x))
+
+
+def defect_curve(op: MarkovOperator, k_max: int, seed: int = 0,
+                 n_samples: int = 16) -> np.ndarray:
+    """Distances |A^k - P| of the iterates to the limiting projection, k = 0..k_max.
+
+    p = 2: the operator norm, attained on the complement (A^k - P vanishes on
+    invariant fields).  When A is self-adjoint -- its matrix equals its
+    transpose entrywise, and the transpose is the adjoint -- |A^k - P| =
+    rho^k is attained for every k at the top singular vector x of A on the
+    complement, which the one spectral solve on A*A behind
+    ``restricted_norm`` gives; the defects are then |A^k x - P x|, stepped
+    from k to k + 1 by one application of A.  Otherwise each k takes its
+    own solve on (A^k)* A^k, and the defect is |(A^k - P) x| at that unit
+    top eigenvector x.  p != 2: the sup of |A^k f - P f|_p / |f|_p over
+    ``n_samples`` seeded sample fields, each stepped from k to k + 1.
     """
-    if k < 0:
+    if k_max < 0:
         raise ValueError("k must be nonnegative")
     rep = op.rep
+    dec = op.decomposition
     if rep.p == 2.0:
-        dec = op.decomposition
         if dec.complement_dim() == 0:
-            return IterateResult(defect=0.0, k=k, mode="operator-norm")
-
-        def gram(f: np.ndarray) -> np.ndarray:
-            f = op.apply_power(f, k)
-            for _ in range(k):
-                f = op.apply_transpose(f)
-            return f
-
-        x = _unit_complement(dec, _top_eigenpair(gram, dec).vector)
-        defect = rep.norm(op.apply_power(x, k) - dec.mean(x))
-        return IterateResult(defect=defect, k=k, mode="operator-norm")
+            return np.zeros(k_max + 1)
+        if (op.matrix != op._transpose).nnz:
+            return np.array([_gram_defect(op, k) for k in range(k_max + 1)])
+        f = _unit_complement(dec, op._gram_top.vector)
+        pf = dec.mean(f)
+        defects = [rep.norm(f - pf)]
+        for _ in range(k_max):
+            f = op.apply(f)
+            defects.append(rep.norm(f - pf))
+        return np.array(defects)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        f = rng.standard_normal((rep.n_points, rep.d))
-        residual = op.apply_power(f, k) - op.decomposition.mean(f)
-        worst = max(worst, rep.norm(residual) / rep.norm(f))
-    return IterateResult(defect=worst, k=k, mode="sampled-ratio")
+    fields = [rng.standard_normal((rep.n_points, rep.d)) for _ in range(n_samples)]
+    starts = [(dec.mean(f), rep.norm(f)) for f in fields]
+    defects = []
+    for k in range(k_max + 1):
+        if k:
+            fields = [op.apply(f) for f in fields]
+        worst = 0.0
+        for f, (pf, nf) in zip(fields, starts):
+            worst = max(worst, rep.norm(f - pf) / nf)
+        defects.append(worst)
+    return np.array(defects)
+
+
+def iterate_to_projection(op: MarkovOperator, k: int, seed: int = 0,
+                          n_samples: int = 16) -> IterateResult:
+    """Distance of A^k to the limiting projection P: the k-th value of ``defect_curve``.
+
+    p = 2 ("operator-norm"): |A^k - P|, from the one solve on A*A when A is
+    self-adjoint, else from a solve on (A^k)* A^k.  Otherwise
+    ("sampled-ratio"): the sup of |A^k f - P f|_p / |f|_p over seeded sample
+    fields.
+    """
+    mode = "operator-norm" if op.rep.p == 2.0 else "sampled-ratio"
+    return IterateResult(defect=float(defect_curve(op, k, seed, n_samples)[k]),
+                         k=k, mode=mode)
 
 
 def _weighted_conjugate(rep: Representation, mat: np.ndarray) -> np.ndarray:

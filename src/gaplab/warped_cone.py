@@ -30,7 +30,7 @@ from .measures import DiscreteMeasure, lazy_uniform
 from .rep_markov import (
     NON_GAPPED,
     Representation,
-    iterate_to_projection,
+    defect_curve,
     markov_operator,
     restricted_norm,
 )
@@ -149,6 +149,8 @@ def warped_distance(level: WarpedLevel, x: int, y: int) -> float:
 
 # -- ball profiles -------------------------------------------------------------
 
+BALL_CHUNK = 256  # sources per bounded search: 8 MB of distances at m = 64
+
 
 @dataclass
 class BallProfile:
@@ -171,10 +173,15 @@ def ball_measure_profile(level: WarpedLevel, R: float,
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    # searches stop at R: farther points stay at inf, nearer ones are exact
-    dists = dijkstra(level.graph, directed=True, limit=R + 1e-12)
-    inside = dists <= R + 1e-12
-    measures = inside @ level.weights
+    limit = R + 1e-12
+    n = level.n_points
+    # searches stop at R (farther points stay at inf, nearer ones are exact)
+    # and run BALL_CHUNK sources at a time, so no n x n array is built
+    measures = np.concatenate([
+        (dijkstra(level.graph, directed=True, limit=limit,
+                  indices=np.arange(start, min(start + BALL_CHUNK, n))) <= limit)
+        @ level.weights
+        for start in range(0, n, BALL_CHUNK)])
     arg = int(np.argmax(measures))
     max_measure = float(measures[arg])
     l_max = max(level.lipschitz.values())
@@ -183,7 +190,8 @@ def ball_measure_profile(level: WarpedLevel, R: float,
     ball_elements = word_ball(level.action, int(math.floor(R)))
     ok = True
     for c in centers:
-        ball = np.flatnonzero(inside[c])
+        ball = np.flatnonzero(
+            dijkstra(level.graph, directed=True, indices=c, limit=limit) <= limit)
         best = np.full(len(ball), np.inf)
         for el in ball_elements:
             gx = int(el.perm[c])
@@ -355,9 +363,12 @@ def ghost_defect(levels: Sequence[WarpedLevel], k_max: int,
                  measures: Optional[Sequence[DiscreteMeasure]] = None) -> GhostReport:
     """Per-level gaps and the defect curves |A^k - P|, k <= k_max.
 
-    The cone-level defect is the sup over levels; the report flags whether
-    the measured gaps are uniformly below 1 (the spectral-gap hypothesis is
-    measured, not assumed).
+    Each level's curve is ``rep_markov.defect_curve``: for a self-adjoint
+    operator, such as that of the default lazy uniform measure, it reuses
+    the level's restricted-norm solve and adds k_max applications of A;
+    other measures take one solve per k.  The cone-level defect is the sup
+    over levels; the report flags whether the measured gaps are uniformly
+    below 1 (the spectral-gap hypothesis is measured, not assumed).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -373,10 +384,8 @@ def ghost_defect(levels: Sequence[WarpedLevel], k_max: int,
                 f"level m={level.m} has no measured gap (lambda={est.value})",
                 RuntimeWarning,
             )
-        defects = np.array([iterate_to_projection(op, k).defect
-                            for k in range(1, k_max + 1)])
         rows.append(LevelDefect(m=level.m, t=level.t, lam=est.value,
-                                defects=defects, gapped=gapped))
+                                defects=defect_curve(op, k_max)[1:], gapped=gapped))
     sup_lambda = max(r.lam for r in rows)
     return GhostReport(levels=rows, sup_lambda=sup_lambda,
                        gapped=all(r.gapped for r in rows))

@@ -293,19 +293,36 @@ def test_run_refuses_oversize_dense_fixture(tmp_path, capsys, kind):
     assert not (out / "report.json").exists()
 
 
-def test_run_report_identical_across_processes_and_blas_threads(tmp_path):
+def _outputs_under_blas_threads(tmp_path, doc, names):
+    """Run one config in two processes, with 1 and 2 BLAS threads; read back files."""
     src = Path(__file__).resolve().parents[1] / "src"
-    path = _write_config(tmp_path, {
-        "kind": "kazhdan",
-        "fixture": {"builder": "sl2", "m": 5, "variant": "a"},
-        "params": {"n_starts": 8},
-        "seed": 100,
-    })
+    path = _write_config(tmp_path, doc)
     blobs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "gaplab.cli", "run", str(path),
                         "--out-dir", str(out)], env=env, check=True, timeout=300)
-        blobs.append((out / "report.json").read_bytes())
+        blobs.append([(out / name).read_bytes() for name in names])
+    return blobs
+
+
+def test_run_report_identical_across_processes_and_blas_threads(tmp_path):
+    blobs = _outputs_under_blas_threads(tmp_path, {
+        "kind": "kazhdan",
+        "fixture": {"builder": "sl2", "m": 5, "variant": "a"},
+        "params": {"n_starts": 8},
+        "seed": 100,
+    }, ["report.json"])
+    assert blobs[0] == blobs[1]
+
+
+def test_markov_curve_identical_across_processes_and_blas_threads(tmp_path):
+    blobs = _outputs_under_blas_threads(tmp_path, {
+        "kind": "markov",
+        "fixture": {"builder": "sl2", "m": 32, "variant": "b"},
+        "measure": {"kind": "lazy_uniform"},
+        "params": {"k_max": 20},
+        "seed": 7,
+    }, ["report.json", "defect_curve.csv"])
     assert blobs[0] == blobs[1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaplab import rep_markov
 from gaplab.group_core import build_cyclic, build_sl2_quotient, word_ball
 from gaplab.measures import (
     DiscreteMeasure,
@@ -14,6 +15,7 @@ from gaplab.rep_markov import (
     DenseLimitError,
     MarkovOperator,
     Representation,
+    defect_curve,
     iterate_to_projection,
     markov_operator,
     neumann_projection,
@@ -420,6 +422,58 @@ def test_iterate_defect_matches_dense_svd(m, k):
     assert abs(res.defect - reference) <= 1e-12
 
 
+def test_defect_curve_non_self_adjoint_matches_dense_svd_per_k(monkeypatch):
+    act = build_sl2_quotient(8, variant="b")
+    rep = Representation(act)
+    mu = DiscreteMeasure({act.identity_element(): 0.5,
+                          act.generator_element("e12"): 0.3,
+                          act.generator_element("e21"): 0.2})
+    op = markov_operator(rep, mu)
+    solved = []
+    gram_defect = rep_markov._gram_defect
+    monkeypatch.setattr(rep_markov, "_gram_defect",
+                        lambda op, k: solved.append(k) or gram_defect(op, k))
+    curve = defect_curve(op, 7)
+    assert solved == list(range(8))  # one solve per k: A is not self-adjoint
+    sw = np.sqrt(act.weights)
+    a, p = op.dense(), op.decomposition.mean_matrix()
+    for k in range(8):
+        diff = np.linalg.matrix_power(a, k) - p
+        reference = np.linalg.norm(diff * (sw[:, None] / sw[None, :]), 2)
+        assert abs(curve[k] - reference) <= 1e-12
+
+
+def test_defect_curve_self_adjoint_agrees_with_per_k_solves():
+    # the lazy walk on the m = 8 torus, which is also the warped level m = 8
+    act = build_sl2_quotient(8, variant="b")
+    op = markov_operator(Representation(act), lazy_uniform(act))
+    assert (op.matrix != op.matrix.T).nnz == 0
+    curve = defect_curve(op, 30)
+    assert len(curve) == 31
+    for k in range(31):
+        per_k = rep_markov._gram_defect(op, k)
+        assert abs(curve[k] - per_k) <= 1e-12 * per_k
+
+
+@pytest.mark.parametrize("act", [build_cyclic(4), build_sl2_quotient(8, variant="b")],
+                         ids=["z4", "torus-8"])
+def test_defect_curve_lp_matches_per_k_sampling_bit_for_bit(act):
+    op = markov_operator(Representation(act, p=1.5), lazy_uniform(act))
+    seed, k_max = 5, 12
+    curve = defect_curve(op, k_max, seed=seed)
+    for k in range(k_max + 1):
+        # the per-k reference: the same seeded fields drawn afresh, A^k applied anew
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(16):
+            f = rng.standard_normal((act.n_points, 1))
+            residual = op.apply_power(f, k) - op.decomposition.mean(f)
+            worst = max(worst, op.rep.norm(residual) / op.rep.norm(f))
+        assert curve[k] == worst
+        res = iterate_to_projection(op, k, seed=seed)
+        assert res.defect == worst and res.mode == "sampled-ratio"
+
+
 def _small_spectra():
     from gaplab.expanders import poincare_scalar
     from gaplab.group_core import CayleyGraph
@@ -459,3 +513,4 @@ def test_spectral_values_at_rounding_level_when_a_is_projection(build):
     assert restricted_norm(op).value <= 1e-14
     for k in (1, 20):
         assert iterate_to_projection(op, k).defect <= 1e-14
+    assert np.all(defect_curve(op, 20)[1:] <= 1e-14)

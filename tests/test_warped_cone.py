@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaplab import rep_markov
 from gaplab.group_core import word_ball
 from gaplab.warped_cone import (
     GhostProjection,
@@ -291,6 +292,30 @@ def test_ghost_defect_curves():
     # defect curves decay geometrically
     cone = report.cone_defects()
     assert cone[-1] < cone[0]
+
+
+def test_ghost_defect_one_solve_per_level(monkeypatch):
+    applies = {}  # n_points -> MarkovOperator.apply calls
+    solves = {}  # n_points -> operator applications of each spectral solve
+    apply = rep_markov.MarkovOperator.apply
+    top = rep_markov._top_eigenpair
+
+    def counting_apply(self, values):
+        applies[self.n_points] = applies.get(self.n_points, 0) + 1
+        return apply(self, values)
+
+    def recording_top(fn, dec):
+        pair = top(fn, dec)
+        solves.setdefault(dec.rep.n_points, []).append(pair.applications)
+        return pair
+
+    monkeypatch.setattr(rep_markov.MarkovOperator, "apply", counting_apply)
+    monkeypatch.setattr(rep_markov, "_top_eigenpair", recording_top)
+    ghost_defect(build_cone((8, 16)), k_max=30)
+    assert sorted(applies) == sorted(solves) == [64, 256]
+    for n, counts in solves.items():
+        # the restricted-norm solve, |A x| once, then one step per k
+        assert applies[n] <= counts[0] + 30 + 4
 
 
 def test_ghost_defect_certified_k_plugin():
