@@ -10,7 +10,6 @@ from .group_core import (
     Sl2GroupTable,
     build_cyclic,
     build_sl2_quotient,
-    cayley_graph,
     is_ergodic,
     orbit_restriction,
     word_ball,
@@ -32,7 +31,6 @@ from .rep_markov import (
     NormEstimate,
     Representation,
     defect_curve,
-    iterate_to_projection,
     markov_operator,
     neumann_projection,
     operator_identities_check,
@@ -75,9 +73,7 @@ from .warped_cone import (
     build_warped_level,
     ghost_defect,
     ghost_locality,
-    ghost_projection,
     propagation_check,
-    warped_distance,
 )
 
 __version__ = "0.1.0"

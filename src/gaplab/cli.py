@@ -1,9 +1,11 @@
 """Batch front-end: experiment configs, deterministic runs, report emission.
 
 A config names an experiment kind, a fixture, a measure and numeric
-parameters; ``run`` executes the pipeline and writes a JSON report plus CSV
-series for external plotting.  Every number in a report carries a provenance
-tag (measured | paper-formula | oracle).  Exit status: 0 all asserted
+parameters; ``execute`` runs the pipeline of its kind in memory and ``run``
+writes the result as a JSON report plus CSV series for external plotting.
+The acceptance criteria call ``execute`` too, so each certificate is
+computed in one place.  Every number in a report carries a provenance tag
+(measured | paper-formula | oracle).  Exit status: 0 all asserted
 invariants passed, 1 an invariant failed (named in the report), 2 the config
 did not validate (field-path diagnostic on stderr).
 """
@@ -14,7 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,8 +26,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import ergodic_walk as ew
 from . import warped_cone as wc
-from .acceptance import _jsonify, run_all
-from .expanders import QuotientSequence, certify_sequence
+from .expanders import PoincareReport, QuotientSequence, certify_sequence
 from .group_core import (
     FiniteAction,
     GeneratorSystem,
@@ -59,8 +61,6 @@ from .rep_markov import (
 )
 
 SCHEMA_VERSION = 1
-KINDS = ("markov", "kazhdan", "projection", "expander", "ergodic", "shrinking",
-         "warped", "ghost")
 
 
 class ConfigError(ValueError):
@@ -73,6 +73,19 @@ class InvariantFailure(RuntimeError):
     def __init__(self, name: str, message: str) -> None:
         super().__init__(f"{name}: {message}")
         self.name = name
+
+
+def _jsonify(value):
+    """Recursively coerce numpy scalars and arrays into plain JSON values."""
+    if isinstance(value, dict):
+        return {str(k): _jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonify(value.tolist())
+    if isinstance(value, np.generic):  # numpy bool, integer and float scalars
+        return value.item()
+    return value
 
 
 def tag(value, provenance: str) -> dict:
@@ -91,14 +104,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "fixture": self.fixture,
-            "measure": self.measure,
-            "params": self.params,
-            "seed": self.seed,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ExperimentConfig":
@@ -197,19 +203,16 @@ def _run_markov(config: ExperimentConfig, action: FiniteAction
     op = markov_operator(rep, mu)
     est = restricted_norm(op, seed=config.seed)
     rows = []
-    failures = []
     for k, defect in enumerate(defect_curve(op, k_max, seed=config.seed).tolist()):
-        bound = est.value**k if k else float(np.inf)
         if est.quality == "exact" and k >= 1 and defect > est.value**k + 1e-9:
-            failures.append(f"decay-bound k={k}")
-        rows.append([k, defect, bound if k else ""])
+            raise InvariantFailure(f"decay-bound k={k}",
+                                   "markov experiment invariant failed")
+        rows.append([k, defect, est.value**k if k else ""])
     report = {
         "lambda": tag(est.value, "measured"),
         "quality": est.quality,
         "n_points": action.n_points,
     }
-    if failures:
-        raise InvariantFailure(failures[0], "markov experiment invariant failed")
     series = {"defect_curve": [["k", "defect", "lambda_pow_k"]] + rows}
     if config.params.get("export_operator"):
         series["operator_coo"] = [["row", "col", "weight"]] + [
@@ -259,14 +262,14 @@ def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
             "paper-formula",
         ),
     }
-    failures = []
     if est.quality == "exact":
         conv = kappa_from_decay(est.value) if est.value < 1 else None
         if conv is not None:
             report["kappa_from_decay"] = tag(conv.kappa, "paper-formula")
             report["S_total"] = tag(conv.S_total, "paper-formula")
             if math.isfinite(oracle.best) and conv.kappa > oracle.best + 1e-6:
-                failures.append("decay-kappa-exceeds-oracle")
+                raise InvariantFailure("decay-kappa-exceeds-oracle",
+                                       "kazhdan conversion inconsistent")
         if rep.p == 2.0:
             report["sqrt2_improvement"] = tag(hilbert_improvement(est.value),
                                               "paper-formula")
@@ -277,12 +280,12 @@ def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
                 "kappa": tag(boost.kappa, "paper-formula"),
                 "set_size": len(boost.kazhdan_set),
             }
-    if failures:
-        raise InvariantFailure(failures[0], "kazhdan conversion inconsistent")
     return report, {}
 
 
-def _run_expander(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
+def certify_family(config: ExperimentConfig) -> PoincareReport:
+    """The expander kind's certificate: the configured quotient family, with
+    the scalar Poincare relation checked on every connected quotient."""
     spec = config.fixture
     family = spec.get("family")
     if family == "sl2":
@@ -302,12 +305,18 @@ def _run_expander(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]
     budget = int(config.params.get("vector_budget", 0))
     report_obj = certify_sequence(QuotientSequence(actions), p=p, d=d,
                                   vector_budget=budget, seed=config.seed)
-    rows = [["quotient", "n", "lambda2", "kappa_p", "vector_lower"]]
     for r in report_obj.rows:
-        rows.append([r.name, r.n_vertices, r.lambda2, r.kappa_p, r.vector_lower])
         if r.connected and r.relation_residual > 1e-9:
             raise InvariantFailure("poincare-relation",
                                    f"residual {r.relation_residual} on {r.name}")
+    return report_obj
+
+
+def _run_expander(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
+    report_obj = certify_family(config)
+    rows = [["quotient", "n", "lambda2", "kappa_p", "vector_lower"]]
+    for r in report_obj.rows:
+        rows.append([r.name, r.n_vertices, r.lambda2, r.kappa_p, r.vector_lower])
     report = {
         "uniform": report_obj.uniform,
         "epsilon0": tag(report_obj.epsilon0, "measured"),
@@ -326,26 +335,32 @@ def _run_ergodic(config: ExperimentConfig, action: FiniteAction
     f = rng.standard_normal(action.n_points)
     report: Dict[str, object] = {}
     series: Dict[str, List[List]] = {}
-    import warnings as _w
-
     for p in exponents:
         rep = Representation(action, p=float(p))
         est = restricted_norm(markov_operator(rep, mu), seed=config.seed, n_starts=2)
-        with _w.catch_warnings():
-            _w.simplefilter("ignore", RuntimeWarning)
+        # a non-ergodic fixture warns that errors are taken to orbitwise means
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             curve = ew.ergodic_error_curve(rep, f, mu, K=k_max, norm_estimate=est)
+            constant = ew.ergodic_error_curve(rep, np.ones(action.n_points), mu,
+                                              K=k_max, norm_estimate=est)
         if curve.slope is not None and curve.slope > math.log(est.value) + 0.01:
             raise InvariantFailure("ergodic-slope",
                                    f"slope {curve.slope} vs log lambda")
+        # A fixes constant fields, so their error is rounding only
+        constant_error = float(np.max(constant.errors))
+        if constant_error > 1e-12:
+            raise InvariantFailure("ergodic-constant-field",
+                                   f"constant field moved by {constant_error}")
         report[f"p={p}"] = {
             "lambda": tag(est.value, "measured"),
             "quality": est.quality,
             "slope": tag(curve.slope, "measured"),
+            "constant_field_error": tag(constant_error, "measured"),
         }
-        rows = [["k", "error", "bound"]]
-        for k, e in enumerate(curve.errors, start=1):
-            rows.append([k, e, est.value**k * curve.field_norm])
-        series[f"errors_p{p}"] = rows
+        series[f"errors_p{p}"] = [["k", "error", "bound"]] + [
+            [k, e, est.value**k * curve.field_norm]
+            for k, e in enumerate(curve.errors, start=1)]
     return report, series
 
 
@@ -354,14 +369,12 @@ def _run_shrinking(config: ExperimentConfig, action: FiniteAction
     mu = build_measure(action, config.measure)
     params = config.params
     horizon = int(params.get("horizon", 50))
-    center_spec = params.get("center")
-    if center_spec is not None:
-        point = tuple(center_spec)
+    center = 0
+    if params.get("center") is not None:
+        point = tuple(params["center"])
         if point not in action.points:
             raise ConfigError("$.params.center", f"{point} not a fixture point")
         center = action.points.index(point)
-    else:
-        center = 0
     radius_scale = float(params.get("radius_scale", 0.45))
     radius_exponent = float(params.get("radius_exponent", -0.125))
     radii = [radius_scale * n**radius_exponent for n in range(1, horizon + 1)]
@@ -409,8 +422,6 @@ def _run_warped(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
     radius = float(config.params.get("radius", 3.0))
     rows = [["m", "t", "max_ball_measure", "coverage_ok"]]
     report: Dict[str, object] = {"levels": []}
-    prev = math.inf
-    monotone = True
     for m in ms:
         level = wc.build_warped_level(int(m))
         prof = wc.ball_measure_profile(level, radius)
@@ -421,9 +432,8 @@ def _run_warped(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
             "max_ball_measure": tag(prof.max_measure, "measured"),
             "coverage_ok": prof.coverage_ok,
         })
-        if prof.max_measure >= prev:
-            monotone = False
-        prev = prof.max_measure
+    measures = [row[2] for row in rows[1:]]
+    monotone = all(a > b for a, b in zip(measures, measures[1:]))
     report["ball_measure_strictly_decreasing"] = monotone
     if not monotone:
         raise InvariantFailure("ball-measure-monotonicity",
@@ -459,7 +469,7 @@ def _run_ghost(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
     return report, {"defects": rows}
 
 
-# runners of the kinds that run on one fixture, built once by ``run``
+# runners of the kinds that run on one fixture, built once per ``execute``
 FIXTURE_RUNNERS = {
     "markov": _run_markov,
     "projection": _run_projection,
@@ -472,6 +482,7 @@ RUNNERS = {
     "warped": _run_warped,
     "ghost": _run_ghost,
 }
+KINDS = (*FIXTURE_RUNNERS, *RUNNERS)
 
 
 # -- orchestration ------------------------------------------------------------------
@@ -485,49 +496,56 @@ def _write_csv(path: Path, rows: List[List]) -> None:
             fh.write("\n")
 
 
-def run(config: ExperimentConfig, out_dir: Path) -> int:
-    """Execute one experiment; returns the exit status."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    base = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.to_json_dict(),
-        "kind": config.kind,
-    }
+def execute(config: ExperimentConfig, action: Optional[FiniteAction] = None
+            ) -> Tuple[dict, Dict[str, List[List]]]:
+    """Run one experiment in memory; returns its report and CSV series.
+
+    Kinds in ``FIXTURE_RUNNERS`` run on ``action``, built from the config if
+    not given.  Non-convergence is an ``InvariantFailure``, an oversized
+    dense build a ``ConfigError``.
+    """
     try:
-        try:
-            if config.kind in FIXTURE_RUNNERS:
-                action = build_fixture(config.fixture)
-                base["fixture_hash"] = action_fingerprint(action)
-                report, series = FIXTURE_RUNNERS[config.kind](config, action)
-            else:
-                report, series = RUNNERS[config.kind](config)
-        except ArpackNoConvergence as exc:
-            raise InvariantFailure("eigensolve-not-converged", str(exc)) from exc
-        except DenseLimitError as exc:
-            raise ConfigError("$.fixture", str(exc)) from exc
+        if config.kind not in FIXTURE_RUNNERS:
+            return RUNNERS[config.kind](config)
+        if action is None:
+            action = build_fixture(config.fixture)
+        return FIXTURE_RUNNERS[config.kind](config, action)
+    except ArpackNoConvergence as exc:
+        raise InvariantFailure("eigensolve-not-converged", str(exc)) from exc
+    except DenseLimitError as exc:
+        raise ConfigError("$.fixture", str(exc)) from exc
+
+
+def run(config: ExperimentConfig, out_dir: Path) -> int:
+    """Execute one experiment and write its outputs; returns the exit status."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    base = {"schema_version": SCHEMA_VERSION, "config": config.to_json_dict(),
+            "kind": config.kind}
+    try:
+        action = None
+        if config.kind in FIXTURE_RUNNERS:
+            action = build_fixture(config.fixture)
+            base["fixture_hash"] = action_fingerprint(action)
+        report, series = execute(config, action)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2
     except InvariantFailure as exc:
-        base["status"] = "invariant-failure"
-        base["failed_invariant"] = exc.name
-        base["message"] = str(exc)
-        report_path.write_text(json.dumps(_jsonify(base), sort_keys=True, indent=2),
-                               encoding="utf-8")
         print(f"invariant failed: {exc}", file=sys.stderr)
-        return 1
-    base["status"] = "ok"
-    base["report"] = report
-    report_path.write_text(json.dumps(_jsonify(base), sort_keys=True, indent=2),
-                           encoding="utf-8")
+        base.update(status="invariant-failure", failed_invariant=exc.name,
+                    message=str(exc))
+        series = {}
+    else:
+        base.update(status="ok", report=report)
+    (out_dir / "report.json").write_text(
+        json.dumps(_jsonify(base), sort_keys=True, indent=2), encoding="utf-8")
     for name, rows in series.items():
         _write_csv(out_dir / f"{name}.csv", rows)
-    return 0
+    return 0 if base["status"] == "ok" else 1
 
 
 def selftest(seed: int, out_dir: Optional[Path]) -> int:
-    report = run_all(seed=seed, verbose=True)
+    report = acceptance.run_all(seed=seed, verbose=True)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "selftest_report.json").write_text(report.serialize(),
@@ -552,22 +570,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "selftest":
         return selftest(args.seed, args.out_dir)
     try:
-        doc = json.loads(args.config.read_text(encoding="utf-8"))
+        config = ExperimentConfig.from_json_dict(
+            json.loads(args.config.read_text(encoding="utf-8")))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error at $: {exc}", file=sys.stderr)
         return 2
-    try:
-        config = ExperimentConfig.from_json_dict(doc)
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2
-    except InvariantFailure as exc:
-        print(f"invariant failed: {exc}", file=sys.stderr)
-        return 1
     if args.seed is not None:
         config.seed = args.seed
     return run(config, args.out_dir)
 
+
+# last, as acceptance imports this module; loading gaplab.cli loads both
+from . import acceptance  # noqa: E402
 
 if __name__ == "__main__":
     raise SystemExit(main())

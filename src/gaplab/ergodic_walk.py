@@ -11,7 +11,6 @@ estimated by seeded simulation.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -249,15 +248,6 @@ class McStatistics:
     hit_freq: np.ndarray        # (N,)
     sigma_mean: float
     sigma_per_trial: np.ndarray  # (trials,) total hit counts
-
-    def band_violations(self, exact_probs: np.ndarray, z: float = 3.0) -> int:
-        """Count steps where the empirical frequency leaves the z-sigma band."""
-        sd = np.sqrt(exact_probs * (1.0 - exact_probs) / self.trials)
-        return int(np.count_nonzero(np.abs(self.hit_freq - exact_probs) > z * sd + 1e-12))
-
-    def sigma_band(self, z: float = 3.0) -> float:
-        """z-sigma half-width for the aggregate hit total."""
-        return z * float(self.sigma_per_trial.std(ddof=1)) / math.sqrt(self.trials)
 
 
 def _trial_stream(seed: int, trial: int) -> np.random.Generator:

@@ -29,7 +29,6 @@ __all__ = [
     "word_ball",
     "element_ball",
     "orbit_restriction",
-    "cayley_graph",
     "is_ergodic",
     "action_to_json",
     "action_fingerprint",
@@ -576,10 +575,6 @@ class CayleyGraph:
         self.n_vertices = action.n_points
         self.edge_targets = {lab: action.perms[lab] for lab in self.labels}
 
-    @property
-    def out_degree(self) -> int:
-        return len(self.labels)
-
     def edges(self) -> List[Tuple[int, int]]:
         out = []
         for lab in self.labels:
@@ -596,10 +591,6 @@ class CayleyGraph:
 
     def is_connected(self) -> bool:
         return len(self.action.orbits()) == 1
-
-
-def cayley_graph(action: FiniteAction, labels: Optional[Sequence[str]] = None) -> CayleyGraph:
-    return CayleyGraph(action, labels)
 
 
 # -- serialization -----------------------------------------------------------

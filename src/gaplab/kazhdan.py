@@ -343,18 +343,6 @@ class KazhdanCertificate:
         if self.lam is not None and not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda out of [0, 1]: {self.lam}")
 
-    def check_sandwich(self, p: float = 2.0, tol: float = 1e-6) -> None:
-        """1 - kappa <= lambda <= 1 - (2/M) delta(kappa), for exact inputs."""
-        if self.lam is None or self.M is None:
-            raise ValueError("sandwich check needs both lambda and M")
-        if 1.0 - self.kappa > self.lam + tol:
-            raise ValueError(
-                f"lower sandwich violated: 1 - {self.kappa} > {self.lam}"
-            )
-        upper = norm_bound_from_kappa(self.M, p, min(self.kappa, 2.0))
-        if self.lam > upper + tol:
-            raise ValueError(f"upper sandwich violated: {self.lam} > {upper}")
-
     def to_json_dict(self) -> dict:
         return {
             "kazhdan_set": sorted(el.key() for el in self.kazhdan_set),

@@ -30,11 +30,9 @@ __all__ = [
     "markov_operator",
     "restricted_norm",
     "neumann_projection",
-    "iterate_to_projection",
     "defect_curve",
     "operator_identities_check",
     "IdentityReport",
-    "IterateResult",
     "DenseLimitError",
     "require_dense",
 ]
@@ -100,12 +98,6 @@ class Representation:
         # one scalar root per norm: numpy's array power differs from its scalar
         # power in the last bit on a few percent of inputs
         return np.array([s ** (1.0 / p) for s in sums])
-
-    def apply_element(self, el: GroupElement, values: np.ndarray) -> np.ndarray:
-        """(pi_g f)(x) = f(g^-1 x)."""
-        f = self._coerce(values)
-        inv = el.inverse().perm_array()
-        return f[inv]
 
 
 class Decomposition:
@@ -408,13 +400,6 @@ def neumann_projection(op: MarkovOperator, norm: Optional[NormEstimate] = None,
     return np.eye(n) - series
 
 
-@dataclass
-class IterateResult:
-    defect: float
-    k: int
-    mode: str  # "operator-norm" or "sampled-ratio"
-
-
 def _gram_defect(op: MarkovOperator, k: int) -> float:
     """|(A^k - P) x| at the top eigenvector x of (A^k)* A^k on the complement."""
     dec = op.decomposition
@@ -474,20 +459,6 @@ def defect_curve(op: MarkovOperator, k_max: int, seed: int = 0,
     return np.array(defects)
 
 
-def iterate_to_projection(op: MarkovOperator, k: int, seed: int = 0,
-                          n_samples: int = 16) -> IterateResult:
-    """Distance of A^k to the limiting projection P: the k-th value of ``defect_curve``.
-
-    p = 2 ("operator-norm"): |A^k - P|, from the one solve on A*A when A is
-    self-adjoint, else from a solve on (A^k)* A^k.  Otherwise
-    ("sampled-ratio"): the sup of |A^k f - P f|_p / |f|_p over seeded sample
-    fields.
-    """
-    mode = "operator-norm" if op.rep.p == 2.0 else "sampled-ratio"
-    return IterateResult(defect=float(defect_curve(op, k, seed, n_samples)[k]),
-                         k=k, mode=mode)
-
-
 def _weighted_conjugate(rep: Representation, mat: np.ndarray) -> np.ndarray:
     """Conjugate by sqrt(weights) so the Euclidean 2-norm is the weighted one."""
     sw = np.sqrt(rep.action.weights)
@@ -513,18 +484,6 @@ class IdentityReport:
             self.identity_on_invariants_defect,
             self.complement_invariance_defect,
         ) <= self.tol
-
-    def violations(self) -> List[str]:
-        out = []
-        for name in (
-            "convolution_defect",
-            "translation_defect",
-            "identity_on_invariants_defect",
-            "complement_invariance_defect",
-        ):
-            if getattr(self, name) > self.tol:
-                out.append(name)
-        return out
 
 
 def operator_identities_check(rep: Representation, mu: DiscreteMeasure,

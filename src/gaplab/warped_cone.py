@@ -39,14 +39,12 @@ __all__ = [
     "WarpedLevel",
     "build_warped_level",
     "build_cone",
-    "warped_distance",
     "BallProfile",
     "ball_measure_profile",
     "PropagationReport",
     "propagation_check",
     "propagation_exhaustive",
     "GhostProjection",
-    "ghost_projection",
     "LevelDefect",
     "GhostReport",
     "ghost_defect",
@@ -119,15 +117,6 @@ class WarpedLevel:
             self._dist_cache = dijkstra(self.graph, directed=True)
         return self._dist_cache
 
-    def slice_distance(self, i: int, j: int) -> float:
-        """Discretized cone-slice metric: t/m times the wrapped Manhattan steps."""
-        m = self.m
-        xi, yi = divmod(int(i), m)
-        xj, yj = divmod(int(j), m)
-        dx = min(abs(xi - xj), m - abs(xi - xj))
-        dy = min(abs(yi - yj), m - abs(yi - yj))
-        return self.t / m * (dx + dy)
-
     def cone_distances_from(self, center: int) -> np.ndarray:
         """Scaled flat-torus (Euclidean) distances, t times the slice metric."""
         return self.t * self.action.metric.distances_from(center)
@@ -140,11 +129,6 @@ def build_warped_level(m: int, t: Optional[float] = None) -> WarpedLevel:
 
 def build_cone(ms: Sequence[int] = (8, 16, 32, 64)) -> List[WarpedLevel]:
     return [build_warped_level(m) for m in ms]
-
-
-def warped_distance(level: WarpedLevel, x: int, y: int) -> float:
-    """Shortest-path distance in the warped graph (Dijkstra)."""
-    return float(level.distances_from(x)[y])
 
 
 # -- ball profiles -------------------------------------------------------------
@@ -315,18 +299,6 @@ class GhostProjection:
         for level, f in zip(self.levels, fields):
             total += float(np.sum(level.weights * np.asarray(f) ** 2))
         return math.sqrt(total)
-
-    def idempotence_defect(self, fields: Sequence[np.ndarray]) -> float:
-        once = self.apply(fields)
-        twice = self.apply(once)
-        return max(
-            float(np.max(np.abs(a - b))) if len(a) else 0.0
-            for a, b in zip(once, twice)
-        )
-
-
-def ghost_projection(levels: Sequence[WarpedLevel]) -> GhostProjection:
-    return GhostProjection(levels)
 
 
 # -- ghost defect -------------------------------------------------------------------

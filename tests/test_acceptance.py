@@ -7,6 +7,7 @@ line.  Stated runtime budgets are asserted on the measured core runtimes.
 
 import pytest
 
+from gaplab import acceptance, cli
 from gaplab.acceptance import run_all
 
 
@@ -153,3 +154,17 @@ def test_criterion_12_determinism(report):
 def test_all_criteria_present_and_passed(report):
     assert [r.cid for r in report.results] == list(range(1, 13))
     assert report.all_passed
+
+
+def test_runner_invariant_failure_fails_only_its_criterion(monkeypatch):
+    def broken(config, action):
+        raise cli.InvariantFailure("neumann-projection-gap", "forced")
+
+    monkeypatch.setitem(cli.FIXTURE_RUNNERS, "projection", broken)
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [c for c in acceptance.CRITERIA if c[0] in (2, 3, 4)])
+    results = acceptance.run_core(0)
+    assert [r.cid for r in results] == [2, 3, 4]
+    assert not results[0].passed
+    assert results[0].details == {"failed_invariant": "neumann-projection-gap"}
+    assert results[1].passed and results[2].passed

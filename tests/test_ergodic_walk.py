@@ -23,6 +23,12 @@ from gaplab.ergodic_walk import (
 MU_LABELS = {"e": 0.2, "e12": 0.2, "e12^-1": 0.2, "e21": 0.2, "e21^-1": 0.2}
 
 
+def _band_violations(mc, exact_probs, z):
+    """Steps where the empirical hit frequency leaves the z-sigma binomial band."""
+    sd = np.sqrt(exact_probs * (1.0 - exact_probs) / mc.trials)
+    return int(np.count_nonzero(np.abs(mc.hit_freq - exact_probs) > z * sd + 1e-12))
+
+
 def _torus_fixture(m):
     act = build_sl2_quotient(m, variant="b")
     idx = {p: i for i, p in enumerate(act.points)}
@@ -159,7 +165,7 @@ def test_asymmetric_measure_walk_convention_consistent():
         oracle = _word_enumeration_oracle(act, mu, plan.membership(n), n, 2)
         assert stats.hit_probs[0, n - 1] == pytest.approx(oracle, abs=1e-12)
     mc = shrinking_series_mc(act, mu, plan, trials=6000, seed=13, start=2)
-    assert mc.band_violations(stats.hit_probs[0], z=4.0) == 0
+    assert _band_violations(mc, stats.hit_probs[0], z=4.0) == 0
 
 
 def test_mean_identity_exact():
@@ -243,7 +249,7 @@ def test_mc_within_binomial_bands_of_exact():
     start = act.points.index((0, 1))
     exact = shrinking_series_exact(act, mu, plan, starts=[start])
     mc = shrinking_series_mc(act, mu, plan, trials=4000, seed=7, start=start)
-    assert mc.band_violations(exact.hit_probs[0], z=4.0) == 0
+    assert _band_violations(mc, exact.hit_probs[0], z=4.0) == 0
 
 
 def test_mc_sigma_within_3sigma_on_64_torus():
@@ -260,7 +266,8 @@ def test_mc_sigma_within_3sigma_on_64_torus():
     start = act.points.index((0, 1))
     exact = shrinking_series_exact(act, mu, plan, starts=[start])
     mc = shrinking_series_mc(act, mu, plan, trials=10_000, seed=41, start=start)
-    assert abs(mc.sigma_mean - exact.sigma[0]) <= mc.sigma_band(z=3.0)
+    band = 3.0 * float(mc.sigma_per_trial.std(ddof=1)) / np.sqrt(mc.trials)
+    assert abs(mc.sigma_mean - exact.sigma[0]) <= band
 
 
 def test_mc_reproducible_with_seed():

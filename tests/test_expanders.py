@@ -21,7 +21,7 @@ from gaplab.expanders import (
     poincare_vector_lower,
 )
 from gaplab.measures import uniform_on
-from gaplab.rep_markov import Representation, iterate_to_projection, markov_operator
+from gaplab.rep_markov import Representation, defect_curve, markov_operator
 
 
 def test_poincare_scalar_z3_complete_graph():
@@ -134,7 +134,7 @@ def test_mirho_bound_z2_defect_zero():
     rep = Representation(act)
     mu = uniform_on([act.identity_element(), act.generator_element("g")])
     op = markov_operator(rep, mu)
-    defect = iterate_to_projection(op, 1).defect
+    defect = defect_curve(op, 1)[1]
     assert defect == pytest.approx(0.0, abs=1e-14)
     graph = CayleyGraph(act)
     bound = mirho_upper_bound(graph, k=1, defect=defect)
@@ -157,10 +157,10 @@ def test_mirho_bound_sl2_cross_method():
     )
     op = markov_operator(rep, mu)
     k = 1
-    defect = iterate_to_projection(op, k).defect
+    defect = defect_curve(op, k)[k]
     while defect > 0.5:
         k += 1
-        defect = iterate_to_projection(op, k).defect
+        defect = defect_curve(op, k)[k]
     bound = mirho_upper_bound(CayleyGraph(act), k=k, defect=defect)
     eig = poincare_scalar(CayleyGraph(act))
     assert bound.bound >= eig.kappa
@@ -177,10 +177,10 @@ def test_vector_lower_never_exceeds_mirho_bound():
         )
         op = markov_operator(rep, mu)
         k = 1
-        defect = iterate_to_projection(op, k).defect
+        defect = defect_curve(op, k)[k]
         while defect > 0.5:
             k += 1
-            defect = iterate_to_projection(op, k).defect
+            defect = defect_curve(op, k)[k]
         upper = mirho_upper_bound(graph, k=k, defect=defect)
         lower = poincare_vector_lower(graph, p=2.0, d=2, budget=200, seed=4)
         assert lower <= upper.bound + 1e-9

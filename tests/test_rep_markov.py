@@ -16,13 +16,17 @@ from gaplab.rep_markov import (
     MarkovOperator,
     Representation,
     defect_curve,
-    iterate_to_projection,
     markov_operator,
     neumann_projection,
     operator_identities_check,
     require_dense,
     restricted_norm,
 )
+
+
+def _translate(el, f):
+    """(pi_g f)(x) = f(g^-1 x)."""
+    return f[el.inverse().perm_array()]
 
 
 def _z4_setup(p=2.0, d=1):
@@ -130,7 +134,7 @@ def test_isometry_of_generators():
         f = rng.standard_normal((act.n_points, 2))
         for lab in act.gens.labels:
             g = act.generator_element(lab)
-            assert rep.norm(rep.apply_element(g, f)) == pytest.approx(
+            assert rep.norm(_translate(g, f)) == pytest.approx(
                 rep.norm(f), abs=1e-12
             )
 
@@ -206,30 +210,27 @@ def test_neumann_agrees_with_iteration_limit():
 
 def test_iterate_defect_k0_is_one():
     _act, _rep, op = _z4_setup()
-    res = iterate_to_projection(op, 0)
-    assert res.defect == pytest.approx(1.0, abs=1e-12)
+    assert defect_curve(op, 0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iterate_defect_z2_collapses_after_one_step():
     _act, _rep, op = _z2_setup()
-    assert iterate_to_projection(op, 1).defect == pytest.approx(0.0, abs=1e-14)
+    assert defect_curve(op, 1)[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_iterate_defect_z4_five_steps():
     _act, _rep, op = _z4_setup()
-    res = iterate_to_projection(op, 5)
+    defect = defect_curve(op, 5)[5]
     lam = restricted_norm(op).value
-    assert res.defect <= lam**5 + 1e-12
-    assert res.defect == pytest.approx((1 / 3) ** 5, abs=1e-12)
+    assert defect <= lam**5 + 1e-12
+    assert defect == pytest.approx((1 / 3) ** 5, abs=1e-12)
 
 
 def test_iterate_defect_lp_mode():
     _act, _rep, op = _z4_setup(p=1.5)
-    res3 = iterate_to_projection(op, 3, seed=2)
-    res6 = iterate_to_projection(op, 6, seed=2)
-    assert res3.mode == "sampled-ratio"
-    assert res3.defect <= 1.0 + 1e-12
-    assert res6.defect <= res3.defect + 1e-12  # contraction in k
+    curve = defect_curve(op, 6, seed=2)
+    assert curve[3] <= 1.0 + 1e-12
+    assert curve[6] <= curve[3] + 1e-12  # contraction in k
 
 
 def test_projector_algebra():
@@ -249,8 +250,8 @@ def test_projectors_commute_with_generators():
     f = rng.standard_normal((act.n_points, 1))
     for lab in act.gens.labels:
         g = act.generator_element(lab)
-        lhs = dec.mean(rep.apply_element(g, f))
-        rhs = rep.apply_element(g, dec.mean(f))
+        lhs = dec.mean(_translate(g, f))
+        rhs = _translate(g, dec.mean(f))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -350,7 +351,7 @@ def test_torus_action_per_orbit_decomposition():
     m = dec.mean(f)
     # invariant under every generator
     for lab in act.gens.labels:
-        assert np.allclose(rep.apply_element(act.generator_element(lab), m), m)
+        assert np.allclose(_translate(act.generator_element(lab), m), m)
     # idempotent
     assert np.allclose(dec.mean(m), m, atol=1e-14)
     mu = uniform_on([act.identity_element()] + [act.generator_element(l) for l in act.gens.labels])
@@ -417,9 +418,7 @@ def test_iterate_defect_matches_dense_svd(m, k):
     sw = np.sqrt(act.weights)
     diff = np.linalg.matrix_power(op.dense(), k) - op.decomposition.mean_matrix()
     reference = np.linalg.norm(diff * (sw[:, None] / sw[None, :]), 2)
-    res = iterate_to_projection(op, k)
-    assert res.mode == "operator-norm"
-    assert abs(res.defect - reference) <= 1e-12
+    assert abs(defect_curve(op, k)[k] - reference) <= 1e-12
 
 
 def test_defect_curve_non_self_adjoint_matches_dense_svd_per_k(monkeypatch):
@@ -470,8 +469,6 @@ def test_defect_curve_lp_matches_per_k_sampling_bit_for_bit(act):
             residual = op.apply_power(f, k) - op.decomposition.mean(f)
             worst = max(worst, op.rep.norm(residual) / op.rep.norm(f))
         assert curve[k] == worst
-        res = iterate_to_projection(op, k, seed=seed)
-        assert res.defect == worst and res.mode == "sampled-ratio"
 
 
 def _small_spectra():
@@ -511,6 +508,4 @@ def test_spectral_values_at_rounding_level_when_a_is_projection(build):
     assert np.allclose(op.dense(), op.decomposition.mean_matrix(), atol=1e-15)
     # sqrt of the kernel eigenvalue can be off by about 1e-8 here (1.1e-8 on Z/3)
     assert restricted_norm(op).value <= 1e-14
-    for k in (1, 20):
-        assert iterate_to_projection(op, k).defect <= 1e-14
     assert np.all(defect_curve(op, 20)[1:] <= 1e-14)
