@@ -51,6 +51,8 @@ from .measures import (
     uniform_on,
 )
 from .rep_markov import (
+    NEUMANN_TERM_TOL,
+    NON_GAPPED,
     DenseLimitError,
     Representation,
     defect_curve,
@@ -228,6 +230,9 @@ def _run_projection(config: ExperimentConfig, action: FiniteAction
     rep = Representation(action)
     op = markov_operator(rep, mu)
     est = restricted_norm(op, seed=config.seed)
+    if est.value >= NON_GAPPED:
+        raise InvariantFailure("no-spectral-gap",
+                               f"restricted norm {est.value} >= {NON_GAPPED}")
     pn = neumann_projection(op, norm=est)
     gap = float(np.max(np.abs(pn - op.decomposition.mean_matrix())))
     if gap > 1e-10:
@@ -235,14 +240,16 @@ def _run_projection(config: ExperimentConfig, action: FiniteAction
     report = {
         "lambda": tag(est.value, "measured"),
         "neumann_vs_mean_gap": tag(gap, "measured"),
-        "terms_tolerance": 1e-14,
+        "terms_tolerance": NEUMANN_TERM_TOL,
     }
     return report, {}
 
 
 def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
                 ) -> Tuple[dict, Dict[str, List[List]]]:
-    require_dense(action.n_points, "quadratic form")  # refuse before the solve runs
+    # refuse before the solve runs: boost_pair's element_ball may hold up to
+    # n permutations of the n points
+    require_dense(action.n_points, "boost ball")
     q = [action.generator_element(lab) for lab in action.gens.labels]
     rep = Representation(action, p=float(config.params.get("p", 2.0)))
     mu, cert = uniform_extended(q, action.identity_element())
@@ -414,16 +421,20 @@ def _run_shrinking(config: ExperimentConfig, action: FiniteAction
     return report, {"series": rows}
 
 
+def _warped_levels(config: ExperimentConfig) -> List[int]:
+    """The grid sizes m of the warped and ghost kinds' levels."""
+    ms = config.fixture.get("levels", [8, 16, 32])
+    if not (isinstance(ms, list) and ms and all(isinstance(m, int) and m >= 2 for m in ms)):
+        raise ConfigError("$.fixture.levels", "need a non-empty list of integers >= 2")
+    return ms
+
+
 def _run_warped(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    spec = config.fixture
-    ms = spec.get("levels", [8, 16, 32])
-    if not isinstance(ms, list) or not ms:
-        raise ConfigError("$.fixture.levels", "need a non-empty list of grid sizes")
     radius = float(config.params.get("radius", 3.0))
     rows = [["m", "t", "max_ball_measure", "coverage_ok"]]
     report: Dict[str, object] = {"levels": []}
-    for m in ms:
-        level = wc.build_warped_level(int(m))
+    for m in _warped_levels(config):
+        level = wc.build_warped_level(m)
         prof = wc.ball_measure_profile(level, radius)
         rows.append([level.m, level.t, prof.max_measure, prof.coverage_ok])
         report["levels"].append({
@@ -442,10 +453,8 @@ def _run_warped(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
 
 
 def _run_ghost(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    spec = config.fixture
-    ms = spec.get("levels", [8, 16, 32])
     k_max = int(config.params.get("k_max", 20))
-    levels = [wc.build_warped_level(int(m)) for m in ms]
+    levels = [wc.build_warped_level(m) for m in _warped_levels(config)]
     ghost_report = wc.ghost_defect(levels, k_max=k_max)
     if not ghost_report.bound_ok():
         raise InvariantFailure("ghost-defect-bound",

@@ -327,14 +327,14 @@ class MomentReport:
 
 
 def moment_inequality_check(action: FiniteAction, mu: DiscreteMeasure,
-                            plan: ShrinkingTargetPlan, p: float, lam: float,
-                            ranges: Optional[Sequence[Tuple[int, int]]] = None
+                            plan: ShrinkingTargetPlan, p: float, lam: float
                             ) -> MomentReport:
     """p-th moment bound for centered partial sums of hit fields.
 
-    For each window (M, N) the centered sum sum_{i=M}^N (f_i - nu(target_i))
-    has p-th moment at most (2 + C_p) / (1 - lam^q)^(p/q) times the window's
-    measure total, where C_p = 1 + p 2^p and q is the conjugate exponent.
+    For each window 1 <= M <= N <= horizon the centered sum
+    sum_{i=M}^N (f_i - nu(target_i)) has p-th moment at most
+    (2 + C_p) / (1 - lam^q)^(p/q) times the window's measure total, where
+    C_p = 1 + p 2^p and q is the conjugate exponent.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lambda must lie in [0, 1), got {lam}")
@@ -344,17 +344,14 @@ def moment_inequality_check(action: FiniteAction, mu: DiscreteMeasure,
     c_p = 1.0 + p * 2.0**p
     factor = (2.0 + c_p) / (1.0 - lam**q) ** (p / q)
     fields = hit_fields_exact(action, mu, plan)
-    if ranges is None:
-        ranges = [(m, n) for n in range(1, plan.horizon + 1) for m in range(1, n + 1)]
     w = action.weights
     rows = []
-    for m, n in ranges:
-        if not 1 <= m <= n <= plan.horizon:
-            raise ValueError(f"window ({m}, {n}) outside horizon")
-        centered = sum(fields[i - 1] - plan.measures[i - 1] for i in range(m, n + 1))
-        lhs = float(np.sum(w * np.abs(centered) ** p))
-        rhs = factor * float(plan.measures[m - 1 : n].sum())
-        rows.append(MomentRow(m=m, n=n, lhs=lhs, rhs=rhs))
+    for n in range(1, plan.horizon + 1):
+        for m in range(1, n + 1):
+            centered = sum(fields[i - 1] - plan.measures[i - 1] for i in range(m, n + 1))
+            lhs = float(np.sum(w * np.abs(centered) ** p))
+            rhs = factor * float(plan.measures[m - 1 : n].sum())
+            rows.append(MomentRow(m=m, n=n, lhs=lhs, rhs=rhs))
     return MomentReport(rows=rows, c_p=c_p, lam=lam, p=p)
 
 
@@ -372,12 +369,12 @@ class DriftEstimate:
 
 
 def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
-                      n_steps: int, trials: int, seed: int,
-                      window: Optional[Tuple[int, int]] = None) -> DriftEstimate:
+                      n_steps: int, trials: int, seed: int) -> DriftEstimate:
     """Monte Carlo drift of the word length along the mu-walk.
 
-    Regresses the mean word length against the step count over a window of
-    the pre-saturation regime (finite quotients plateau near the diameter).
+    Regresses the mean word length against the step count over the window
+    [n_steps // 8, n_steps // 2] of the pre-saturation regime (finite
+    quotients plateau near the diameter).
     """
     steps = table.step_distribution(mu_labels)
     labels = [lab for lab, _ in steps]
@@ -390,8 +387,7 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
             if lab is not None and np.any(sel):
                 pos[sel] = table.right_mult[lab][pos[sel]]
         mean_lengths[n] = float(table.word_length[pos].mean())
-    if window is None:
-        window = (max(1, n_steps // 8), max(2, n_steps // 2))
+    window = (max(1, n_steps // 8), max(2, n_steps // 2))
     lo, hi = window
     ks = np.arange(lo, hi + 1)
     ys = mean_lengths[lo - 1 : hi]

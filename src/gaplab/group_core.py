@@ -11,11 +11,13 @@ the realized group.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "GeneratorSystem",
@@ -41,11 +43,10 @@ PROB_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GeneratorSystem:
-    """Generator labels together with the inverse involution on labels."""
+    """Generator labels, closed under the inverse involution on labels."""
 
     labels: Tuple[str, ...]
     inverses: Dict[str, str]
-    symmetric: bool = True
 
     def __post_init__(self) -> None:
         if len(set(self.labels)) != len(self.labels):
@@ -53,15 +54,11 @@ class GeneratorSystem:
         for lab in self.labels:
             if lab not in self.inverses:
                 raise ValueError(f"no inverse label recorded for {lab!r}")
-        if self.symmetric:
-            for lab in self.labels:
-                inv = self.inverses[lab]
-                if inv not in self.labels:
-                    raise ValueError(
-                        f"symmetric system but inverse {inv!r} of {lab!r} missing"
-                    )
-                if self.inverses[inv] != lab:
-                    raise ValueError(f"inverse map is not an involution at {lab!r}")
+            inv = self.inverses[lab]
+            if inv not in self.labels:
+                raise ValueError(f"inverse {inv!r} of {lab!r} is not a label")
+            if self.inverses[inv] != lab:
+                raise ValueError(f"inverse map is not an involution at {lab!r}")
 
     def inverse_label(self, label: str) -> str:
         return self.inverses[label]
@@ -76,18 +73,16 @@ class GroupElement:
     breadth-first closure).
     """
 
-    __slots__ = ("perm", "word_length", "matrix", "label")
+    __slots__ = ("perm", "word_length", "label")
 
     def __init__(
         self,
         perm: Sequence[int],
         word_length: Optional[int] = None,
-        matrix: Optional[Tuple[int, int, int, int]] = None,
         label: Optional[str] = None,
     ) -> None:
         self.perm: Tuple[int, ...] = tuple(int(i) for i in perm)
         self.word_length = word_length
-        self.matrix = matrix
         self.label = label
 
     def __eq__(self, other: object) -> bool:
@@ -138,16 +133,6 @@ class TorusGridMetric:
     def __init__(self, m: int) -> None:
         self.m = int(m)
 
-    def distance(self, i: int, j: int) -> float:
-        m = self.m
-        xi, yi = divmod(int(i), m)
-        xj, yj = divmod(int(j), m)
-        dx = abs(xi - xj)
-        dy = abs(yi - yj)
-        dx = min(dx, m - dx)
-        dy = min(dy, m - dy)
-        return float(np.hypot(dx, dy)) / m
-
     def distances_from(self, center: int) -> np.ndarray:
         m = self.m
         cx, cy = divmod(int(center), m)
@@ -168,9 +153,6 @@ class SubsetMetricView:
     def __init__(self, parent, members: np.ndarray) -> None:
         self.parent = parent
         self.members = np.asarray(members, dtype=np.int64)
-
-    def distance(self, i: int, j: int) -> float:
-        return self.parent.distance(int(self.members[i]), int(self.members[j]))
 
     def distances_from(self, center: int) -> np.ndarray:
         return self.parent.distances_from(int(self.members[center]))[self.members]
@@ -202,7 +184,6 @@ class FiniteAction:
         self.perms = {lab: np.asarray(p, dtype=np.int64) for lab, p in perms.items()}
         self.metric = metric
         self.name = name
-        self._orbits: Optional[List[np.ndarray]] = None
         self._validate()
 
     # -- invariants -------------------------------------------------------
@@ -244,36 +225,34 @@ class FiniteAction:
             el.word_length = 0
         return el
 
+    @cached_property
+    def _orbit_of(self) -> np.ndarray:
+        """Orbit id of each point, the orbits numbered by their smallest member."""
+        n = self.n_points
+        # row x holds the edges x -> s.x, and a self-loop for label-free systems
+        heads = np.column_stack([np.arange(n)] + [self.perms[lab] for lab in self.gens.labels])
+        graph = csr_matrix((np.ones(heads.size), heads.ravel(),
+                            np.arange(0, heads.size + 1, heads.shape[1])), shape=(n, n))
+        n_orbits, labels = connected_components(graph, connection="weak")
+        first = np.empty(n_orbits, dtype=np.int64)
+        first[labels[::-1]] = np.arange(n - 1, -1, -1)  # the last write is the smallest
+        rank = np.empty(n_orbits, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(n_orbits)
+        return rank[labels]
+
+    @cached_property
+    def _orbits(self) -> List[np.ndarray]:
+        order = np.argsort(self._orbit_of, kind="stable")  # ascending within each orbit
+        return np.split(order, np.cumsum(np.bincount(self._orbit_of))[:-1])
+
     def orbits(self) -> List[np.ndarray]:
-        """Orbits of the permutation group generated by the generator maps."""
-        if self._orbits is None:
-            n = self.n_points
-            seen = np.full(n, -1, dtype=np.int64)
-            orbits: List[np.ndarray] = []
-            for start in range(n):
-                if seen[start] >= 0:
-                    continue
-                oid = len(orbits)
-                queue = deque([start])
-                seen[start] = oid
-                members = [start]
-                while queue:
-                    x = queue.popleft()
-                    for lab in self.gens.labels:
-                        y = int(self.perms[lab][x])
-                        if seen[y] < 0:
-                            seen[y] = oid
-                            members.append(y)
-                            queue.append(y)
-                orbits.append(np.asarray(sorted(members), dtype=np.int64))
-            self._orbits = orbits
+        """Orbits of the permutation group generated by the generator maps,
+        each sorted, in the order of their smallest members."""
         return self._orbits
 
     def orbit_index(self) -> np.ndarray:
-        idx = np.empty(self.n_points, dtype=np.int64)
-        for k, orb in enumerate(self.orbits()):
-            idx[orb] = k
-        return idx
+        """Orbit id of each point, indexing ``orbits()``; callers must not write to it."""
+        return self._orbit_of
 
 
 def is_ergodic(action: FiniteAction) -> bool:

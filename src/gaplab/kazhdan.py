@@ -25,7 +25,6 @@ from .rep_markov import (
     Representation,
     _lp_norm_and_grad,
     _symmetrized_top,
-    require_dense,
 )
 
 __all__ = [
@@ -73,15 +72,22 @@ def modulus(p: float, t: float) -> ModulusResult:
 # -- the kappa oracle ---------------------------------------------------------
 
 
+# descent budget and the tie tolerance of the active maximum, also the slack
+# of the p = 2 exit
+ORACLE_MAX_ITER = 3000
+ORACLE_TIE_TOL = 1e-9
+
+
 @dataclass
 class KazhdanOracleResult:
     """Best displacement minimum found, with a rigorous companion bound.
 
     ``best`` is an upper bound on the true Kazhdan constant (it is the value
     at some concrete field); ``lower_bound`` is the p = 2 quadratic bound
-    sqrt(2 (1 - lambda_sym)) and is None at other exponents.  When the
-    eigen-starts end within ``tie_tol`` of a valid ``lower_bound``, ``best``
-    comes from them alone (see ``kazhdan_constant_oracle``).
+    sqrt(2 (1 - lambda_sym)) and is None at other exponents.  Both come from
+    the oracle's one spectral solve, which also gives its eigen-starts.  When
+    the eigen-starts end within ``ORACLE_TIE_TOL`` of ``lower_bound``,
+    ``best`` comes from them alone (see ``kazhdan_constant_oracle``).
     """
 
     best: float
@@ -91,28 +97,33 @@ class KazhdanOracleResult:
 
 
 def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
-                            seed: int = 0, n_starts: int = 64,
-                            max_iter: int = 3000,
-                            tie_tol: float = 1e-9) -> KazhdanOracleResult:
+                            seed: int = 0, n_starts: int = 64) -> KazhdanOracleResult:
     """min over unit mean-zero fields of max_{s in Q} |v - pi_s v|.
 
     Multi-start projected subgradient descent with step halving; ties in the
-    max are handled by averaging the active subgradients.  When the
-    complement is trivial the constant is vacuously +inf.  The quadratic-form
-    starts are dense n x n, so actions above DENSE_LIMIT points are refused.
+    max (within ``ORACLE_TIE_TOL``) are handled by averaging the active
+    subgradients.  When the complement is trivial the constant is vacuously
+    +inf.
 
-    The starts are the three lowest eigen-directions of the quadratic form
-    sum_s |v - pi_s v|^2, all of them, then ``n_starts`` seeded random fields.
-    At p = 2 every start ends at or above kappa >= ``lower_bound``, so the
-    random starts run only when the eigen-starts end more than ``tie_tol``
-    above that bound; at other exponents they always run.  The exit leans on
-    ``lower_bound`` being valid, which is still open: lambda_sym is a Lanczos
-    Ritz value without a certified enclosure (ROADMAP item 2).
+    One spectral solve, of the symmetrized uniform average S over Q on scalar
+    fields, gives the top three eigenpairs theta_i of S on the complement
+    (fewer when the complement has fewer dimensions).  Since at p = 2
+    sum_s |v - pi_s v|^2 = 2 |Q| (|v|^2 - <v, S v>), their vectors, repeated
+    across the fiber coordinates, are the eigen-starts, and theta_1 gives
+    ``lower_bound`` = sqrt(2 (1 - theta_1)).  The solve is matrix-free, so
+    the oracle holds O(|Q| n) floats and refuses no size.
+
+    The eigen-starts run first, then ``n_starts`` seeded random fields.  At
+    p = 2 every start ends at or above kappa >= ``lower_bound``, so the
+    random starts run only when the eigen-starts end more than
+    ``ORACLE_TIE_TOL`` above that bound; at other exponents they always run.
+    The exit leans on ``lower_bound`` being valid, which is still open:
+    theta_1 is a Ritz value without a certified enclosure (ROADMAP
+    direction 1).
     """
     q_set = list(dict.fromkeys(Q))
     if not q_set:
         raise ValueError("empty Kazhdan set")
-    require_dense(rep.n_points, "quadratic form")
     dec = Decomposition(rep)
     if dec.complement_dim() == 0:
         return KazhdanOracleResult(best=math.inf, lower_bound=math.inf,
@@ -135,8 +146,8 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
         disps = rep.norm(v - v[q_inv])
         val = float(np.max(disps))
         step = 0.5
-        for _ in range(max_iter):
-            active = np.flatnonzero(disps >= val - tie_tol)
+        for _ in range(ORACLE_MAX_ITER):
+            active = np.flatnonzero(disps >= val - ORACLE_TIE_TOL)
             grad = np.zeros_like(v)
             for i in active:
                 _, gu = _lp_norm_and_grad(rep, v - v[q_inv[i]])
@@ -162,35 +173,22 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
                 break
         return val, v
 
+    scalar = MarkovOperator(Representation(rep.action, p=2.0, d=1), uniform_on(q_set))
+    top = _symmetrized_top(scalar, k=min(3, dec.complement_dim()))
     lower = None
     if rep.p == 2.0:
-        lam_sym = _top_symmetric_eigenvalue(rep, q_set)
-        lower = math.sqrt(max(0.0, 2.0 * (1.0 - lam_sym)))
-
-    # the quadratic-form eigen-directions, all of them before the exit check
-    starts: List[np.ndarray] = []
-    quad = np.zeros((rep.n_points, rep.n_points))
-    for inv in q_inv:
-        m = np.eye(rep.n_points)
-        m -= np.eye(rep.n_points)[inv]
-        quad += m.T @ (rep.action.weights[:, None] * m)
-    sym = (quad + quad.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    for col in np.argsort(vals):
-        cand = np.repeat(vecs[:, col][:, None], rep.d, axis=1)
-        cand = dec.complement(cand)
-        if float(np.max(np.abs(cand))) > 1e-8:  # skip the invariant kernel
-            starts.append(cand)
-            if len(starts) == 3:
-                break
+        lower = math.sqrt(max(0.0, 2.0 * (1.0 - top.value)))
 
     best = math.inf
     best_v: Optional[np.ndarray] = None
-    for v0 in starts:
-        val, v = descend(v0)
+    for x in top.vectors:  # all eigen-starts before the exit check
+        # projected here and again in descend: where theta = -1 ties the
+        # complement to the invariant fields, a start may be mostly invariant
+        # and one projection would leave its rounding outside the complement
+        val, v = descend(dec.complement(np.repeat(x, rep.d, axis=1)))
         if val < best:
             best, best_v = val, v
-    if lower is None or best > lower + tie_tol:
+    if lower is None or best > lower + ORACLE_TIE_TOL:
         for k in range(n_starts):
             srng = np.random.default_rng(seed + 1009 * (k + 1))
             val, v = descend(srng.standard_normal((rep.n_points, rep.d)))
@@ -198,13 +196,6 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
                 best, best_v = val, v
     return KazhdanOracleResult(best=float(best), lower_bound=lower,
                                minimizer=best_v, p=rep.p)
-
-
-def _top_symmetric_eigenvalue(rep: Representation, q_set: Sequence[GroupElement]) -> float:
-    """Top signed eigenvalue, on the mean-zero complement, of the symmetrized
-    uniform averaging operator over Q."""
-    op = MarkovOperator(Representation(rep.action, p=2.0, d=1), uniform_on(q_set))
-    return _symmetrized_top(op).value
 
 
 # -- conversions --------------------------------------------------------------

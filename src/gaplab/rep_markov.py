@@ -229,26 +229,43 @@ DENSE_EIG_SIZE = 32
 
 @dataclass
 class _TopEigenpair:
-    value: float
-    vector: np.ndarray  # a field of shape (n_points, d)
-    residual: float  # |M x - value x| for the unit coordinate vector x
-    applications: int  # calls of the operator, including the residual check
+    """The top k eigenpairs of the shifted operator, largest first."""
+
+    values: np.ndarray  # theta_1 >= ... >= theta_k
+    vectors: np.ndarray  # their fields, of shape (k, n_points, d)
+    residuals: np.ndarray  # |M x_i - theta_i x_i| for the unit coordinate vectors
+    applications: int  # calls of the operator, including the residual checks
+
+    @property
+    def value(self) -> float:
+        return float(self.values[0])
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self.vectors[0]
+
+    @property
+    def residual(self) -> float:
+        return float(self.residuals[0])
 
 
 def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
-                   dec: Decomposition) -> _TopEigenpair:
-    """Top eigenpair of a self-adjoint operator S on the mean-zero complement.
+                   dec: Decomposition, k: int = 1) -> _TopEigenpair:
+    """Top k eigenpairs of a self-adjoint operator S on the mean-zero complement.
 
     ``apply`` maps fields to fields, is self-adjoint for the weighted pairing
     and is the identity on invariant fields, as every averaging operator and
     its Gram powers are.  In the coordinates x = sqrt(w) f that pairing is
     Euclidean and the orbit mean is an orthogonal projector P; the kernel
     solves M = S - 2P, which keeps the complement spectrum of S and shifts
-    the invariant fields to -1.  Small operators go to dense eigh, larger
-    ones to Lanczos (eigsh with a fixed start vector and tol=0), which
-    raises ArpackNoConvergence instead of returning an unconverged value.
-    Some eigenvalue of M lies within ``residual`` of ``value``.  The vector
-    is returned as a field, in the complement up to rounding.
+    the invariant fields to -1, below it.  Small operators go to dense eigh,
+    larger ones to Lanczos (eigsh with a fixed start vector, a seeded
+    generator for its restarts and tol=0), which raises ArpackNoConvergence
+    instead of returning an unconverged value.  Some eigenvalue of M lies
+    within ``residuals[i]`` of ``values[i]``; for k > 1 Lanczos may return a
+    multiple eigenvalue once, so ``values`` need not repeat it.  The vectors
+    are returned as fields, orthonormal in the weighted pairing; for k at
+    most the complement's dimension they lie in the complement up to rounding.
     """
     rep = dec.rep
     shape = (rep.n_points, rep.d)
@@ -265,20 +282,24 @@ def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
     if size <= DENSE_EIG_SIZE:
         mat = np.column_stack([matvec(e) for e in np.eye(size)])
         vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
-        theta, x = float(vals[-1]), vecs[:, -1]
     else:
         lin = LinearOperator((size, size), matvec=matvec, dtype=float)
         v0 = np.cos(np.arange(size) * 1.7) + 0.1
-        vals, vecs = eigsh(lin, k=1, which="LA", v0=v0, tol=0)
-        theta, x = float(vals[0]), vecs[:, 0]
-    residual = float(np.linalg.norm(matvec(x) - theta * x))
-    return _TopEigenpair(theta, x.reshape(shape) / sw, residual, applications)
+        # a restart vector that ARPACK asks for (a multiple eigenvalue can
+        # exhaust the Krylov space when k > 1) comes from a fixed seed
+        vals, vecs = eigsh(lin, k=k, which="LA", v0=v0, tol=0,
+                           rng=np.random.default_rng(0))
+    # both solvers return ascending eigenvalues
+    vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
+    residuals = np.array([np.linalg.norm(matvec(x) - theta * x)
+                          for theta, x in zip(vals, vecs.T)])
+    return _TopEigenpair(vals, vecs.T.reshape((-1, *shape)) / sw, residuals, applications)
 
 
-def _symmetrized_top(op: MarkovOperator) -> _TopEigenpair:
-    """Top eigenpair of (A + A*) / 2 on the mean-zero complement."""
+def _symmetrized_top(op: MarkovOperator, k: int = 1) -> _TopEigenpair:
+    """Top k eigenpairs of (A + A*) / 2 on the mean-zero complement."""
     return _top_eigenpair(lambda f: (op.apply(f) + op.apply_transpose(f)) / 2.0,
-                          op.decomposition)
+                          op.decomposition, k)
 
 
 # -- restricted norm ---------------------------------------------------------
@@ -294,7 +315,10 @@ def _lp_norm_and_grad(rep: Representation, f: np.ndarray) -> Tuple[float, np.nda
     return nrm, grad
 
 
-def _lp_ascent(op: MarkovOperator, f0: np.ndarray, max_iter: int = 400) -> float:
+LP_ASCENT_MAX_ITER = 400
+
+
+def _lp_ascent(op: MarkovOperator, f0: np.ndarray) -> float:
     """Projected gradient ascent of |A f|_p / |f|_p over mean-zero fields."""
     dec = op.decomposition
     rep = op.rep
@@ -305,7 +329,7 @@ def _lp_ascent(op: MarkovOperator, f0: np.ndarray, max_iter: int = 400) -> float
     f /= nf
     ratio = 0.0
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(LP_ASCENT_MAX_ITER):
         af = op.apply(f)
         naf, gaf = _lp_norm_and_grad(rep, af)
         nf, gf = _lp_norm_and_grad(rep, f)
@@ -374,11 +398,15 @@ def restricted_norm(op: MarkovOperator, seed: int = 0, n_starts: int = 8) -> Nor
 # -- projections -------------------------------------------------------------
 
 NON_GAPPED = 1.0 - 1e-6
+# the Neumann series stops once a term's Frobenius norm is below the tolerance
+NEUMANN_TERM_TOL = 1e-14
+NEUMANN_MAX_TERMS = 500_000
 
 
-def neumann_projection(op: MarkovOperator, norm: Optional[NormEstimate] = None,
-                       term_tol: float = 1e-14, max_terms: int = 500_000) -> np.ndarray:
-    """P = I - (sum_n A^n)(I - A), truncated when the term norm drops below tol.
+def neumann_projection(op: MarkovOperator, norm: Optional[NormEstimate] = None
+                       ) -> np.ndarray:
+    """P = I - (sum_n A^n)(I - A), truncated when the term norm drops below
+    ``NEUMANN_TERM_TOL``.
 
     Requires a restricted norm < 1; for gapped operators this reproduces the
     orbitwise mean projector.
@@ -390,13 +418,13 @@ def neumann_projection(op: MarkovOperator, norm: Optional[NormEstimate] = None,
     n = op.n_points
     term = np.eye(n) - a
     series = np.zeros_like(a)
-    for _ in range(max_terms):
+    for _ in range(NEUMANN_MAX_TERMS):
         series += term
         term = a @ term
-        if np.linalg.norm(term, "fro") < term_tol:
+        if np.linalg.norm(term, "fro") < NEUMANN_TERM_TOL:
             break
     else:
-        raise RuntimeError("Neumann series failed to converge within max_terms")
+        raise RuntimeError(f"Neumann series failed to converge within {NEUMANN_MAX_TERMS} terms")
     return np.eye(n) - series
 
 
@@ -414,8 +442,10 @@ def _gram_defect(op: MarkovOperator, k: int) -> float:
     return op.rep.norm(op.apply_power(x, k) - dec.mean(x))
 
 
-def defect_curve(op: MarkovOperator, k_max: int, seed: int = 0,
-                 n_samples: int = 16) -> np.ndarray:
+DEFECT_SAMPLES = 16  # seeded sample fields of a p != 2 defect curve
+
+
+def defect_curve(op: MarkovOperator, k_max: int, seed: int = 0) -> np.ndarray:
     """Distances |A^k - P| of the iterates to the limiting projection, k = 0..k_max.
 
     p = 2: the operator norm, attained on the complement (A^k - P vanishes on
@@ -427,7 +457,7 @@ def defect_curve(op: MarkovOperator, k_max: int, seed: int = 0,
     from k to k + 1 by one application of A.  Otherwise each k takes its
     own solve on (A^k)* A^k, and the defect is |(A^k - P) x| at that unit
     top eigenvector x.  p != 2: the sup of |A^k f - P f|_p / |f|_p over
-    ``n_samples`` seeded sample fields, each stepped from k to k + 1.
+    ``DEFECT_SAMPLES`` seeded sample fields, each stepped from k to k + 1.
     """
     if k_max < 0:
         raise ValueError("k must be nonnegative")
@@ -446,7 +476,7 @@ def defect_curve(op: MarkovOperator, k_max: int, seed: int = 0,
             defects.append(rep.norm(f - pf))
         return np.array(defects)
     rng = np.random.default_rng(seed)
-    fields = [rng.standard_normal((rep.n_points, rep.d)) for _ in range(n_samples)]
+    fields = [rng.standard_normal((rep.n_points, rep.d)) for _ in range(DEFECT_SAMPLES)]
     starts = [(dec.mean(f), rep.norm(f)) for f in fields]
     defects = []
     for k in range(k_max + 1):

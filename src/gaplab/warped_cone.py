@@ -146,14 +146,13 @@ class BallProfile:
     cover_radius: float
 
 
-def ball_measure_profile(level: WarpedLevel, R: float,
-                         coverage_centers: Optional[Sequence[int]] = None
-                         ) -> BallProfile:
+def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
     """Max over centers of the measure of the warped R-ball.
 
-    Also verifies the chain-coverage property: the warped ball sits inside
-    the union of scaled-slice balls of radius T = R * L_max^R around the
-    orbit points g x with word length |g| <= R.
+    Also verifies, at the center of the largest ball, the chain-coverage
+    property: the warped ball sits inside the union of scaled-slice balls of
+    radius T = R * L_max^R around the orbit points g x with word length
+    |g| <= R.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
@@ -170,19 +169,12 @@ def ball_measure_profile(level: WarpedLevel, R: float,
     max_measure = float(measures[arg])
     l_max = max(level.lipschitz.values())
     cover_radius = R * l_max ** math.floor(R)
-    centers = list(coverage_centers) if coverage_centers is not None else [arg]
-    ball_elements = word_ball(level.action, int(math.floor(R)))
-    ok = True
-    for c in centers:
-        ball = np.flatnonzero(
-            dijkstra(level.graph, directed=True, indices=c, limit=limit) <= limit)
-        best = np.full(len(ball), np.inf)
-        for el in ball_elements:
-            gx = int(el.perm[c])
-            best = np.minimum(best, level.cone_distances_from(gx)[ball])
-        if np.any(best > cover_radius + 1e-9):
-            ok = False
-            break
+    ball = np.flatnonzero(
+        dijkstra(level.graph, directed=True, indices=arg, limit=limit) <= limit)
+    best = np.full(len(ball), np.inf)
+    for el in word_ball(level.action, int(math.floor(R))):
+        best = np.minimum(best, level.cone_distances_from(int(el.perm[arg]))[ball])
+    ok = not np.any(best > cover_radius + 1e-9)
     return BallProfile(
         radius=R,
         max_measure=max_measure,
@@ -395,9 +387,11 @@ class LocalityReport:
         return out
 
 
+GHOST_RANDOM_FIELDS = 8  # seeded random fields per ball, besides the constant one
+
+
 def ghost_locality(levels: Sequence[WarpedLevel], R: float,
-                   n_centers: int = 8, seed: int = 0,
-                   n_random_fields: int = 8) -> LocalityReport:
+                   n_centers: int = 8, seed: int = 0) -> LocalityReport:
     """|G f| over unit fields supported in warped R-balls.
 
     By Cauchy-Schwarz the slice mean of a unit field supported in a set S
@@ -423,7 +417,7 @@ def ghost_locality(levels: Sequence[WarpedLevel], R: float,
             flat[ball] = 1.0
             flat /= math.sqrt(float(np.sum(w * flat**2)))
             best = abs(float(np.sum(w * flat)))
-            for _ in range(n_random_fields):
+            for _ in range(GHOST_RANDOM_FIELDS):
                 f = np.zeros(level.n_points)
                 f[ball] = rng.standard_normal(len(ball))
                 nrm = math.sqrt(float(np.sum(w * f**2)))

@@ -5,6 +5,11 @@ once per session; each test asserts one criterion and prints its pass/fail
 line.  Stated runtime budgets are asserted on the measured core runtimes.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gaplab import acceptance, cli
@@ -168,3 +173,20 @@ def test_runner_invariant_failure_fails_only_its_criterion(monkeypatch):
     assert not results[0].passed
     assert results[0].details == {"failed_invariant": "neumann-projection-gap"}
     assert results[1].passed and results[2].passed
+
+
+CORE_REPORT = ("import sys; from gaplab import acceptance; "
+               "sys.stdout.write(acceptance.AcceptanceReport("
+               "results=acceptance.run_core(0), seed=0).serialize())")
+
+
+def test_core_report_identical_across_processes_and_blas_threads():
+    # each pass in a fresh process with its own BLAS thread count
+    src = Path(__file__).resolve().parents[1] / "src"
+    blobs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        blobs.append(subprocess.run([sys.executable, "-c", CORE_REPORT], env=env, check=True,
+                                    stdout=subprocess.PIPE, timeout=300).stdout)
+    assert blobs[0] == blobs[1]
+    assert b'"all_passed": true' in blobs[0]

@@ -232,6 +232,32 @@ def test_run_projection_kind(tmp_path):
     assert report["neumann_vs_mean_gap"]["value"] <= 1e-10
 
 
+def test_run_projection_without_gap_fails_invariant(tmp_path):
+    # the Dirac measure at e is the identity: restricted norm 1, no gap
+    path = _write_config(tmp_path, {
+        "kind": "projection",
+        "fixture": {"builder": "cyclic", "n": 4},
+        "measure": {"kind": "dirac_e"},
+    })
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "invariant-failure"
+    assert report["failed_invariant"] == "no-spectral-gap"
+
+
+@pytest.mark.parametrize("kind", ["warped", "ghost"])
+@pytest.mark.parametrize("levels", [8, "8", [], [8, "16"], [1, 8], [8.0]])
+def test_run_rejects_malformed_levels(tmp_path, capsys, kind, levels):
+    path = _write_config(tmp_path, {"kind": kind, "fixture": {"levels": levels}})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.fixture.levels:")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
 def test_run_ergodic_kind(tmp_path):
     config = ExperimentConfig(
         kind="ergodic",

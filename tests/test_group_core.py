@@ -6,6 +6,7 @@ import pytest
 
 from gaplab.group_core import (
     CayleyGraph,
+    FiniteAction,
     GeneratorSystem,
     GroupElement,
     SL2_GENERATOR_MATRICES,
@@ -249,6 +250,46 @@ def test_torus_action_orbits_and_restriction():
     assert is_ergodic(sub)
     assert abs(sub.weights.sum() - 1.0) < 1e-12
     assert (1, 0) in sub.points and (0, 0) not in sub.points
+
+
+def _bfs_orbits(action):
+    """Reference orbits: a queue-driven search from each unseen point in turn."""
+    seen = np.full(action.n_points, -1)
+    orbits = []
+    for start in range(action.n_points):
+        if seen[start] >= 0:
+            continue
+        seen[start] = len(orbits)
+        members, queue = [start], deque([start])
+        while queue:
+            x = queue.popleft()
+            for lab in action.gens.labels:
+                y = int(action.perms[lab][x])
+                if seen[y] < 0:
+                    seen[y] = len(orbits)
+                    members.append(y)
+                    queue.append(y)
+        orbits.append(sorted(members))
+    return orbits, seen
+
+
+def _explicit_multi_orbit_action():
+    # 7 points: the 3-cycle (0 4 5), the swap (1 6) and the fixed points 2, 3
+    perm = np.array([4, 6, 2, 3, 5, 0, 1])
+    inv = np.argsort(perm)
+    gens = GeneratorSystem(labels=("s", "s^-1"), inverses={"s": "s^-1", "s^-1": "s"})
+    return FiniteAction(list(range(7)), np.full(7, 1.0 / 7.0), gens,
+                        {"s": perm, "s^-1": inv})
+
+
+@pytest.mark.parametrize("build", [_explicit_multi_orbit_action,
+                                   lambda: build_sl2_quotient(16, variant="b")])
+def test_orbits_match_breadth_first_reference(build):
+    act = build()
+    want, want_index = _bfs_orbits(act)
+    assert len(want) > 1
+    assert [orb.tolist() for orb in act.orbits()] == want
+    assert act.orbit_index().tolist() == want_index.tolist()
 
 
 def test_action_serialization_roundtrip_shape():

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,16 +177,6 @@ def test_oracle_lp_vector_fields_max_displacement(labels):
     assert res.lower_bound is None
 
 
-def test_oracle_refuses_dense_oversize_action():
-    # SL2(Z/17) has 4,896 points, above the dense limit of the quadratic form
-    act = build_sl2_quotient(17, "a")
-    assert act.n_points > DENSE_LIMIT
-    rep = Representation(act)
-    q = [act.generator_element(lab) for lab in act.gens.labels]
-    with pytest.raises(ValueError, match="refusing dense"):
-        kazhdan_constant_oracle(rep, q)
-
-
 def test_oracle_full_group_mix_of_quadratics():
     # Z/4 with Q = {e, g, g^2, g^3}: the minimum mixes Fourier modes and
     # equals sqrt(8/3), strictly below the pure-mode value 2
@@ -201,8 +193,8 @@ def test_oracle_full_group_mix_of_quadratics():
 
 
 def _oracle_case(name):
-    if name == "sl2-5":
-        act = build_sl2_quotient(5, "a")
+    if name.startswith("sl2-"):
+        act = build_sl2_quotient(int(name[4:]), "a")
         return act, [act.generator_element(lab) for lab in act.gens.labels]
     n = {"z2": 2, "z3": 3, "z4": 4}[name]
     act = build_cyclic(n)
@@ -232,7 +224,13 @@ def test_oracle_exit_matches_full_search(name, monkeypatch):
     rep = Representation(act)
     certified = kazhdan_constant_oracle(rep, q, n_starts=1)
     assert certified.best <= certified.lower_bound + 1e-9
-    monkeypatch.setattr(kazhdan, "_top_symmetric_eigenvalue", lambda rep, q: 1.0)
+    solve = kazhdan._symmetrized_top
+
+    def top_one(op, k=1):  # theta_1 = 1 gives a bound of 0; the vectors stay
+        top = solve(op, k)
+        return dataclasses.replace(top, values=np.r_[1.0, top.values[1:]])
+
+    monkeypatch.setattr(kazhdan, "_symmetrized_top", top_one)
     seeds = _count_rng_calls(monkeypatch)
     full = kazhdan_constant_oracle(rep, q, n_starts=1)
     assert full.lower_bound == 0.0
@@ -246,6 +244,23 @@ def test_oracle_skips_random_starts_once_certified(monkeypatch):
     res = kazhdan_constant_oracle(Representation(act), q, n_starts=8)
     assert res.best <= res.lower_bound + 1e-9
     assert seeds == []
+
+
+def test_oracle_is_matrix_free_above_the_dense_limit(monkeypatch):
+    # SL2(Z/17) has 4,896 points, above the dense limit; one 4,896^2 float
+    # array alone would take 192 MB
+    act, q = _oracle_case("sl2-17")
+    assert act.n_points > DENSE_LIMIT
+    seeds = _count_rng_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        res = kazhdan_constant_oracle(Representation(act), q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.best <= res.lower_bound + 1e-9
+    assert seeds == []
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

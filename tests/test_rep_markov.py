@@ -483,6 +483,44 @@ def _small_spectra():
     return out
 
 
+def _dense_shifted(op):
+    """S - 2P of the kernel, densely, with S = (A + A*) / 2 and uniform weights."""
+    a = op.dense()
+    m = (a + a.T) / 2.0 - 2.0 * op.decomposition.mean_matrix()
+    return (m + m.T) / 2.0
+
+
+def test_kernel_top_three_match_dense_eigh_on_torus():
+    act = build_sl2_quotient(8, "b")  # 64 points, 4 orbits: the eigsh branch
+    assert act.n_points > rep_markov.DENSE_EIG_SIZE
+    op = markov_operator(Representation(act), lazy_uniform(act))
+    top = rep_markov._symmetrized_top(op, k=3)
+    m = _dense_shifted(op)
+    want = np.linalg.eigvalsh(m)[::-1][:3]
+    assert np.max(np.abs(top.values - want)) <= 1e-12
+    x = top.vectors[:, :, 0] * np.sqrt(act.weights)  # unit coordinate vectors
+    for theta, xi in zip(top.values, x):
+        assert np.linalg.norm(m @ xi - theta * xi) <= 1e-10
+    assert np.max(np.abs(x @ x.T - np.eye(3))) <= 1e-10
+    assert top.value == top.values[0]
+    assert np.array_equal(top.vector, top.vectors[0])
+
+
+def test_kernel_top_three_are_eigenvalues_but_may_skip_copies():
+    # Lanczos from one start vector may return a multiple eigenvalue once (the
+    # pair at (1 + sqrt 5) / 4 of this operator did); every value it returns
+    # is still an eigenvalue, and the first is the top one
+    act = build_sl2_quotient(8, "b")
+    op = markov_operator(Representation(act),
+                         uniform_on([act.generator_element(lab) for lab in act.gens.labels]))
+    top = rep_markov._symmetrized_top(op, k=3)
+    dense = np.linalg.eigvalsh(_dense_shifted(op))
+    assert abs(top.values[0] - dense[-1]) <= 1e-12
+    assert np.all(np.diff(top.values) <= 0)
+    for theta in top.values:
+        assert np.min(np.abs(dense - theta)) <= 1e-12
+
+
 def test_small_spectra_replay_bit_identical():
     before = _small_spectra()
     big = build_sl2_quotient(16, variant="b")
