@@ -594,6 +594,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 # last, as acceptance imports this module; loading gaplab.cli loads both
 from . import acceptance  # noqa: E402
-
-if __name__ == "__main__":
-    raise SystemExit(main())

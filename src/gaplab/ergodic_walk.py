@@ -208,6 +208,17 @@ def sigma_field_exact(action: FiniteAction, mu: DiscreteMeasure,
     return acc[:, 0]
 
 
+def _walk_starts(action: FiniteAction, plan: ShrinkingTargetPlan,
+                 starts: Sequence[int]) -> np.ndarray:
+    """Start indices as an array, after checking them and the plan against the action."""
+    if plan.action is not action:
+        raise ValueError("plan was built on a different action")
+    starts = np.asarray(list(starts), dtype=np.int64)
+    if starts.size and (starts.min() < 0 or starts.max() >= action.n_points):
+        raise ValueError(f"start indices must lie in [0, {action.n_points})")
+    return starts
+
+
 def shrinking_series_exact(action: FiniteAction, mu: DiscreteMeasure,
                            plan: ShrinkingTargetPlan,
                            starts: Sequence[int]) -> WalkStatistics:
@@ -216,7 +227,7 @@ def shrinking_series_exact(action: FiniteAction, mu: DiscreteMeasure,
     Propagates the start rows of A^n, so the cost is one operator sweep per
     step regardless of how many targets there are.
     """
-    starts = np.asarray(list(starts), dtype=np.int64)
+    starts = _walk_starts(action, plan, starts)
     rep = Representation(action, p=2.0, d=1)
     op = markov_operator(rep, mu)
     rows = np.zeros((len(starts), action.n_points))
@@ -276,6 +287,7 @@ def shrinking_series_mc(action: FiniteAction, mu: DiscreteMeasure,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _walk_starts(action, plan, [start])
     atoms = [(el.inverse().perm_array(), w) for el, w in mu.items()]
     inv_perms = np.stack([a for a, _ in atoms])
     n_steps = plan.horizon
@@ -428,14 +440,18 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     distribution is maintained over the full quotient group, so the cut on
     word length is exact; the unconditioned column reproduces the transfer
     series.  drift_fraction = 0 disables the conditioning.
+
+    The (starts x group) target mask is built once per distinct target, as
+    a float 0/1 array in one buffer: consecutive plan steps with equal
+    target sets reuse it.
     """
     if not 0.0 <= drift_fraction <= 1.0:
         raise ValueError("drift_fraction must lie in [0, 1]")
+    starts = _walk_starts(action, plan, starts)
     if drift is None:
         drift = estimate_drift_mc(table, mu_labels, n_steps=drift_steps,
                                   trials=drift_trials, seed=seed)
     a = drift_fraction * drift.two_a / 2.0
-    starts = np.asarray(list(starts), dtype=np.int64)
     m = table.m
     points = np.asarray(action.points, dtype=np.int64).reshape(action.n_points, -1)
     if points.shape[1] != 2 or points.min() < 0 or points.max() >= m:
@@ -457,12 +473,15 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     cond = np.zeros((len(starts), horizon))
     uncond = np.zeros((len(starts), horizon))
     tail_mass = np.zeros(horizon)
+    in_target = np.empty(act_inv.shape)      # (n_starts, |G|) float 0/1 mask
+    target = None
     for n in range(1, horizon + 1):
         dist = table.convolution_step(dist, mu_labels)
         cut = table.word_length > a * n
         tail_mass[n - 1] = float(dist[cut].sum())
-        member = plan.membership(n)
-        in_target = member[act_inv]          # (n_starts, |G|)
+        if target is None or not np.array_equal(plan.targets[n - 1], target):
+            target = plan.targets[n - 1]
+            np.take(plan.indicator(n), act_inv, out=in_target)
         uncond[:, n - 1] = in_target @ dist
         cond[:, n - 1] = in_target @ (dist * cut)
     return ConditionedStatistics(

@@ -414,13 +414,20 @@ class Sl2GroupTable:
         return out
 
     def convolution_step(self, dist: np.ndarray, mu_labels: Dict[str, float]) -> np.ndarray:
-        """One step of the walk distribution under right multiplication."""
+        """One step of the walk distribution under right multiplication.
+
+        Right multiplication by s is a permutation whose inverse is right
+        multiplication by s^-1, so the mass arriving at g is gathered from
+        g s^-1 through the inverse label's table, and the table keeps no
+        inverse permutations.  Labels are added in the order of
+        ``mu_labels``.
+        """
         out = np.zeros_like(dist)
         for lab, w in self.step_distribution(mu_labels):
             if lab is None:
                 out += w * dist
             else:
-                out[self.right_mult[lab]] += w * dist
+                out += (w * dist)[self.right_mult[_SL2_GENS.inverse_label(lab)]]
         return out
 
 

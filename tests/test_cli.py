@@ -327,7 +327,7 @@ def _outputs_under_blas_threads(tmp_path, doc, names):
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
-        subprocess.run([sys.executable, "-m", "gaplab.cli", "run", str(path),
+        subprocess.run([sys.executable, "-m", "gaplab", "run", str(path),
                         "--out-dir", str(out)], env=env, check=True, timeout=300)
         blobs.append([(out / name).read_bytes() for name in names])
     return blobs

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gaplab.group_core import build_cyclic, build_sl2_quotient, orbit_restrictio
 from gaplab.measures import dirac, lazy_uniform, uniform_on
 from gaplab.rep_markov import Representation, markov_operator, restricted_norm
 from gaplab.ergodic_walk import (
+    DriftEstimate,
     Sl2GroupTable,
     conditioned_series,
     ergodic_error_curve,
@@ -450,3 +452,127 @@ def test_conditioned_rejects_bad_fraction():
     plan = plan_from_sets(sub, [[0]])
     with pytest.raises(ValueError):
         conditioned_series(sub, MU_LABELS, plan, 1.5, table, [0])
+
+
+def _conditioned_reference(action, mu_labels, plan, a, table, starts):
+    """The step loop as first written: a fresh bool mask per step, scatter steps."""
+    m = table.m
+    starts = np.asarray(starts, dtype=np.int64)
+    points = np.asarray(action.points, dtype=np.int64)
+    index_of = np.full(m * m, -1, dtype=np.int64)
+    index_of[points[:, 0] * m + points[:, 1]] = np.arange(action.n_points)
+    ga, gb, gc, gd = table.elements.T
+    xs, ys = points[starts, 0][:, None], points[starts, 1][:, None]
+    act_inv = index_of[((gd * xs - gb * ys) % m) * m + (ga * ys - gc * xs) % m]
+    dist = np.zeros(table.n_elements)
+    dist[table.identity] = 1.0
+    cond = np.zeros((len(starts), plan.horizon))
+    uncond = np.zeros((len(starts), plan.horizon))
+    tail_mass = np.zeros(plan.horizon)
+    for n in range(1, plan.horizon + 1):
+        out = np.zeros_like(dist)
+        for lab, w in table.step_distribution(mu_labels):
+            if lab is None:
+                out += w * dist
+            else:
+                out[table.right_mult[lab]] += w * dist
+        dist = out
+        cut = table.word_length > a * n
+        tail_mass[n - 1] = float(dist[cut].sum())
+        in_target = plan.membership(n)[act_inv]
+        uncond[:, n - 1] = in_target @ dist
+        cond[:, n - 1] = in_target @ (dist * cut)
+    return cond, uncond, tail_mass
+
+
+def _fixed_drift(two_a):
+    return DriftEstimate(two_a=two_a, mean_lengths=np.zeros(0), window=(1, 2),
+                         trials=0, seed=0)
+
+
+def _assert_matches_reference(sub, plan, table, starts):
+    cs = conditioned_series(sub, MU_LABELS, plan, 0.5, table, starts,
+                            drift=_fixed_drift(1.2))
+    cond, uncond, tail = _conditioned_reference(sub, MU_LABELS, plan, cs.a, table, starts)
+    assert np.array_equal(cs.hit_probs, cond)
+    assert np.array_equal(cs.unconditioned, uncond)
+    assert np.array_equal(cs.tail_mass, tail)
+
+
+def test_conditioned_series_reused_masks_match_reference_loop():
+    # A, A, B, A: equal sizes, so a mask cache keyed on the step, the length
+    # or the first target would return the wrong hits at steps 3 or 4
+    sub, _ = _torus_fixture(8)
+    table = Sl2GroupTable(8)
+    a_set, b_set = [0, 5, 9, 30], [1, 5, 12, 40]
+    plan = plan_from_sets(sub, [a_set, a_set, b_set, a_set] * 3)
+    starts = [0, 7, 21, 47]
+    _assert_matches_reference(sub, plan, table, starts)
+    cs = conditioned_series(sub, MU_LABELS, plan, 0.0, table, starts, drift=_fixed_drift(1.0))
+    assert not np.array_equal(cs.unconditioned[:, 2], cs.unconditioned[:, 3])
+
+
+def test_conditioned_series_radius_plan_matches_reference_loop():
+    sub, _ = _torus_fixture(8)
+    table = Sl2GroupTable(8)
+    center = sub.points.index((1, 0))
+    plan = plan_from_radii(sub, center, [0.5 * n ** (-0.2) for n in range(1, 41)])
+    _assert_matches_reference(sub, plan, table, [0, 11, 30])
+
+
+def test_conditioned_series_memory_on_criterion_9_fixture():
+    # criterion 9's walk: 40 starts on the (1, 0) orbit of (Z/32)^2, 300 steps
+    torus = build_sl2_quotient(32, variant="b")
+    sub = orbit_restriction(torus, torus.points.index((1, 0)))
+    table = Sl2GroupTable(32)
+    center = sub.points.index((1, 0))
+    plan = plan_from_radii(sub, center, [0.45 * n ** (-0.125) for n in range(1, 301)])
+    starts = np.random.default_rng(7).choice(sub.n_points, size=40, replace=False)
+    drift = _fixed_drift(1.0)
+    tracemalloc.start()
+    try:
+        conditioned_series(sub, MU_LABELS, plan, 0.2, table, starts, drift=drift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6
+
+
+# -- input checks --------------------------------------------------------------------
+
+
+def _orbit_inputs(fault):
+    """SL2(Z/8)'s primitive orbit (48 points), a plan, starts with one fault, the message."""
+    torus = build_sl2_quotient(8, variant="b")
+    sub = orbit_restriction(torus, torus.points.index((1, 0)))
+    assert sub.n_points == 48
+    if fault == "plan-on-torus":
+        return sub, plan_from_sets(torus, [[60], [61], [62]]), [0], "different action"
+    start = {"negative-start": -1, "start-past-end": 48}[fault]
+    return (sub, plan_from_sets(sub, [[1], [2], [3]]), [start],
+            r"start indices must lie in \[0, 48\)")
+
+
+FAULTS = ["plan-on-torus", "negative-start", "start-past-end"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_conditioned_series_rejects_faulty_inputs(fault):
+    sub, plan, starts, message = _orbit_inputs(fault)
+    with pytest.raises(ValueError, match=message):
+        conditioned_series(sub, MU_LABELS, plan, 0.2, Sl2GroupTable(8), starts,
+                           drift=_fixed_drift(1.0))
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_shrinking_series_exact_rejects_faulty_inputs(fault):
+    sub, plan, starts, message = _orbit_inputs(fault)
+    with pytest.raises(ValueError, match=message):
+        shrinking_series_exact(sub, lazy_uniform(sub), plan, starts)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_shrinking_series_mc_rejects_faulty_inputs(fault):
+    sub, plan, starts, message = _orbit_inputs(fault)
+    with pytest.raises(ValueError, match=message):
+        shrinking_series_mc(sub, lazy_uniform(sub), plan, trials=4, seed=0, start=starts[0])

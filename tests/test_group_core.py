@@ -311,3 +311,41 @@ def test_element_ball_over_subset():
 def test_sl2_generator_matrices_are_unimodular():
     for a, b, c, d in SL2_GENERATOR_MATRICES.values():
         assert a * d - b * c == 1
+
+
+def _scatter_convolution_step(table, dist, mu_labels):
+    """Reference step: scatter each label's mass through its right multiplication."""
+    out = np.zeros_like(dist)
+    for lab, w in table.step_distribution(mu_labels):
+        if lab is None:
+            out += w * dist
+        else:
+            out[table.right_mult[lab]] += w * dist
+    return out
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_convolution_step_gather_matches_scatter_bit_for_bit(m):
+    mu_labels = {"e": 0.2, "e12": 0.2, "e12^-1": 0.2, "e21": 0.2, "e21^-1": 0.2}
+    table = Sl2GroupTable(m)
+    dist = np.zeros(table.n_elements)
+    dist[table.identity] = 1.0
+    ref = dist.copy()
+    for _ in range(50):
+        dist = table.convolution_step(dist, mu_labels)
+        ref = _scatter_convolution_step(table, ref, mu_labels)
+        assert np.array_equal(dist, ref)
+    assert abs(dist.sum() - 1.0) <= 1e-12
+
+
+def test_convolution_step_unequal_weights_match_scatter():
+    # a non-symmetric measure: gathering through s^-1 must still move mass by s
+    mu_labels = {"e12": 0.7, "e21^-1": 0.3}
+    table = Sl2GroupTable(8)
+    dist = np.zeros(table.n_elements)
+    dist[table.identity] = 1.0
+    ref = dist.copy()
+    for _ in range(10):
+        dist = table.convolution_step(dist, mu_labels)
+        ref = _scatter_convolution_step(table, ref, mu_labels)
+    assert np.array_equal(dist, ref)
