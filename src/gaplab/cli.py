@@ -233,7 +233,7 @@ def _run_projection(config: ExperimentConfig, action: FiniteAction
     if est.value >= NON_GAPPED:
         raise InvariantFailure("no-spectral-gap",
                                f"restricted norm {est.value} >= {NON_GAPPED}")
-    pn = neumann_projection(op, norm=est)
+    pn = neumann_projection(op)
     gap = float(np.max(np.abs(pn - op.decomposition.mean_matrix())))
     if gap > 1e-10:
         raise InvariantFailure("neumann-projection-gap", f"entrywise gap {gap}")
@@ -343,13 +343,13 @@ def _run_ergodic(config: ExperimentConfig, action: FiniteAction
     report: Dict[str, object] = {}
     series: Dict[str, List[List]] = {}
     for p in exponents:
-        rep = Representation(action, p=float(p))
-        est = restricted_norm(markov_operator(rep, mu), seed=config.seed, n_starts=2)
+        op = markov_operator(Representation(action, p=float(p)), mu)
+        est = restricted_norm(op, seed=config.seed, n_starts=2)
         # a non-ergodic fixture warns that errors are taken to orbitwise means
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            curve = ew.ergodic_error_curve(rep, f, mu, K=k_max, norm_estimate=est)
-            constant = ew.ergodic_error_curve(rep, np.ones(action.n_points), mu,
+            curve = ew.ergodic_error_curve(op, f, K=k_max, norm_estimate=est)
+            constant = ew.ergodic_error_curve(op, np.ones(action.n_points),
                                               K=k_max, norm_estimate=est)
         if curve.slope is not None and curve.slope > math.log(est.value) + 0.01:
             raise InvariantFailure("ergodic-slope",

@@ -115,9 +115,8 @@ class ErgodicCurve:
     slope: Optional[float]
 
 
-def ergodic_error_curve(rep: Representation, f: np.ndarray, mu: DiscreteMeasure,
-                        K: int, norm_estimate: Optional[NormEstimate] = None
-                        ) -> ErgodicCurve:
+def ergodic_error_curve(op: MarkovOperator, f: np.ndarray, K: int,
+                        norm_estimate: Optional[NormEstimate] = None) -> ErgodicCurve:
     """Errors e_k = |A^k f - Mf|_p for k = 1..K by iterated application.
 
     With an exact-quality restricted norm the geometric bound
@@ -126,7 +125,7 @@ def ergodic_error_curve(rep: Representation, f: np.ndarray, mu: DiscreteMeasure,
     """
     if K < 1:
         raise ValueError("need K >= 1")
-    op = markov_operator(rep, mu)
+    rep = op.rep
     dec = op.decomposition
     if dec.n_orbits > 1:
         warnings.warn(
@@ -178,23 +177,13 @@ class WalkStatistics:
         return self.hit_probs.shape[1]
 
 
-def _row_propagate(op: MarkovOperator, rows: np.ndarray) -> np.ndarray:
-    """One step of r <- r A for a batch of row distributions."""
-    return rows @ op.matrix
-
-
 def hit_fields_exact(action: FiniteAction, mu: DiscreteMeasure,
                      plan: ShrinkingTargetPlan) -> List[np.ndarray]:
     """Full hit-probability fields f_n = A^n 1_target, one per plan step."""
     rep = Representation(action, p=2.0, d=1)
     op = markov_operator(rep, mu)
-    fields = []
-    for n in range(1, plan.horizon + 1):
-        f = plan.indicator(n)[:, None]
-        for _ in range(n):
-            f = op.apply(f)
-        fields.append(f[:, 0])
-    return fields
+    return [op.apply_power(plan.indicator(n), n)[:, 0]
+            for n in range(1, plan.horizon + 1)]
 
 
 def sigma_field_exact(action: FiniteAction, mu: DiscreteMeasure,
@@ -234,7 +223,7 @@ def shrinking_series_exact(action: FiniteAction, mu: DiscreteMeasure,
     rows[np.arange(len(starts)), starts] = 1.0
     hit = np.zeros((len(starts), plan.horizon))
     for n in range(1, plan.horizon + 1):
-        rows = _row_propagate(op, rows)
+        rows = rows @ op.matrix  # r <- r A for each start row
         member = plan.membership(n)
         hit[:, n - 1] = rows[:, member].sum(axis=1)
     if hit.size and (hit.min() < -1e-12 or hit.max() > 1.0 + 1e-12):

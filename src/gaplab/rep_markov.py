@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -400,32 +400,29 @@ def restricted_norm(op: MarkovOperator, seed: int = 0, n_starts: int = 8) -> Nor
 NON_GAPPED = 1.0 - 1e-6
 # the Neumann series stops once a term's Frobenius norm is below the tolerance
 NEUMANN_TERM_TOL = 1e-14
-NEUMANN_MAX_TERMS = 500_000
+# A term |A^N (I - A)|_F is at most 2 sqrt(n) lam^N; with lam < NON_GAPPED and
+# n <= DENSE_LIMIT that is below NEUMANN_TERM_TOL by N = 3.8e7 < 2^26
+NEUMANN_MAX_SQUARINGS = 26
 
 
-def neumann_projection(op: MarkovOperator, norm: Optional[NormEstimate] = None
-                       ) -> np.ndarray:
-    """P = I - (sum_n A^n)(I - A), truncated when the term norm drops below
-    ``NEUMANN_TERM_TOL``.
+def neumann_projection(op: MarkovOperator) -> np.ndarray:
+    """P = I - sum_{n<N} A^n (I - A), a partial sum that telescopes to A^N.
 
-    Requires a restricted norm < 1; for gapped operators this reproduces the
-    orbitwise mean projector.
+    A^N is evaluated by repeated squaring, and N = 2^j is the first power of
+    two whose Neumann term |A^N (I - A)|_F is below ``NEUMANN_TERM_TOL``.
+    Requires a restricted norm below ``NON_GAPPED``; for gapped operators
+    this reproduces the orbitwise mean projector.
     """
-    lam = (norm or restricted_norm(op)).value
+    lam = restricted_norm(op).value
     if lam >= NON_GAPPED:
         raise ValueError(f"restricted norm {lam} >= {NON_GAPPED}: no spectral gap")
-    a = op.dense()
-    n = op.n_points
-    term = np.eye(n) - a
-    series = np.zeros_like(a)
-    for _ in range(NEUMANN_MAX_TERMS):
-        series += term
-        term = a @ term
-        if np.linalg.norm(term, "fro") < NEUMANN_TERM_TOL:
-            break
-    else:
-        raise RuntimeError(f"Neumann series failed to converge within {NEUMANN_MAX_TERMS} terms")
-    return np.eye(n) - series
+    power = op.dense()
+    for _ in range(NEUMANN_MAX_SQUARINGS + 1):
+        # the term through the sparse A: one CSR product instead of a GEMM
+        if np.linalg.norm(power - power @ op.matrix, "fro") < NEUMANN_TERM_TOL:
+            return power
+        power = power @ power
+    raise RuntimeError(f"Neumann term above tolerance after {NEUMANN_MAX_SQUARINGS} squarings")
 
 
 def _gram_defect(op: MarkovOperator, k: int) -> float:

@@ -232,6 +232,18 @@ def test_run_projection_kind(tmp_path):
     assert report["neumann_vs_mean_gap"]["value"] <= 1e-10
 
 
+def test_run_projection_kind_on_long_cycle(tmp_path):
+    # lambda = 1 - 5.0e-5: the partial Neumann sum needs N = 2^19 steps
+    config = ExperimentConfig(
+        kind="projection",
+        fixture={"builder": "cyclic", "n": 512},
+        measure={"kind": "lazy_uniform"},
+    )
+    assert run(config, tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["neumann_vs_mean_gap"]["value"] <= 1e-10
+
+
 def test_run_projection_without_gap_fails_invariant(tmp_path):
     # the Dirac measure at e is the identity: restricted norm 1, no gap
     path = _write_config(tmp_path, {

@@ -43,8 +43,8 @@ def _torus_fixture(m):
 
 def test_error_curve_constant_field_is_zero():
     act, mu = _torus_fixture(4)
-    rep = Representation(act)
-    curve = ergodic_error_curve(rep, np.ones(act.n_points), mu, K=6)
+    op = markov_operator(Representation(act), mu)
+    curve = ergodic_error_curve(op, np.ones(act.n_points), K=6)
     assert np.all(curve.errors <= 1e-13)
 
 
@@ -54,7 +54,7 @@ def test_error_curve_fourier_mode_exact_rate():
     mu = uniform_on([act.identity_element(), act.generator_element("g"),
                      act.generator_element("g^-1")])
     mode = np.cos(2 * np.pi * np.arange(4) / 4)  # eigenvector, eigenvalue 1/3
-    curve = ergodic_error_curve(rep, mode, mu, K=8)
+    curve = ergodic_error_curve(markov_operator(rep, mu), mode, K=8)
     fnorm = rep.norm(mode)
     for k in range(1, 9):
         assert curve.errors[k - 1] == pytest.approx((1 / 3) ** k * fnorm, rel=1e-10)
@@ -63,21 +63,21 @@ def test_error_curve_fourier_mode_exact_rate():
 
 def test_error_curve_respects_geometric_bound():
     act, mu = _torus_fixture(8)
-    rep = Representation(act)
+    op = markov_operator(Representation(act), mu)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(act.n_points)
-    curve = ergodic_error_curve(rep, f, mu, K=20)
+    curve = ergodic_error_curve(op, f, K=20)
     ks = np.arange(1, 21)
     assert np.all(curve.errors <= curve.lam**ks * curve.field_norm + 1e-9)
 
 
 def test_error_curve_warns_on_non_ergodic():
     act = build_sl2_quotient(4, variant="b")  # full grid: several orbits
-    rep = Representation(act)
     mu = uniform_on([act.identity_element()]
                     + [act.generator_element(lab) for lab in act.gens.labels])
+    op = markov_operator(Representation(act), mu)
     with pytest.warns(RuntimeWarning):
-        ergodic_error_curve(rep, np.arange(act.n_points, dtype=float), mu, K=3)
+        ergodic_error_curve(op, np.arange(act.n_points, dtype=float), K=3)
 
 
 def test_error_curve_lp_slopes():
@@ -85,9 +85,9 @@ def test_error_curve_lp_slopes():
     rng = np.random.default_rng(3)
     f = rng.standard_normal(act.n_points)
     for p in (1.5, 3.0):
-        rep = Representation(act, p=p)
-        est = restricted_norm(markov_operator(rep, mu), seed=0, n_starts=2)
-        curve = ergodic_error_curve(rep, f, mu, K=25, norm_estimate=est)
+        op = markov_operator(Representation(act, p=p), mu)
+        est = restricted_norm(op, seed=0, n_starts=2)
+        curve = ergodic_error_curve(op, f, K=25, norm_estimate=est)
         assert curve.quality == "lower_bound"
         assert curve.slope <= np.log(est.value) + 0.01
 

@@ -173,6 +173,32 @@ def test_dense_refusals_share_one_limit():
     assert issubclass(DenseLimitError, ValueError)
 
 
+def _neumann_series_reference(op):
+    """I - sum_{n<N} A^n (I - A) summed term by term, N the first n with a small term."""
+    a = op.dense()
+    term = np.eye(op.n_points) - a
+    series = np.zeros_like(a)
+    while True:
+        series += term
+        term = a @ term
+        if np.linalg.norm(term, "fro") < rep_markov.NEUMANN_TERM_TOL:
+            return np.eye(op.n_points) - series
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_cyclic(4),
+    lambda: build_sl2_quotient(5, variant="a"),
+])
+def test_neumann_squaring_matches_term_by_term_series(build):
+    act = build()
+    op = markov_operator(Representation(act), lazy_uniform(act))
+    p = neumann_projection(op)
+    assert np.max(np.abs(p - _neumann_series_reference(op))) <= 1e-13
+    # the Neumann term at the returned power is below the stopping tolerance
+    residual = p - p @ op.dense()
+    assert np.linalg.norm(residual, "fro") < rep_markov.NEUMANN_TERM_TOL
+
+
 def test_neumann_projection_trivial_rep():
     act = build_cyclic(1)
     rep = Representation(act)
@@ -356,9 +382,8 @@ def test_torus_action_per_orbit_decomposition():
     assert np.allclose(dec.mean(m), m, atol=1e-14)
     mu = uniform_on([act.identity_element()] + [act.generator_element(l) for l in act.gens.labels])
     op = markov_operator(rep, mu)
-    est = restricted_norm(op)
-    assert est.value < 1.0 - 1e-6
-    pn = neumann_projection(op, norm=est)
+    assert restricted_norm(op).value < 1.0 - 1e-6
+    pn = neumann_projection(op)
     assert np.max(np.abs(pn - dec.mean_matrix())) <= 1e-10
 
 
