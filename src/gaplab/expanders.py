@@ -2,9 +2,14 @@
 
 The scalar Poincare constant of a connected graph with generator labels Q is
 1 / (2 |Q| (1 - lambda_2)), where lambda_2 is the top eigenvalue of the
-symmetrized uniform neighbor-averaging operator on mean-zero functions,
-solved by the spectral kernel of ``rep_markov`` (dense eigh on the smallest
-graphs, Lanczos above; the eigenvector comes with it).  Edge sums run
+symmetrized uniform neighbor-averaging operator on mean-zero functions.  On
+SL2(Z/p) acting on itself, p prime, the operator commutes with right
+translations by the unipotent subgroup U, so it splits into induced blocks of
+p^2 - 1 points, and only three of those are distinct up to unitary
+equivalence: lambda_2 is the largest top eigenvalue among them, and the
+winning block's eigenvector is lifted back to the group.  Every other graph
+goes to the spectral kernel of ``rep_markov`` on the whole space.  Either way
+small problems go to dense eigh and larger ones to Lanczos.  Edge sums run
 over ordered pairs (v, s v), one per label, which is the convention that
 makes this relation exact.  Vector-valued constants are bounded from below
 by ratio ascent; a sequence of quotients is certified uniform when the
@@ -18,10 +23,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import block_diag, bmat
+from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .group_core import CayleyGraph, FiniteAction, GroupElement, word_ball
+from .group_core import (
+    CayleyGraph,
+    FiniteAction,
+    GroupElement,
+    sl2_coset_coordinates,
+    sl2_induced_block,
+    word_ball,
+)
 from .measures import DiscreteMeasure
-from .rep_markov import MarkovOperator, Representation, _symmetrized_top
+from .rep_markov import DENSE_EIG_SIZE, MarkovOperator, Representation, _symmetrized_top
 
 __all__ = [
     "ScalarPoincare",
@@ -49,15 +63,94 @@ class ScalarPoincare:
     eigenvector: Optional[np.ndarray] = None
 
 
+def _is_prime(m: int) -> bool:
+    return m >= 2 and all(m % q for q in range(2, math.isqrt(m) + 1))
+
+
+def _character_classes(p: int) -> List[int]:
+    """One a per class of blocks: a and a c^2 give unitarily equivalent ones
+    (conjugation by diag(c, 1 / c)), so 0, 1 and, for odd p, the least
+    non-square."""
+    squares = {x * x % p for x in range(1, p)}
+    return [0, 1] + [a for a in range(2, p) if a not in squares][:1]
+
+
+def _block_sum_top(total, n: int) -> Tuple[float, np.ndarray]:
+    """Top eigenpair of a symmetric sum of blocks whose first block, on n
+    coordinates, holds the constants: the solve is of M - 2P, P the
+    projector on those constants, by dense eigh up to ``DENSE_EIG_SIZE``
+    coordinates and by Lanczos (the kernel's fixed start vector, seeded
+    restarts, tol=0) above."""
+    size = total.shape[0]
+    if size <= DENSE_EIG_SIZE:
+        mat = total.toarray()
+        mat[:n, :n] -= 2.0 / n
+        vals, vecs = np.linalg.eigh(mat)
+        return float(vals[-1]), vecs[:, -1]
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        y = total @ x
+        y[:n] -= (2.0 / n) * x[:n].sum(axis=0)
+        return y
+
+    lin = LinearOperator((size, size), matvec=matvec, dtype=float)
+    vals, vecs = eigsh(lin, k=1, which="LA", v0=np.cos(np.arange(size) * 1.7) + 0.1,
+                       tol=0, rng=np.random.default_rng(0))
+    return float(vals[0]), vecs[:, 0]
+
+
+def _induced_eigensolve(action: FiniteAction, weights: Dict[str, float]
+                        ) -> Tuple[float, np.ndarray]:
+    """lambda_2 of SL2(Z/p), p prime: the top eigenvalue of the direct sum of
+    the induced blocks, one per character class, which is the largest of
+    their top eigenvalues.  The eigenvector is lifted to G blockwise by
+    f(sigma(v) u_t) = chi_a(t) F(v)."""
+    p = action.sl2_modulus
+    classes = _character_classes(p)
+    blocks = [sl2_induced_block(p, a, weights) for a in classes]
+    n = p * p - 1
+    # Block 0 is real.  A complex block X + iY enters as [[X, -Y], [Y, X]],
+    # which has each of its eigenvalues twice and (Re F, Im F) for an
+    # eigenvector F.  One real Lanczos solve on the sum takes about 2/3 of
+    # the time of one solve per block.
+    total = block_diag([blocks[0]] + [bmat([[b.real, -b.imag], [b.imag, b.real]])
+                                      for b in blocks[1:]], format="csr")
+    value, x = _block_sum_top(total, n)
+    v, t = sl2_coset_coordinates(np.asarray(action.points), p)
+    lifted = x[v].astype(complex)  # chi_0 = 1
+    for j, a in enumerate(classes[1:]):
+        re, im = np.split(x[(2 * j + 1) * n:(2 * j + 3) * n], 2)
+        lifted += np.exp(2j * np.pi * ((a * t) % p) / p) * (re + 1j * im)[v]
+    # A is real, so the real and the imaginary part of the lift are both
+    # eigenvectors unless zero, and the larger one is not
+    real, imag = lifted.real, lifted.imag
+    part = real if np.linalg.norm(real) >= np.linalg.norm(imag) else imag
+    return value, part - part.mean()
+
+
 def _averaging_eigensolve(graph: CayleyGraph) -> Tuple[float, np.ndarray]:
     """Top mean-zero eigenvalue (and eigenvector) of the symmetrized
-    neighbor-averaging operator."""
+    neighbor-averaging operator.
+
+    An action that carries a prime ``sl2_modulus`` p is SL2(Z/p) acting on
+    itself.  There the operator splits into the induced blocks of
+    ``group_core.sl2_induced_block``, p^2 - 1 points each, and lambda_2 is
+    the largest top eigenvalue of the three distinct ones; the full operator
+    is never built.  Every other action, composite moduli included, goes to
+    the spectral kernel on the whole space.
+    """
+    action = graph.action
     # mass 1 / |Q| per label; labels acting by the same permutation add up
+    if action.sl2_modulus is not None and _is_prime(action.sl2_modulus):
+        weights: Dict[str, float] = {}
+        for lab in graph.labels:
+            weights[lab] = weights.get(lab, 0.0) + 1.0 / len(graph.labels)
+        return _induced_eigensolve(action, weights)
     atoms: Dict[GroupElement, float] = {}
     for lab in graph.labels:
-        el = graph.action.generator_element(lab)
+        el = action.generator_element(lab)
         atoms[el] = atoms.get(el, 0.0) + 1.0 / len(graph.labels)
-    op = MarkovOperator(Representation(graph.action), DiscreteMeasure(atoms))
+    op = MarkovOperator(Representation(action), DiscreteMeasure(atoms))
     top = _symmetrized_top(op)
     vec = top.vector[:, 0]
     return top.value, vec - vec.mean()

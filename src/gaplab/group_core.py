@@ -36,6 +36,8 @@ __all__ = [
     "action_fingerprint",
     "SL2_GENERATOR_MATRICES",
     "Sl2GroupTable",
+    "sl2_coset_coordinates",
+    "sl2_induced_block",
 ]
 
 PROB_TOL = 1e-12
@@ -81,7 +83,7 @@ class GroupElement:
         word_length: Optional[int] = None,
         label: Optional[str] = None,
     ) -> None:
-        self.perm: Tuple[int, ...] = tuple(int(i) for i in perm)
+        self.perm: Tuple[int, ...] = tuple(np.asarray(perm, dtype=np.int64).tolist())
         self.word_length = word_length
         self.label = label
 
@@ -167,6 +169,9 @@ class FiniteAction:
     ``perms[label][i]`` is the index of ``s . x_i``.  Weights form a
     probability vector preserved pointwise by every generator map, and maps
     for a label and its inverse label are mutually inverse permutations.
+    ``sl2_modulus`` is m when the action is SL2(Z/m) acting on itself by left
+    translation through ``SL2_GENERATOR_MATRICES``, its points the matrices
+    (a, b, c, d); it is None otherwise.
     """
 
     def __init__(
@@ -177,6 +182,7 @@ class FiniteAction:
         perms: Dict[str, np.ndarray],
         metric=None,
         name: str = "action",
+        sl2_modulus: Optional[int] = None,
     ) -> None:
         self.points = list(points)
         self.weights = np.asarray(weights, dtype=float)
@@ -184,6 +190,7 @@ class FiniteAction:
         self.perms = {lab: np.asarray(p, dtype=np.int64) for lab, p in perms.items()}
         self.metric = metric
         self.name = name
+        self.sl2_modulus = sl2_modulus
         self._validate()
 
     # -- invariants -------------------------------------------------------
@@ -200,7 +207,10 @@ class FiniteAction:
             if lab not in self.perms:
                 raise ValueError(f"missing permutation for generator {lab!r}")
             p = self.perms[lab]
-            if sorted(p.tolist()) != list(range(n)):
+            hit = np.zeros(n, dtype=bool)
+            if p.shape == (n,) and np.all((p >= 0) & (p < n)):
+                hit[p] = True
+            if not hit.all():  # n entries in range, none missed: none repeated
                 raise ValueError(f"generator map {lab!r} is not a permutation")
             if np.max(np.abs(self.weights[p] - self.weights)) > PROB_TOL:
                 raise ValueError(f"generator map {lab!r} does not preserve weights")
@@ -431,6 +441,74 @@ class Sl2GroupTable:
         return out
 
 
+# -- induced blocks of SL2(Z/p) ----------------------------------------------
+#
+# For p prime, U = {u_t = [[1, t], [0, 1]]} is the stabilizer of e_1, so the
+# cosets x U are the nonzero vectors v of F_p^2 (the first column of x), and
+# every x is sigma(v) u_t for one t, with the section
+#     sigma(v) = [[v_1, 0], [v_2, 1 / v_1]]   if v_1 != 0,
+#     sigma(v) = [[0, -1 / v_2], [v_2, 0]]    otherwise.
+# Left translations commute with right ones, so the fields with
+# f(x u_t) = chi_a(t) f(x), chi_a(t) = exp(2 pi i a t / p), are invariant
+# under every averaging operator; they are Ind_U^G chi_a, of dimension
+# p^2 - 1, and L^2(G) is their orthogonal sum over a in F_p.  Nonzero vectors
+# are numbered v_1 p + v_2 - 1.
+
+
+def _sl2_section(vectors: np.ndarray, p: int) -> np.ndarray:
+    """sigma(v) as rows (a, b, c, d) for nonzero vectors v = (v_1, v_2) mod p."""
+    units = np.arange(1, p)
+    inverse = np.zeros(p, dtype=np.int64)
+    inverse[units] = units[np.argmax(np.outer(units, units) % p == 1, axis=1)]
+    x, y = vectors[:, 0], vectors[:, 1]
+    on_axis = x == 0
+    return np.stack([x, np.where(on_axis, -inverse[y] % p, 0),
+                     y, np.where(on_axis, 0, inverse[x])], axis=-1)
+
+
+def sl2_coset_coordinates(mats: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The number of v and the t with x = sigma(v) u_t, for each row x of
+    ``mats`` (matrices (a, b, c, d) of SL2(Z/p), p prime)."""
+    mats = np.asarray(mats, dtype=np.int64)
+    v = mats[:, [0, 2]]
+    a, b, c, d = _sl2_section(v, p).T
+    # sigma(v)^-1 x = u_t, whose top right entry is t
+    t = _sl2_mul(np.stack([d, -b % p, -c % p, a], axis=-1), mats, p)[:, 1]
+    return v[:, 0] * p + v[:, 1] - 1, t
+
+
+def sl2_induced_block(p: int, a: int, weights: Dict[str, float]) -> csr_matrix:
+    """The block of A = sum_s mu(s) pi_s on Ind_U^G chi_a, for G = SL2(Z/p).
+
+    ``weights`` gives mu(s) for labels of ``SL2_GENERATOR_MATRICES``, and
+    pi_s f(x) = f(s^-1 x) is the left translation of ``build_sl2_quotient(p,
+    "a")``.  With s^-1 sigma(v) = sigma(s^-1 v) u_t(s, v), A acts on the
+    values F(v) = f(sigma(v)) by
+
+        (A_a F)(v) = sum_s mu(s) chi_a(t(s, v)) F(s^-1 v).
+
+    The field f is l^2-normalized when F is, up to the factor sqrt(p), so the
+    spectrum of the symmetrized operator (A + A*) / 2 on L^2(G) is the union
+    over a in F_p of the spectra of the returned (M + M^H) / 2, a
+    (p^2 - 1) x (p^2 - 1) matrix with at most 2 |supp mu| entries per row.
+    It is complex, except at a = 0: chi_0 = 1, and A_0 is the linear action
+    on the nonzero vectors, a real matrix.
+    """
+    n = p * p - 1
+    codes = np.arange(n, dtype=np.int64)
+    sections = _sl2_section(np.stack(np.divmod(codes + 1, p), axis=-1), p)
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    cols, vals = [], []
+    for lab, w in weights.items():
+        inverse = SL2_GENERATOR_MATRICES[_SL2_GENS.inverse_label(lab)]
+        col, t = sl2_coset_coordinates(_sl2_mul([x % p for x in inverse], sections, p), p)
+        cols.append(col)
+        vals.append(w * roots[(a * t) % p] if a % p else np.full(n, float(w)))
+    rows = np.tile(codes, len(cols))
+    m = csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(n, n))
+    return ((m + m.conj().T) / 2.0).tocsr()
+
+
 def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
     """SL2 fixtures mod m.
 
@@ -448,7 +526,8 @@ def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
         n = len(elements)
         points = [tuple(row) for row in elements.tolist()]
         weights = np.full(n, 1.0 / n)
-        return FiniteAction(points, weights, _SL2_GENS, left_mult, name=f"SL2(Z/{m})")
+        return FiniteAction(points, weights, _SL2_GENS, left_mult, name=f"SL2(Z/{m})",
+                            sl2_modulus=m)
     if m < 1:
         raise ValueError(f"variant 'b' requires modulus >= 1, got {m}")
     n = m * m

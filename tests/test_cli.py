@@ -364,3 +364,24 @@ def test_markov_curve_identical_across_processes_and_blas_threads(tmp_path):
         "seed": 7,
     }, ["report.json", "defect_curve.csv"])
     assert blobs[0] == blobs[1]
+
+
+def test_expander_quotients_identical_across_processes_and_blas_threads(tmp_path):
+    # p = 7, 13 and 31 solve their induced blocks by Lanczos
+    blobs = _outputs_under_blas_threads(tmp_path, {
+        "kind": "expander",
+        "fixture": {"family": "sl2", "moduli": [5, 7, 13, 31]},
+        "seed": 3,
+    }, ["report.json", "quotients.csv"])
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("module", ["gaplab.acceptance", "gaplab.cli"])
+def test_modules_import_alone(module):
+    # cli and acceptance import each other; either may be loaded first
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = f"import {module}; from gaplab import acceptance, cli; print(acceptance.cli is cli)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, timeout=120).stdout
+    assert out == b"True\n"

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from gaplab import expanders
 from gaplab.group_core import (
+    SL2_GENERATOR_MATRICES,
     CayleyGraph,
     FiniteAction,
     GeneratorSystem,
     build_cyclic,
     build_sl2_quotient,
+    sl2_induced_block,
 )
 from gaplab.expanders import (
     MirhoBound,
@@ -20,8 +23,8 @@ from gaplab.expanders import (
     poincare_scalar,
     poincare_vector_lower,
 )
-from gaplab.measures import uniform_on
-from gaplab.rep_markov import Representation, defect_curve, markov_operator
+from gaplab.measures import DiscreteMeasure, uniform_on
+from gaplab.rep_markov import Representation, _symmetrized_top, defect_curve, markov_operator
 
 
 def test_poincare_scalar_z3_complete_graph():
@@ -238,3 +241,82 @@ def test_report_serialization():
     doc = certify_sequence(seq).to_json_dict()
     assert len(doc["quotients"]) == 2
     assert doc["uniform"] in (True, False)
+
+
+# -- induced blocks of SL2(Z/p) -------------------------------------------------
+
+UNIFORM = {lab: 0.25 for lab in SL2_GENERATOR_MATRICES}
+SKEWED = {"e12": 0.4, "e12^-1": 0.1, "e21": 0.3, "e21^-1": 0.2}
+
+
+def _generator_operator(act, weights):
+    atoms = {}
+    for lab, w in weights.items():
+        el = act.generator_element(lab)
+        atoms[el] = atoms.get(el, 0.0) + w
+    return markov_operator(Representation(act), DiscreteMeasure(atoms))
+
+
+@pytest.mark.parametrize("weights", [UNIFORM, SKEWED], ids=["uniform", "skewed"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_induced_block_spectra_make_up_the_full_spectrum(p, weights):
+    act = build_sl2_quotient(p, "a")
+    a = _generator_operator(act, weights).dense()
+    full = np.linalg.eigvalsh((a + a.T) / 2.0)  # uniform weights: A* = A^T
+    blocks = []
+    for char in range(p):
+        block = sl2_induced_block(p, char, weights).toarray()
+        assert block.shape == (p * p - 1,) * 2
+        assert np.array_equal(block, block.conj().T)
+        blocks.append(np.linalg.eigvalsh(block))
+    assert np.max(np.abs(np.sort(np.concatenate(blocks)) - full)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_block_lambda2_matches_the_kernel_and_its_lift_the_relation(p):
+    act = build_sl2_quotient(p, "a")
+    graph = CayleyGraph(act)
+    scal = poincare_scalar(graph)
+    kernel = _symmetrized_top(_generator_operator(act, UNIFORM)).value
+    assert abs(scal.lambda2 - kernel) <= 1e-13
+    vec = scal.eigenvector
+    assert vec.shape == (act.n_points,) and np.all(np.isfinite(vec))
+    assert abs(vec.sum()) <= 1e-9 * np.linalg.norm(vec)
+    ratio = poincare_ratio(graph, vec)
+    assert abs(ratio * 2.0 * scal.n_labels * (1.0 - scal.lambda2) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("weights", [UNIFORM, SKEWED], ids=["uniform", "skewed"])
+def test_induced_eigensolve_lifts_an_eigenvector_of_the_full_operator(weights):
+    act = build_sl2_quotient(11, "a")
+    op = _generator_operator(act, weights)
+    value, vec = expanders._induced_eigensolve(act, weights)
+    assert abs(value - _symmetrized_top(op).value) <= 1e-13
+    image = (op.apply(vec) + op.apply_transpose(vec))[:, 0] / 2.0
+    assert np.linalg.norm(image - value * vec) <= 1e-12 * np.linalg.norm(vec)
+
+
+def _no_blocks(*args):
+    raise AssertionError("solved by the induced blocks")
+
+
+@pytest.mark.parametrize("act", [build_sl2_quotient(8, "a"), build_sl2_quotient(9, "a"),
+                                 build_sl2_quotient(7, "b")], ids=["sl2-8", "sl2-9", "torus-7"])
+def test_composite_moduli_and_the_torus_keep_the_kernel(act, monkeypatch):
+    monkeypatch.setattr(expanders, "_induced_eigensolve", _no_blocks)
+    value, _vec = expanders._averaging_eigensolve(CayleyGraph(act))
+    assert value == _symmetrized_top(_generator_operator(act, UNIFORM)).value
+
+
+def test_prime_regular_action_takes_the_blocks(monkeypatch):
+    act = build_sl2_quotient(7, "a")
+    calls = []
+    solve = expanders._induced_eigensolve
+
+    def recording(action, weights):
+        calls.append(action)
+        return solve(action, weights)
+
+    monkeypatch.setattr(expanders, "_induced_eigensolve", recording)
+    poincare_scalar(CayleyGraph(act))
+    assert calls == [act]

@@ -17,6 +17,7 @@ from gaplab.group_core import (
     element_ball,
     is_ergodic,
     orbit_restriction,
+    sl2_coset_coordinates,
     word_ball,
 )
 
@@ -349,3 +350,44 @@ def test_convolution_step_unequal_weights_match_scatter():
         dist = table.convolution_step(dist, mu_labels)
         ref = _scatter_convolution_step(table, ref, mu_labels)
     assert np.array_equal(dist, ref)
+
+
+def test_group_element_matches_the_per_entry_int_construction():
+    act = build_sl2_quotient(7, "a")
+    g = act.generator_element("e12")
+    h = g.compose(act.generator_element("e21"))
+    for el, source in ((g, act.perms["e12"]), (h, h.perm)):
+        old = tuple(int(i) for i in source)
+        assert el.perm == old
+        assert all(type(i) is int for i in el.perm)
+        assert hash(el) == hash(old)
+        assert el.key() == ",".join(str(i) for i in old)
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 2], [0, 1, 3], [-1, 1, 2]],
+                         ids=["duplicate", "out-of-range", "negative"])
+def test_action_rejects_a_generator_map_that_is_not_a_permutation(bad):
+    gens = GeneratorSystem(labels=("g",), inverses={"g": "g"})
+    with pytest.raises(ValueError, match="is not a permutation"):
+        FiniteAction([0, 1, 2], np.full(3, 1.0 / 3), gens, {"g": np.array(bad)})
+
+
+def test_sl2_modulus_marks_only_the_regular_action():
+    assert build_sl2_quotient(7, "a").sl2_modulus == 7
+    torus = build_sl2_quotient(7, "b")
+    assert torus.sl2_modulus is None
+    assert orbit_restriction(torus, 1).sl2_modulus is None
+    assert build_cyclic(7).sl2_modulus is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_sl2_coset_coordinates_rebuild_each_element(p):
+    elements = np.array(build_sl2_quotient(p, "a").points)
+    v, t = sl2_coset_coordinates(elements, p)
+    first = np.stack(np.divmod(v + 1, p), axis=-1)
+    assert np.array_equal(first, elements[:, [0, 2]])
+    # x = sigma(v) u_t: the second column is t v + sigma(v)'s second column,
+    # and (v, t) runs once over the p^2 - 1 vectors times F_p
+    assert len(set(zip(v.tolist(), t.tolist()))) == len(elements) == (p * p - 1) * p
+    sigma_col = (elements[:, [1, 3]] - t[:, None] * elements[:, [0, 2]]) % p
+    assert len(set(zip(v.tolist(), map(tuple, sigma_col.tolist())))) == p * p - 1
