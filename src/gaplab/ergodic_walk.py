@@ -250,19 +250,24 @@ class McStatistics:
     sigma_per_trial: np.ndarray  # (trials,) total hit counts
 
 
-def _trial_stream(seed: int, trial: int) -> np.random.Generator:
-    # one counter-based stream per (trial, seed); bit-exact reproducibility
-    return np.random.Generator(np.random.Philox(key=(np.uint64(seed) << np.uint64(32)) + np.uint64(trial)))
-
-
 def _draw_indices(weights: Sequence[float], trials: int, n_steps: int,
                   seed: int) -> np.ndarray:
-    """(trials, n_steps) atom indices drawn by weight, each trial from its own stream."""
+    """(trials, n_steps) atom indices drawn by weight, each trial from its own
+    counter-based stream: Philox keyed by (seed << 32) + trial, counter 0.
+    One bit generator is rekeyed per trial, which skips the OS-seeded
+    ``SeedSequence`` that a new one would build and never use."""
     cum = np.cumsum(weights)
     cum[-1] = 1.0
+    bits = np.random.Philox()
+    stream, state = np.random.Generator(bits), bits.state  # counter 0, empty buffer
+    key = state["state"]["key"]
+    key[1] = 0
+    keys = (np.uint64(seed) << np.uint64(32)) + np.arange(trials, dtype=np.uint64)
     gidx = np.empty((trials, n_steps), dtype=np.int64)
     for t in range(trials):
-        gidx[t] = np.searchsorted(cum, _trial_stream(seed, t).random(n_steps))
+        key[0] = keys[t]
+        bits.state = state
+        gidx[t] = np.searchsorted(cum, stream.random(n_steps))
     return gidx
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,7 +117,9 @@ def _induced_eigensolve(action: FiniteAction, weights: Dict[str, float]
     total = block_diag([blocks[0]] + [bmat([[b.real, -b.imag], [b.imag, b.real]])
                                       for b in blocks[1:]], format="csr")
     value, x = _block_sum_top(total, n)
-    v, t = sl2_coset_coordinates(np.asarray(action.points), p)
+    points = np.fromiter(chain.from_iterable(action.points), dtype=np.int64,
+                         count=4 * action.n_points).reshape(-1, 4)
+    v, t = sl2_coset_coordinates(points, p)
     lifted = x[v].astype(complex)  # chi_0 = 1
     for j, a in enumerate(classes[1:]):
         re, im = np.split(x[(2 * j + 1) * n:(2 * j + 3) * n], 2)
@@ -203,6 +206,12 @@ def poincare_vector_lower(graph: CayleyGraph, p: float, d: int, budget: int,
     evaluations.  The scalar eigenvector (embedded in the first coordinate)
     is always one of the starts, so at p = 2 the scalar optimum is attained.
     """
+    return _vector_lower(graph, poincare_scalar(graph), p, d, budget, seed)
+
+
+def _vector_lower(graph: CayleyGraph, scalar: ScalarPoincare, p: float, d: int,
+                  budget: int, seed: int) -> float:
+    """``poincare_vector_lower`` from the graph's scalar solve ``scalar``."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     if d < 1:
@@ -211,7 +220,6 @@ def poincare_vector_lower(graph: CayleyGraph, p: float, d: int, budget: int,
         return 0.0
     evals = 0
     best = 0.0
-    scalar = poincare_scalar(graph)
 
     def ascend(f0: np.ndarray) -> float:
         nonlocal evals
@@ -406,7 +414,7 @@ def certify_sequence(seq: QuotientSequence, p: float = 2.0, d: int = 1,
             residual = abs(ratio * 2.0 * scal.n_labels * (1.0 - scal.lambda2) - 1.0)
         vec_lower = None
         if vector_budget > 0:
-            vec_lower = poincare_vector_lower(graph, p, d, vector_budget, seed=seed)
+            vec_lower = _vector_lower(graph, scal, p, d, vector_budget, seed)
         rows.append(
             QuotientRow(
                 name=act.name,

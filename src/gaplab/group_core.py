@@ -314,20 +314,17 @@ def _sl2_mul(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     )
 
 
-def _sl2_codes(mats: np.ndarray, m: int) -> np.ndarray:
-    return ((mats[:, 0] * m + mats[:, 1]) * m + mats[:, 2]) * m + mats[:, 3]
+def _sl2_key(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+             m: int) -> np.ndarray:
+    """A perfect key in [0, m^3) for each element (a, b, c, d) of SL2(Z/m).
 
-
-def _sl2_find(index: Tuple[np.ndarray, np.ndarray], codes: np.ndarray) -> np.ndarray:
-    """Ids of the matrices with the given codes, -1 where there is none."""
-    sorted_codes, ids = index
-    out = np.full(len(codes), -1, dtype=np.int64)
-    if len(sorted_codes):
-        order = np.argsort(codes)  # sorted queries search several times faster
-        pos = np.minimum(np.searchsorted(sorted_codes, codes[order]), len(sorted_codes) - 1)
-        hit = sorted_codes[pos] == codes[order]
-        out[order[hit]] = ids[pos[hit]]
-    return out
+    The second column runs over the coset (b0, d0) + t (a, c), t in Z/m.  With
+    g = gcd(a, m), b fixes t mod m / g, and c is a unit mod g, so d // (m / g),
+    in [0, g), fixes the rest of t: (a m + c) m + (b // g) g + d // (m / g) is
+    injective for every m, also where neither a nor c is a unit.
+    """
+    g = np.gcd(np.arange(m, dtype=np.int64), m)[a]  # a length-m lookup
+    return (a * m + c) * m + (b // g) * g + d // (m // g)
 
 
 def _sl2_closure(m: int):
@@ -336,44 +333,38 @@ def _sl2_closure(m: int):
     Returns the elements as rows (a, b, c, d) -- the identity first, then in
     order of first discovery by (parent, generator label), as a queue-driven
     search meets them -- their word lengths, ``left_mult[label][i]``, the id
-    of s * element i, and the lookup index (sorted codes, their ids).
+    of s * element i, and the id table: the id of each element at its
+    ``_sl2_key``, -1 elsewhere (m^3 entries).
     """
-    gens = [np.array([x % m for x in mat], dtype=np.int64)
-            for mat in SL2_GENERATOR_MATRICES.values()]
+    gens = np.array(list(SL2_GENERATOR_MATRICES.values()), dtype=np.int64).reshape(-1, 2, 2) % m
     frontier = np.array([[1 % m, 0, 0, 1 % m]], dtype=np.int64)
+    table = np.full(m ** 3, -1, dtype=np.int64)
+    table[_sl2_key(*frontier.T, m)] = 0
     chunks, lengths, products = [frontier], [np.zeros(1, dtype=np.int64)], []
-    empty = np.zeros(0, dtype=np.int64)
-    # (sorted codes, ids) of the levels at depth - 1 and depth
-    previous, current = (empty, empty), (_sl2_codes(frontier, m), np.zeros(1, dtype=np.int64))
     count, depth = 1, 0
     while len(frontier):
         depth += 1
         # one row per parent, one column per generator: the order of discovery
-        cands = np.stack([_sl2_mul(g, frontier, m) for g in gens], axis=1)
-        codes = _sl2_codes(cands.reshape(-1, 4), m)
-        # the generators come in inverse pairs, so s * x lies one level below
-        # x, on its level or one level above
-        ids = _sl2_find(current, codes)
-        miss = np.flatnonzero(ids < 0)
-        ids[miss] = _sl2_find(previous, codes[miss])
-        fresh = miss[ids[miss] < 0]
-        new_codes, first, inverse = np.unique(codes[fresh], return_index=True,
-                                              return_inverse=True)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
-        ids[fresh] = count + rank[inverse.ravel()]
+        cands = ((gens @ frontier.reshape(-1, 1, 2, 2)) % m).reshape(-1, 4)
+        keys = _sl2_key(*cands.T, m)
+        ids = table[keys]
+        fresh = np.flatnonzero(ids < 0)
+        # a new element met more than once on this level is numbered at its
+        # first meeting: the table briefly holds that candidate's position
+        fresh_keys = keys[fresh]
+        table[fresh_keys] = len(keys)
+        np.minimum.at(table, fresh_keys, fresh)
+        first = fresh[table[fresh_keys] == fresh]
+        table[keys[first]] = count + np.arange(len(first))
+        ids[fresh] = table[fresh_keys]
         products.append(ids.reshape(len(frontier), len(gens)))
-        frontier = cands.reshape(-1, 4)[fresh[np.sort(first)]]
+        frontier = cands[first]
         chunks.append(frontier)
         lengths.append(np.full(len(frontier), depth, dtype=np.int64))
-        previous, current = current, (new_codes, count + rank)
         count += len(frontier)
-    elements = np.concatenate(chunks)
     left = np.concatenate(products)
     left_mult = {lab: left[:, j] for j, lab in enumerate(SL2_GENERATOR_MATRICES)}
-    all_codes = _sl2_codes(elements, m)
-    order = np.argsort(all_codes)
-    return elements, np.concatenate(lengths), left_mult, (all_codes[order], order)
+    return np.concatenate(chunks), np.concatenate(lengths), left_mult, table
 
 
 class Sl2GroupTable:
@@ -382,7 +373,8 @@ class Sl2GroupTable:
     Elements are the reachable products of the elementary generators (all of
     SL2(Z/m)) in the order of ``build_sl2_quotient(m, "a")``'s points; word
     lengths are breadth-first distances for the symmetric generating set.
-    Matrices are looked up through their sorted flat codes.
+    Right multiplication comes from the closure's left one: g s is
+    (s^-1 g^-1)^-1, and the inverses are read from the closure's id table.
     """
 
     MAX_MODULUS = 64  # |SL2(Z/64)| = 196,608 elements
@@ -392,19 +384,13 @@ class Sl2GroupTable:
             raise ValueError(f"need modulus in [2, {self.MAX_MODULUS}], got {m}")
         self.m = int(m)
         self.labels = tuple(SL2_GENERATOR_MATRICES)
-        self.elements, self.word_length, _left, self._index = _sl2_closure(self.m)
+        self.elements, self.word_length, left, table = _sl2_closure(self.m)
         self.identity = 0
         self.n_elements = len(self.elements)
-        self.right_mult = {
-            lab: self._lookup(_sl2_mul(self.elements, [x % m for x in mat], m))
-            for lab, mat in SL2_GENERATOR_MATRICES.items()
-        }
-
-    def _lookup(self, mats: np.ndarray) -> np.ndarray:
-        ids = _sl2_find(self._index, _sl2_codes(mats, self.m))
-        if np.any(ids < 0):
-            raise ValueError("matrix outside the generated group")
-        return ids
+        a, b, c, d = self.elements.T
+        inv = table[_sl2_key(d, -b % m, -c % m, a, m)]
+        self.right_mult = {lab: inv[left[_SL2_GENS.inverse_label(lab)][inv]]
+                           for lab in SL2_GENERATOR_MATRICES}
 
     def step_distribution(self, mu_labels: Dict[str, float]) -> List[Tuple[Optional[str], float]]:
         out = []
@@ -522,9 +508,9 @@ def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
     if variant == "a":
         if m < 2:
             raise ValueError(f"variant 'a' requires modulus >= 2, got {m}")
-        elements, _lengths, left_mult, _index = _sl2_closure(m)
+        elements, _lengths, left_mult, _table = _sl2_closure(m)
         n = len(elements)
-        points = [tuple(row) for row in elements.tolist()]
+        points = list(zip(*elements.T.tolist()))
         weights = np.full(n, 1.0 / n)
         return FiniteAction(points, weights, _SL2_GENS, left_mult, name=f"SL2(Z/{m})",
                             sl2_modulus=m)

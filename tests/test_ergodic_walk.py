@@ -10,6 +10,7 @@ from gaplab.rep_markov import Representation, markov_operator, restricted_norm
 from gaplab.ergodic_walk import (
     DriftEstimate,
     Sl2GroupTable,
+    _draw_indices,
     conditioned_series,
     ergodic_error_curve,
     estimate_drift_mc,
@@ -375,6 +376,18 @@ def test_group_table_right_mult_consistency():
     for lab in table.labels:
         nxt = table.right_mult[lab]
         assert np.all(table.word_length[nxt] <= table.word_length + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 12345])
+@pytest.mark.parametrize("n", [5, 48, 301])
+def test_draws_follow_one_philox_stream_per_trial(seed, n):
+    weights = np.full(7, 1.0 / 7)
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    gidx = _draw_indices(weights, 4, n, seed)
+    for t in range(4):
+        stream = np.random.Generator(np.random.Philox(key=(seed << 32) + t))
+        assert np.array_equal(gidx[t], np.searchsorted(cum, stream.random(n)))
 
 
 def test_drift_positive_and_reproducible():

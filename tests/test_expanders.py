@@ -189,6 +189,26 @@ def test_vector_lower_never_exceeds_mirho_bound():
         assert lower <= upper.bound + 1e-9
 
 
+def test_certify_sequence_solves_each_quotient_once_for_the_vector_bound(monkeypatch):
+    solved = []
+    solve = expanders._averaging_eigensolve
+
+    def counting(graph):
+        solved.append(graph.action.name)
+        return solve(graph)
+
+    monkeypatch.setattr(expanders, "_averaging_eigensolve", counting)
+    seq = QuotientSequence([build_sl2_quotient(5, "a"), build_sl2_quotient(7, "a")])
+    report = certify_sequence(seq, vector_budget=10)
+    assert solved == ["SL2(Z/5)", "SL2(Z/7)"]
+    # the values of the two-solve route
+    assert [r.vector_lower.hex() for r in report.rows] == [
+        "0x1.4f1bbcdcbfa53p-1", "0x1.b504f333f9de6p-1"]
+    monkeypatch.setattr(expanders, "_averaging_eigensolve", solve)
+    for act, row in zip(seq.actions, report.rows):
+        assert row.vector_lower == poincare_vector_lower(CayleyGraph(act), 2.0, 1, 10)
+
+
 def test_certify_sequence_requires_two():
     with pytest.raises(ValueError):
         certify_sequence(QuotientSequence([build_cyclic(4)]))

@@ -11,6 +11,9 @@ from gaplab.group_core import (
     GroupElement,
     SL2_GENERATOR_MATRICES,
     Sl2GroupTable,
+    _sl2_closure,
+    _sl2_key,
+    action_fingerprint,
     action_to_json,
     build_cyclic,
     build_sl2_quotient,
@@ -101,7 +104,7 @@ def _deque_sl2(m):
     return elements, perms
 
 
-@pytest.mark.parametrize("m", range(2, 14))
+@pytest.mark.parametrize("m", [*range(2, 14), 16, 30])
 def test_sl2_variant_a_matches_deque_reference(m):
     elements, perms = _deque_sl2(m)
     act = build_sl2_quotient(m, variant="a")
@@ -117,6 +120,53 @@ def test_sl2_table_shares_the_quotient_order():
     assert [tuple(row) for row in table.elements.tolist()] == act.points
     assert table.word_length[0] == 0
     assert np.all(np.diff(table.word_length) >= 0)  # breadth-first levels
+
+
+# moduli where some elements have neither a nor c a unit
+MIXED_MODULI = [6, 10, 12, 30, 60]
+
+
+def _sl2_order(m):
+    order = m ** 3
+    for q in range(2, m + 1):
+        if m % q == 0 and all(q % r for r in range(2, q)):
+            order = order * (q * q - 1) // (q * q)
+    return order
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_sl2_key_is_injective_and_below_m_cubed(m):
+    elements = _sl2_closure(m)[0]
+    a, b, c, d = elements.T
+    keys = _sl2_key(a, b, c, d, m)
+    assert keys.min() >= 0 and keys.max() < m ** 3
+    # distinct keys make the rows distinct, so with the determinant and the
+    # order they are all of SL2(Z/m), and the key is injective on it
+    assert np.bincount(keys, minlength=m ** 3).max() == 1
+    assert np.all((a * d - b * c) % m == 1 % m)
+    assert len(elements) == _sl2_order(m)
+    if m in MIXED_MODULI:
+        assert np.any((np.gcd(a, m) > 1) & (np.gcd(c, m) > 1))
+
+
+@pytest.mark.parametrize("m", [2, 6, 16, 30])
+def test_sl2_table_right_mult_is_the_matrix_product(m):
+    table = Sl2GroupTable(m)
+    ids = {tuple(row): i for i, row in enumerate(table.elements.tolist())}
+    x = table.elements
+    for lab, (e, f, g, h) in SL2_GENERATOR_MATRICES.items():
+        prods = np.stack([x[:, 0] * e + x[:, 1] * g, x[:, 0] * f + x[:, 1] * h,
+                          x[:, 2] * e + x[:, 3] * g, x[:, 2] * f + x[:, 3] * h], axis=-1) % m
+        assert table.right_mult[lab].tolist() == [ids[tuple(row)] for row in prods.tolist()]
+
+
+@pytest.mark.parametrize("m, digest", [
+    (17, "1064065ce1a66cab53052da40a0a5cc425db32723e0124bd74301d942805f350"),
+    (31, "8610c2afdb2800f10f4065f0261c6deeff6dbde57ac97fa6c39cef3d9c9f3389"),
+])
+def test_sl2_variant_a_point_order_is_pinned(m, digest):
+    # every SL2 number downstream depends on this order
+    assert action_fingerprint(build_sl2_quotient(m, "a")) == digest
 
 
 def test_sl2_table_rejects_moduli_outside_range():
