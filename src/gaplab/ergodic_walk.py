@@ -202,7 +202,10 @@ def _walk_starts(action: FiniteAction, plan: ShrinkingTargetPlan,
     """Start indices as an array, after checking them and the plan against the action."""
     if plan.action is not action:
         raise ValueError("plan was built on a different action")
-    starts = np.asarray(list(starts), dtype=np.int64)
+    given = np.asarray(list(starts))
+    starts = given.astype(np.int64)
+    if not np.array_equal(starts, given):
+        raise ValueError("start indices must be integers")
     if starts.size and (starts.min() < 0 or starts.max() >= action.n_points):
         raise ValueError(f"start indices must lie in [0, {action.n_points})")
     return starts
@@ -380,8 +383,10 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
 
     Regresses the mean word length against the step count over the window
     [n_steps // 8, n_steps // 2] of the pre-saturation regime (finite
-    quotients plateau near the diameter).
+    quotients plateau near the diameter), which needs n_steps >= 2.
     """
+    if n_steps < 2:
+        raise ValueError(f"need n_steps >= 2 for a drift regression, got {n_steps}")
     steps = table.step_distribution(mu_labels)
     labels = [lab for lab, _ in steps]
     gidx = _draw_indices([w for _, w in steps], trials, n_steps, seed)
@@ -435,9 +440,12 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     word length is exact; the unconditioned column reproduces the transfer
     series.  drift_fraction = 0 disables the conditioning.
 
-    The (starts x group) target mask is built once per distinct target, as
-    a float 0/1 array in one buffer: consecutive plan steps with equal
-    target sets reuse it.
+    The (starts x group) index of g^-1 x is filled one start row at a time
+    into one int64 array, so no full-size temporary is built.  The target
+    mask is built once per distinct target, as a float 0/1 array in one
+    buffer: consecutive plan steps with equal target sets reuse it, and the
+    gather writes into it directly (``mode="clip"`` on indices already
+    checked, which skips the copy that ``mode="raise"`` buffers through).
     """
     if not 0.0 <= drift_fraction <= 1.0:
         raise ValueError("drift_fraction must lie in [0, 1]")
@@ -453,10 +461,11 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     index_of = np.full(m * m, -1, dtype=np.int64)
     index_of[points[:, 0] * m + points[:, 1]] = np.arange(action.n_points)
     # for each start x and group element g = (ga gb; gc gd), the point index
-    # of g^-1 x = (gd x - gb y, ga y - gc x)
+    # of g^-1 x = (gd x - gb y, ga y - gc x), filled one start at a time
     ga, gb, gc, gd = table.elements.T
-    xs, ys = points[starts, 0][:, None], points[starts, 1][:, None]
-    act_inv = index_of[((gd * xs - gb * ys) % m) * m + (ga * ys - gc * xs) % m]
+    act_inv = np.empty((len(starts), table.n_elements), dtype=np.int64)
+    for row, (x, y) in zip(act_inv, points[starts]):
+        np.take(index_of, ((gd * x - gb * y) % m) * m + (ga * y - gc * x) % m, out=row)
     if np.any(act_inv < 0):
         raise ValueError("group table maps a start outside the fixture")
     if np.any(act_inv[:, table.identity] != starts):
@@ -475,7 +484,8 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
         tail_mass[n - 1] = float(dist[cut].sum())
         if target is None or not np.array_equal(plan.targets[n - 1], target):
             target = plan.targets[n - 1]
-            np.take(plan.indicator(n), act_inv, out=in_target)
+            # act_inv is checked above, so clipping never acts
+            np.take(plan.indicator(n), act_inv, out=in_target, mode="clip")
         uncond[:, n - 1] = in_target @ dist
         cond[:, n - 1] = in_target @ (dist * cut)
     return ConditionedStatistics(

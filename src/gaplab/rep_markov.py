@@ -305,21 +305,29 @@ def _symmetrized_top(op: MarkovOperator, k: int = 1) -> _TopEigenpair:
 # -- restricted norm ---------------------------------------------------------
 
 
-def _lp_norm_and_grad(rep: Representation, f: np.ndarray) -> Tuple[float, np.ndarray]:
+def _lp_grad(rep: Representation, f: np.ndarray, nrm: float) -> np.ndarray:
+    """Gradient of |f|_p at f, given nrm = |f|_p > 0."""
     p = rep.p
     w = rep.action.weights[:, None]
+    return w * np.abs(f) ** (p - 1.0) * np.sign(f) * nrm ** (1.0 - p)
+
+
+def _lp_norm_and_grad(rep: Representation, f: np.ndarray) -> Tuple[float, np.ndarray]:
     nrm = rep.norm(f)
     if nrm == 0.0:
         return 0.0, np.zeros_like(f)
-    grad = w * np.abs(f) ** (p - 1.0) * np.sign(f) * nrm ** (1.0 - p)
-    return nrm, grad
+    return nrm, _lp_grad(rep, f, nrm)
 
 
 LP_ASCENT_MAX_ITER = 400
 
 
 def _lp_ascent(op: MarkovOperator, f0: np.ndarray) -> float:
-    """Projected gradient ascent of |A f|_p / |f|_p over mean-zero fields."""
+    """Projected gradient ascent of |A f|_p / |f|_p over mean-zero fields.
+
+    A f, |A f|_p and |f|_p of an accepted candidate carry over from the line
+    search to the next step's gradient.
+    """
     dec = op.decomposition
     rep = op.rep
     f = dec.complement(f0)
@@ -327,16 +335,16 @@ def _lp_ascent(op: MarkovOperator, f0: np.ndarray) -> float:
     if nf == 0.0:
         return 0.0
     f /= nf
+    af = op.apply(f)
+    naf, nf = rep.norm(af), rep.norm(f)
     ratio = 0.0
     step = 1.0
     for _ in range(LP_ASCENT_MAX_ITER):
-        af = op.apply(f)
-        naf, gaf = _lp_norm_and_grad(rep, af)
-        nf, gf = _lp_norm_and_grad(rep, f)
         ratio = naf / nf
         if naf == 0.0:
             break
-        grad = dec.complement(op.apply_transpose(gaf) / naf - gf / nf)
+        grad = dec.complement(op.apply_transpose(_lp_grad(rep, af, naf)) / naf
+                              - _lp_grad(rep, f, nf) / nf)
         gnorm = float(np.max(np.abs(grad)))
         if gnorm < 1e-13:
             break
@@ -346,9 +354,11 @@ def _lp_ascent(op: MarkovOperator, f0: np.ndarray) -> float:
             ncand = rep.norm(cand)
             if ncand > 0:
                 cand = cand / ncand
-                r_cand = rep.norm(op.apply(cand)) / rep.norm(cand)
+                a_cand = op.apply(cand)
+                na_cand, n_cand = rep.norm(a_cand), rep.norm(cand)
+                r_cand = na_cand / n_cand
                 if r_cand > ratio + 1e-15:
-                    f = cand
+                    f, af, naf, nf = cand, a_cand, na_cand, n_cand
                     ratio = r_cand
                     improved = True
                     step *= 1.5

@@ -400,6 +400,12 @@ def test_drift_positive_and_reproducible():
     assert d0b.two_a == d0.two_a  # bit-exact with the same seed
 
 
+@pytest.mark.parametrize("n_steps", [0, 1])
+def test_drift_refuses_fewer_than_two_steps(n_steps):
+    with pytest.raises(ValueError, match="need n_steps >= 2"):
+        estimate_drift_mc(Sl2GroupTable(4), MU_LABELS, n_steps=n_steps, trials=10, seed=0)
+
+
 def test_drift_degenerate_for_lazy_identity_walk():
     table = Sl2GroupTable(4)
     with pytest.warns(RuntimeWarning):
@@ -533,8 +539,9 @@ def test_conditioned_series_radius_plan_matches_reference_loop():
     _assert_matches_reference(sub, plan, table, [0, 11, 30])
 
 
-def test_conditioned_series_memory_on_criterion_9_fixture():
-    # criterion 9's walk: 40 starts on the (1, 0) orbit of (Z/32)^2, 300 steps
+def _criterion_9_walk_peak():
+    """tracemalloc peak of criterion 9's walk: 40 starts on the (1, 0) orbit
+    of (Z/32)^2, 300 steps."""
     torus = build_sl2_quotient(32, variant="b")
     sub = orbit_restriction(torus, torus.points.index((1, 0)))
     table = Sl2GroupTable(32)
@@ -548,7 +555,16 @@ def test_conditioned_series_memory_on_criterion_9_fixture():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28e6
+    return peak
+
+
+def test_conditioned_series_memory_on_criterion_9_fixture():
+    assert _criterion_9_walk_peak() < 28e6
+
+
+def test_conditioned_series_builds_no_full_size_temporary():
+    # the index (7.9 MB) and the mask (7.9 MB) are the only arrays of that size
+    assert _criterion_9_walk_peak() < 19e6
 
 
 # -- input checks --------------------------------------------------------------------
@@ -561,12 +577,14 @@ def _orbit_inputs(fault):
     assert sub.n_points == 48
     if fault == "plan-on-torus":
         return sub, plan_from_sets(torus, [[60], [61], [62]]), [0], "different action"
+    plan = plan_from_sets(sub, [[1], [2], [3]])
+    if fault == "fractional-start":
+        return sub, plan, [1.7, 2.2], "start indices must be integers"
     start = {"negative-start": -1, "start-past-end": 48}[fault]
-    return (sub, plan_from_sets(sub, [[1], [2], [3]]), [start],
-            r"start indices must lie in \[0, 48\)")
+    return sub, plan, [start], r"start indices must lie in \[0, 48\)"
 
 
-FAULTS = ["plan-on-torus", "negative-start", "start-past-end"]
+FAULTS = ["plan-on-torus", "negative-start", "start-past-end", "fractional-start"]
 
 
 @pytest.mark.parametrize("fault", FAULTS)

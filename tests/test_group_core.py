@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
+from gaplab import group_core
 from gaplab.group_core import (
     CayleyGraph,
     FiniteAction,
@@ -13,6 +15,7 @@ from gaplab.group_core import (
     Sl2GroupTable,
     _sl2_closure,
     _sl2_key,
+    _sl2_order,
     action_fingerprint,
     action_to_json,
     build_cyclic,
@@ -158,6 +161,43 @@ def test_sl2_table_right_mult_is_the_matrix_product(m):
         prods = np.stack([x[:, 0] * e + x[:, 1] * g, x[:, 0] * f + x[:, 1] * h,
                           x[:, 2] * e + x[:, 3] * g, x[:, 2] * f + x[:, 3] * h], axis=-1) % m
         assert table.right_mult[lab].tolist() == [ids[tuple(row)] for row in prods.tolist()]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_sl2_order_counts_the_determinant_one_matrices(m):
+    entries = np.array(list(itertools.product(range(m), repeat=4)))
+    a, b, c, d = entries.T
+    assert _sl2_order(m) == np.count_nonzero((a * d - b * c) % m == 1 % m)
+
+
+@pytest.mark.parametrize("m", [16, 30, 32])
+def test_sl2_closure_chunks_do_not_move_the_numbering(m, monkeypatch):
+    default = _sl2_closure(m)
+    monkeypatch.setattr(group_core, "_CLOSURE_CHUNK", 7)
+    elements, lengths, left, table = _sl2_closure(m)
+    assert np.array_equal(elements, default[0])
+    assert np.array_equal(lengths, default[1])
+    for lab in SL2_GENERATOR_MATRICES:
+        assert np.array_equal(left[lab], default[2][lab])
+    assert np.array_equal(table, default[3])
+
+
+def test_sl2_closure_refuses_generators_that_miss_the_group(monkeypatch):
+    # the upper unipotent matrices alone reach only m of the elements
+    upper = {lab: g for lab, g in SL2_GENERATOR_MATRICES.items() if lab.startswith("e12")}
+    monkeypatch.setattr(group_core, "SL2_GENERATOR_MATRICES", upper)
+    with pytest.raises(RuntimeError, match="reached 6 of the 144 elements"):
+        _sl2_closure(6)
+
+
+def test_sl2_table_build_memory_at_the_largest_modulus():
+    tracemalloc.start()
+    try:
+        Sl2GroupTable(Sl2GroupTable.MAX_MODULUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27e6
 
 
 @pytest.mark.parametrize("m, digest", [

@@ -572,3 +572,56 @@ def test_spectral_values_at_rounding_level_when_a_is_projection(build):
     # sqrt of the kernel eigenvalue can be off by about 1e-8 here (1.1e-8 on Z/3)
     assert restricted_norm(op).value <= 1e-14
     assert np.all(defect_curve(op, 20)[1:] <= 1e-14)
+
+
+def _lp_ascent_reference(op, f0):
+    """The ascent loop as first written: A f, |A f|_p and |f|_p recomputed at
+    every step.  Returns the ratio and the number of accepted steps."""
+    dec, rep = op.decomposition, op.rep
+    f = dec.complement(f0)
+    f /= rep.norm(f)
+    ratio, step, accepted = 0.0, 1.0, 0
+    for _ in range(rep_markov.LP_ASCENT_MAX_ITER):
+        af = op.apply(f)
+        naf, gaf = rep_markov._lp_norm_and_grad(rep, af)
+        nf, gf = rep_markov._lp_norm_and_grad(rep, f)
+        ratio = naf / nf
+        if naf == 0.0:
+            break
+        grad = dec.complement(op.apply_transpose(gaf) / naf - gf / nf)
+        if float(np.max(np.abs(grad))) < 1e-13:
+            break
+        improved = False
+        while step > 1e-12:
+            cand = dec.complement(f + step * grad)
+            ncand = rep.norm(cand)
+            if ncand > 0:
+                cand = cand / ncand
+                r_cand = rep.norm(op.apply(cand)) / rep.norm(cand)
+                if r_cand > ratio + 1e-15:
+                    f, ratio, improved, accepted = cand, r_cand, True, accepted + 1
+                    step *= 1.5
+                    break
+            step *= 0.5
+        if not improved:
+            break
+    return float(ratio), accepted
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("build, d", [(lambda: build_cyclic(4), 1),
+                                      (lambda: build_sl2_quotient(5, variant="a"), 1),
+                                      (lambda: build_sl2_quotient(8, variant="b"), 2)],
+                         ids=["z4", "sl2-5", "torus-8-d2"])
+def test_lp_ascent_reuses_the_accepted_candidate_bit_for_bit(build, d, p):
+    # unequal weights: on Z/4 the lazy walk's ratio is flat, and no step is taken
+    act = build()
+    labels = act.gens.labels
+    atoms = {act.identity_element(): 0.4}
+    for k, lab in enumerate(labels):
+        atoms[act.generator_element(lab)] = 0.6 * (k + 1) / (len(labels) * (len(labels) + 1) / 2)
+    op = markov_operator(Representation(act, p=p, d=d), DiscreteMeasure(atoms))
+    f0 = np.random.default_rng(11).standard_normal((act.n_points, d))
+    ratio, accepted = _lp_ascent_reference(op, f0)
+    assert accepted >= 2  # the carried-over values are used at least once
+    assert rep_markov._lp_ascent(op, f0) == ratio
