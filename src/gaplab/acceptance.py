@@ -440,7 +440,8 @@ def criterion_9(seed: int) -> CriterionResult:
                               [0.45 * n ** (-0.125) for n in range(1, horizon + 1)])
     rng = np.random.default_rng(seed + 7)
     starts = rng.choice(sub.n_points, size=40, replace=False)
-    cs = ew.conditioned_series(sub, MU_LABELS, plan, 0.2, table, starts, seed=seed)
+    drift = ew.estimate_drift_mc(table, MU_LABELS, n_steps=48, trials=2000, seed=seed)
+    cs = ew.conditioned_series(sub, MU_LABELS, plan, 0.2, table, starts, drift)
     s_n = plan.s_n()
     env = s_n**0.6
     within = float(np.mean(np.abs(cs.sigma - s_n) <= env))

@@ -195,12 +195,36 @@ def build_measure(action: FiniteAction, spec: dict) -> DiscreteMeasure:
 
 # -- experiment runners ------------------------------------------------------------
 
+# rules on a numeric config value: (test, what the test asks)
+AT_LEAST_0 = (lambda x: x >= 0, " >= 0")
+AT_LEAST_1 = (lambda x: x >= 1, " >= 1")
+AT_LEAST_2 = (lambda x: x >= 2, " >= 2")
+EXPONENT = (lambda x: x > 1, " > 1")
+OPEN_UNIT = (lambda x: 0 < x < 1, " in (0, 1)")
+FINITE = (lambda x: True, "")
+
+
+def _number(path: str, value, kind: type, rule):
+    """``value`` as a ``kind`` (int, or float for any finite number) that
+    passes ``rule``; anything else is a ``ConfigError`` at ``path``."""
+    test, need = rule
+    if (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int)
+            or not (isinstance(value, int) or math.isfinite(value)) or not test(value)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(path, f"must be {what}{need}, got {value!r}")
+    return kind(value)
+
+
+def _param(config: ExperimentConfig, name: str, default, kind: type, rule):
+    """``params[name]``, ``default`` when absent, checked by ``_number``."""
+    return _number(f"$.params.{name}", config.params.get(name, default), kind, rule)
+
 
 def _run_markov(config: ExperimentConfig, action: FiniteAction
                ) -> Tuple[dict, Dict[str, List[List]]]:
     mu = build_measure(action, config.measure)
-    p = float(config.params.get("p", 2.0))
-    k_max = int(config.params.get("k_max", 20))
+    p = _param(config, "p", 2.0, float, EXPONENT)
+    k_max = _param(config, "k_max", 20, int, AT_LEAST_0)
     rep = Representation(action, p=p)
     op = markov_operator(rep, mu)
     est = restricted_norm(op, seed=config.seed)
@@ -250,14 +274,15 @@ def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
     # refuse before the solve runs: boost_pair's element_ball may hold up to
     # n permutations of the n points
     require_dense(action.n_points, "boost ball")
+    p = _param(config, "p", 2.0, float, EXPONENT)
+    n_starts = _param(config, "n_starts", 32, int, AT_LEAST_0)
+    eps = _param(config, "eps", 0.1, float, OPEN_UNIT)
     q = [action.generator_element(lab) for lab in action.gens.labels]
-    rep = Representation(action, p=float(config.params.get("p", 2.0)))
+    rep = Representation(action, p=p)
     mu, cert = uniform_extended(q, action.identity_element())
     opt = certify_admissible(mu, q)
     est = restricted_norm(markov_operator(rep, mu), seed=config.seed)
-    oracle = kazhdan_constant_oracle(rep, q, seed=config.seed,
-                                     n_starts=int(config.params.get("n_starts", 32)))
-    eps = float(config.params.get("eps", 0.1))
+    oracle = kazhdan_constant_oracle(rep, q, seed=config.seed, n_starts=n_starts)
     report = {
         "kappa_oracle": tag(oracle.best, "oracle"),
         "kappa_lower_bound": tag(oracle.lower_bound, "measured"),
@@ -293,23 +318,25 @@ def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
 def certify_family(config: ExperimentConfig) -> PoincareReport:
     """The expander kind's certificate: the configured quotient family, with
     the scalar Poincare relation checked on every connected quotient."""
+    p = _param(config, "p", 2.0, float, EXPONENT)
+    d = _param(config, "d", 1, int, AT_LEAST_1)
+    budget = _param(config, "vector_budget", 0, int, AT_LEAST_0)
     spec = config.fixture
     family = spec.get("family")
     if family == "sl2":
         moduli = spec.get("moduli")
         if not isinstance(moduli, list) or len(moduli) < 2:
             raise ConfigError("$.fixture.moduli", "need a list of >= 2 moduli")
-        actions = [build_sl2_quotient(int(m), variant="a") for m in moduli]
+        actions = [build_sl2_quotient(_number(f"$.fixture.moduli[{j}]", m, int, AT_LEAST_2), "a")
+                   for j, m in enumerate(moduli)]
     elif family == "cycles":
         sizes = spec.get("sizes")
         if not isinstance(sizes, list) or len(sizes) < 2:
             raise ConfigError("$.fixture.sizes", "need a list of >= 2 sizes")
-        actions = [build_cyclic(int(n)) for n in sizes]
+        actions = [build_cyclic(_number(f"$.fixture.sizes[{j}]", n, int, AT_LEAST_1))
+                   for j, n in enumerate(sizes)]
     else:
         raise ConfigError("$.fixture.family", "must be 'sl2' or 'cycles'")
-    p = float(config.params.get("p", 2.0))
-    d = int(config.params.get("d", 1))
-    budget = int(config.params.get("vector_budget", 0))
     report_obj = certify_sequence(QuotientSequence(actions), p=p, d=d,
                                   vector_budget=budget, seed=config.seed)
     for r in report_obj.rows:
@@ -336,14 +363,18 @@ def _run_expander(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]
 def _run_ergodic(config: ExperimentConfig, action: FiniteAction
                 ) -> Tuple[dict, Dict[str, List[List]]]:
     mu = build_measure(action, config.measure)
-    k_max = int(config.params.get("k_max", 25))
+    k_max = _param(config, "k_max", 25, int, AT_LEAST_1)
     exponents = config.params.get("exponents", [2.0])
+    if not isinstance(exponents, list):
+        raise ConfigError("$.params.exponents", "must be a list")
+    ps = [_number(f"$.params.exponents[{j}]", p, float, EXPONENT)
+          for j, p in enumerate(exponents)]
     rng = np.random.default_rng(config.seed)
     f = rng.standard_normal(action.n_points)
     report: Dict[str, object] = {}
     series: Dict[str, List[List]] = {}
-    for p in exponents:
-        op = markov_operator(Representation(action, p=float(p)), mu)
+    for p, p_value in zip(exponents, ps):  # the report keys keep the config's spelling
+        op = markov_operator(Representation(action, p=p_value), mu)
         est = restricted_norm(op, seed=config.seed, n_starts=2)
         # a non-ergodic fixture warns that errors are taken to orbitwise means
         with warnings.catch_warnings():
@@ -375,23 +406,23 @@ def _run_shrinking(config: ExperimentConfig, action: FiniteAction
                   ) -> Tuple[dict, Dict[str, List[List]]]:
     mu = build_measure(action, config.measure)
     params = config.params
-    horizon = int(params.get("horizon", 50))
+    horizon = _param(config, "horizon", 50, int, AT_LEAST_1)
     center = 0
     if params.get("center") is not None:
         point = tuple(params["center"])
         if point not in action.points:
             raise ConfigError("$.params.center", f"{point} not a fixture point")
         center = action.points.index(point)
-    radius_scale = float(params.get("radius_scale", 0.45))
-    radius_exponent = float(params.get("radius_exponent", -0.125))
+    radius_scale = _param(config, "radius_scale", 0.45, float, FINITE)
+    radius_exponent = _param(config, "radius_exponent", -0.125, float, FINITE)
     radii = [radius_scale * n**radius_exponent for n in range(1, horizon + 1)]
     plan = ew.plan_from_radii(action, center, radii)
-    n_starts = int(params.get("n_starts", 8))
+    n_starts = _param(config, "n_starts", 8, int, AT_LEAST_1)
+    trials = _param(config, "trials", 0, int, AT_LEAST_0)
     rng = np.random.default_rng(config.seed)
     starts = rng.choice(action.n_points, size=min(n_starts, action.n_points),
                         replace=False)
     stats = ew.shrinking_series_exact(action, mu, plan, starts)
-    trials = int(params.get("trials", 0))
     mc = None
     if trials > 0:
         mc = ew.shrinking_series_mc(action, mu, plan, trials=trials,
@@ -430,7 +461,7 @@ def _warped_levels(config: ExperimentConfig) -> List[int]:
 
 
 def _run_warped(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    radius = float(config.params.get("radius", 3.0))
+    radius = _param(config, "radius", 3.0, float, AT_LEAST_0)
     rows = [["m", "t", "max_ball_measure", "coverage_ok"]]
     report: Dict[str, object] = {"levels": []}
     for m in _warped_levels(config):
@@ -453,15 +484,15 @@ def _run_warped(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
 
 
 def _run_ghost(config: ExperimentConfig) -> Tuple[dict, Dict[str, List[List]]]:
-    k_max = int(config.params.get("k_max", 20))
+    k_max = _param(config, "k_max", 20, int, AT_LEAST_1)
+    radius = _param(config, "radius", 3.0, float, AT_LEAST_0)
+    n_centers = _param(config, "n_centers", 4, int, AT_LEAST_0)
     levels = [wc.build_warped_level(m) for m in _warped_levels(config)]
     ghost_report = wc.ghost_defect(levels, k_max=k_max)
     if not ghost_report.bound_ok():
         raise InvariantFailure("ghost-defect-bound",
                                "defect exceeded sup(lambda)^k + 1e-9")
-    loc = wc.ghost_locality(levels, R=float(config.params.get("radius", 3.0)),
-                            n_centers=int(config.params.get("n_centers", 4)),
-                            seed=config.seed)
+    loc = wc.ghost_locality(levels, R=radius, n_centers=n_centers, seed=config.seed)
     if not loc.ok:
         raise InvariantFailure("ghost-locality-bound",
                                "localized norm exceeded sqrt(slice measure)")

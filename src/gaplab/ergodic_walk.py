@@ -383,20 +383,21 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
 
     Regresses the mean word length against the step count over the window
     [n_steps // 8, n_steps // 2] of the pre-saturation regime (finite
-    quotients plateau near the diameter), which needs n_steps >= 2.
+    quotients plateau near the diameter), which needs n_steps >= 2 and
+    trials >= 1.  A trial drawing s_1, ..., s_n sits at s_n^-1 ... s_1^-1,
+    the inverse of the walk's product, of the same word length, so all
+    trials step by one gather through the left products.
     """
     if n_steps < 2:
         raise ValueError(f"need n_steps >= 2 for a drift regression, got {n_steps}")
-    steps = table.step_distribution(mu_labels)
-    labels = [lab for lab, _ in steps]
-    gidx = _draw_indices([w for _, w in steps], trials, n_steps, seed)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1 for a drift regression, got {trials}")
+    rows, weights = table.walk_steps(mu_labels)
+    gidx = _draw_indices(weights, trials, n_steps, seed)
     pos = np.full(trials, table.identity, dtype=np.int64)
     mean_lengths = np.zeros(n_steps)
     for n in range(n_steps):
-        for a, lab in enumerate(labels):
-            sel = gidx[:, n] == a
-            if lab is not None and np.any(sel):
-                pos[sel] = table.right_mult[lab][pos[sel]]
+        pos = rows[gidx[:, n], pos]
         mean_lengths[n] = float(table.word_length[pos].mean())
     window = (max(1, n_steps // 8), max(2, n_steps // 2))
     lo, hi = window
@@ -430,15 +431,14 @@ class ConditionedStatistics:
 def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
                        plan: ShrinkingTargetPlan, drift_fraction: float,
                        table: Sl2GroupTable, starts: Sequence[int],
-                       drift: Optional[DriftEstimate] = None,
-                       drift_steps: int = 48, drift_trials: int = 2000,
-                       seed: int = 0) -> ConditionedStatistics:
+                       drift: DriftEstimate) -> ConditionedStatistics:
     """Joint probabilities P(walk in target, word length > a n), exactly.
 
     a is drift_fraction times half the estimated drift.  The n-step group
-    distribution is maintained over the full quotient group, so the cut on
-    word length is exact; the unconditioned column reproduces the transfer
-    series.  drift_fraction = 0 disables the conditioning.
+    distribution mu^n is maintained over the full quotient group, stepped by
+    mu^n(g) = sum_s mu(s) mu^(n-1)(s^-1 g) through the left products, so the
+    cut on word length is exact; the unconditioned column reproduces the
+    transfer series.  drift_fraction = 0 disables the conditioning.
 
     The (starts x group) index of g^-1 x is filled one start row at a time
     into one int64 array, so no full-size temporary is built.  The target
@@ -450,9 +450,7 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     if not 0.0 <= drift_fraction <= 1.0:
         raise ValueError("drift_fraction must lie in [0, 1]")
     starts = _walk_starts(action, plan, starts)
-    if drift is None:
-        drift = estimate_drift_mc(table, mu_labels, n_steps=drift_steps,
-                                  trials=drift_trials, seed=seed)
+    rows, weights = table.walk_steps(mu_labels)
     a = drift_fraction * drift.two_a / 2.0
     m = table.m
     points = np.asarray(action.points, dtype=np.int64).reshape(action.n_points, -1)
@@ -479,7 +477,7 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     in_target = np.empty(act_inv.shape)      # (n_starts, |G|) float 0/1 mask
     target = None
     for n in range(1, horizon + 1):
-        dist = table.convolution_step(dist, mu_labels)
+        dist = sum(w * dist[row] for row, w in zip(rows, weights))
         cut = table.word_length > a * n
         tail_mass[n - 1] = float(dist[cut].sum())
         if target is None or not np.array_equal(plan.targets[n - 1], target):

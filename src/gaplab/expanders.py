@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import block_diag, bmat
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .group_core import (
     CayleyGraph,
@@ -36,7 +35,7 @@ from .group_core import (
     word_ball,
 )
 from .measures import DiscreteMeasure
-from .rep_markov import DENSE_EIG_SIZE, MarkovOperator, Representation, _symmetrized_top
+from .rep_markov import MarkovOperator, Representation, _euclidean_top, _symmetrized_top
 
 __all__ = [
     "ScalarPoincare",
@@ -76,30 +75,6 @@ def _character_classes(p: int) -> List[int]:
     return [0, 1] + [a for a in range(2, p) if a not in squares][:1]
 
 
-def _block_sum_top(total, n: int) -> Tuple[float, np.ndarray]:
-    """Top eigenpair of a symmetric sum of blocks whose first block, on n
-    coordinates, holds the constants: the solve is of M - 2P, P the
-    projector on those constants, by dense eigh up to ``DENSE_EIG_SIZE``
-    coordinates and by Lanczos (the kernel's fixed start vector, seeded
-    restarts, tol=0) above."""
-    size = total.shape[0]
-    if size <= DENSE_EIG_SIZE:
-        mat = total.toarray()
-        mat[:n, :n] -= 2.0 / n
-        vals, vecs = np.linalg.eigh(mat)
-        return float(vals[-1]), vecs[:, -1]
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = total @ x
-        y[:n] -= (2.0 / n) * x[:n].sum(axis=0)
-        return y
-
-    lin = LinearOperator((size, size), matvec=matvec, dtype=float)
-    vals, vecs = eigsh(lin, k=1, which="LA", v0=np.cos(np.arange(size) * 1.7) + 0.1,
-                       tol=0, rng=np.random.default_rng(0))
-    return float(vals[0]), vecs[:, 0]
-
-
 def _induced_eigensolve(action: FiniteAction, weights: Dict[str, float]
                         ) -> Tuple[float, np.ndarray]:
     """lambda_2 of SL2(Z/p), p prime: the top eigenvalue of the direct sum of
@@ -116,7 +91,15 @@ def _induced_eigensolve(action: FiniteAction, weights: Dict[str, float]
     # the time of one solve per block.
     total = block_diag([blocks[0]] + [bmat([[b.real, -b.imag], [b.imag, b.real]])
                                       for b in blocks[1:]], format="csr")
-    value, x = _block_sum_top(total, n)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        # M - 2P, P the projector on block 0's constants
+        y = total @ x
+        y[:n] -= (2.0 / n) * x[:n].sum(axis=0)
+        return y
+
+    values, vectors, _residuals = _euclidean_top(matvec, total.shape[0])
+    value, x = float(values[0]), vectors[:, 0]
     points = np.fromiter(chain.from_iterable(action.points), dtype=np.int64,
                          count=4 * action.n_points).reshape(-1, 4)
     v, t = sl2_coset_coordinates(points, p)

@@ -348,9 +348,10 @@ def _sl2_closure(m: int):
 
     Returns the elements as rows (a, b, c, d) -- the identity first, then in
     order of first discovery by (parent, generator label), as a queue-driven
-    search meets them -- their word lengths, ``left_mult[label][i]``, the id
-    of s * element i, and the id table: the id of each element at its
-    ``_sl2_key``, -1 elsewhere (m^3 entries).
+    search meets them -- their word lengths and ``left_mult[label][i]``, the
+    id of s * element i.  Candidates are looked up in an id table of m^3
+    entries, the id of each element at its ``_sl2_key`` and -1 elsewhere,
+    which is dropped on return.
 
     The element, length and left-product arrays are allocated once at the
     group's order and filled level by level; each level is expanded
@@ -394,21 +395,23 @@ def _sl2_closure(m: int):
     if count != n:
         raise RuntimeError(f"closure reached {count} of the {n} elements of SL2(Z/{m})")
     left_mult = {lab: left[:, j] for j, lab in enumerate(SL2_GENERATOR_MATRICES)}
-    return elements, lengths, left_mult, table
+    return elements, lengths, left_mult
 
 
 class Sl2GroupTable:
-    """SL2(Z/m) with multiplication tables and exact word lengths.
+    """SL2(Z/m) with its left multiplication table and exact word lengths.
 
     Elements are the reachable products of the elementary generators (all of
     SL2(Z/m)) in the order of ``build_sl2_quotient(m, "a")``'s points; word
-    lengths are breadth-first distances for the symmetric generating set.
-    Right multiplication comes from the closure's left one: g s is
-    (s^-1 g^-1)^-1, and the inverses are read from the closure's id table.
+    lengths are breadth-first distances for the symmetric generating set, and
+    ``left_mult[label][i]`` is the id of s * element i.  Walks run on these
+    left products: the law of s_1 ... s_n is that of s_n ... s_1, so
+    mu^n(g) = sum_s mu(s) mu^(n-1)(s^-1 g), and the inverse of a walk is a
+    left walk of the same word length.
     """
 
     # |SL2(Z/64)| = 196,608 elements: the table holds 14.2 MB, and its build
-    # peaks at 25.7 MB (tracemalloc), in the inverse-key step
+    # peaks at 18.3 MB (tracemalloc) with the id table and one chunk's temporaries
     MAX_MODULUS = 64
 
     def __init__(self, m: int) -> None:
@@ -416,48 +419,30 @@ class Sl2GroupTable:
             raise ValueError(f"need modulus in [2, {self.MAX_MODULUS}], got {m}")
         self.m = int(m)
         self.labels = tuple(SL2_GENERATOR_MATRICES)
-        self.elements, self.word_length, left, table = _sl2_closure(self.m)
+        self.elements, self.word_length, self.left_mult = _sl2_closure(self.m)
         self.identity = 0
         self.n_elements = len(self.elements)
-        a, b, c, d = self.elements.T
-        inv = table[_sl2_key(d, -b % m, -c % m, a, m)]
-        del table  # m^3 entries, not needed past the inverses
-        self.right_mult = {lab: inv[left[_SL2_GENS.inverse_label(lab)][inv]]
-                           for lab in SL2_GENERATOR_MATRICES}
 
-    def step_distribution(self, mu_labels: Dict[str, float]) -> List[Tuple[Optional[str], float]]:
-        out = []
+    def walk_steps(self, mu_labels: Dict[str, float]) -> Tuple[np.ndarray, np.ndarray]:
+        """The steps of the mu-walk, in the order of ``mu_labels``: row i of
+        ``rows`` holds the id of s_i^-1 g for every g ("e" gives the identity
+        row), and ``weights[i]`` is mu(s_i)."""
+        rows, weights = [], []
         total = 0.0
         for lab, w in mu_labels.items():
             if w < 0:
                 raise ValueError("negative weight")
             total += w
             if lab == "e":
-                out.append((None, float(w)))
-            elif lab in self.right_mult:
-                out.append((lab, float(w)))
+                rows.append(np.arange(self.n_elements))
+            elif lab in self.left_mult:
+                rows.append(self.left_mult[_SL2_GENS.inverse_label(lab)])
             else:
                 raise ValueError(f"unknown label {lab!r}")
+            weights.append(float(w))
         if abs(total - 1.0) > 1e-12:
             raise ValueError("label weights do not sum to 1")
-        return out
-
-    def convolution_step(self, dist: np.ndarray, mu_labels: Dict[str, float]) -> np.ndarray:
-        """One step of the walk distribution under right multiplication.
-
-        Right multiplication by s is a permutation whose inverse is right
-        multiplication by s^-1, so the mass arriving at g is gathered from
-        g s^-1 through the inverse label's table, and the table keeps no
-        inverse permutations.  Labels are added in the order of
-        ``mu_labels``.
-        """
-        out = np.zeros_like(dist)
-        for lab, w in self.step_distribution(mu_labels):
-            if lab is None:
-                out += w * dist
-            else:
-                out += (w * dist)[self.right_mult[_SL2_GENS.inverse_label(lab)]]
-        return out
+        return np.stack(rows), np.array(weights)
 
 
 # -- induced blocks of SL2(Z/p) ----------------------------------------------
@@ -541,7 +526,7 @@ def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
     if variant == "a":
         if m < 2:
             raise ValueError(f"variant 'a' requires modulus >= 2, got {m}")
-        elements, _lengths, left_mult, _table = _sl2_closure(m)
+        elements, _lengths, left_mult = _sl2_closure(m)
         n = len(elements)
         points = list(zip(*elements.T.tolist()))
         weights = np.full(n, 1.0 / n)

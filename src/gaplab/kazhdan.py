@@ -23,7 +23,7 @@ from .rep_markov import (
     Decomposition,
     MarkovOperator,
     Representation,
-    _lp_norm_and_grad,
+    _lp_grad,
     _symmetrized_top,
 )
 
@@ -150,8 +150,9 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
             active = np.flatnonzero(disps >= val - ORACLE_TIE_TOL)
             grad = np.zeros_like(v)
             for i in active:
-                _, gu = _lp_norm_and_grad(rep, v - v[q_inv[i]])
-                grad += gu - gu[q_perm[i]]
+                if disps[i] > 0.0:  # a zero displacement adds no gradient
+                    gu = _lp_grad(rep, v - v[q_inv[i]], float(disps[i]))
+                    grad += gu - gu[q_perm[i]]
             grad /= len(active)
             grad = dec.complement(grad)
             gmax = float(np.max(np.abs(grad)))

@@ -249,36 +249,15 @@ class _TopEigenpair:
         return float(self.residuals[0])
 
 
-def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
-                   dec: Decomposition, k: int = 1) -> _TopEigenpair:
-    """Top k eigenpairs of a self-adjoint operator S on the mean-zero complement.
-
-    ``apply`` maps fields to fields, is self-adjoint for the weighted pairing
-    and is the identity on invariant fields, as every averaging operator and
-    its Gram powers are.  In the coordinates x = sqrt(w) f that pairing is
-    Euclidean and the orbit mean is an orthogonal projector P; the kernel
-    solves M = S - 2P, which keeps the complement spectrum of S and shifts
-    the invariant fields to -1, below it.  Small operators go to dense eigh,
-    larger ones to Lanczos (eigsh with a fixed start vector, a seeded
-    generator for its restarts and tol=0), which raises ArpackNoConvergence
-    instead of returning an unconverged value.  Some eigenvalue of M lies
-    within ``residuals[i]`` of ``values[i]``; for k > 1 Lanczos may return a
-    multiple eigenvalue once, so ``values`` need not repeat it.  The vectors
-    are returned as fields, orthonormal in the weighted pairing; for k at
-    most the complement's dimension they lie in the complement up to rounding.
-    """
-    rep = dec.rep
-    shape = (rep.n_points, rep.d)
-    size = rep.n_points * rep.d
-    sw = np.sqrt(rep.action.weights)[:, None]
-    applications = 0
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        nonlocal applications
-        applications += 1
-        f = np.reshape(x, shape) / sw
-        return (sw * (apply(f) - 2.0 * dec.mean(f))).ravel()
-
+def _euclidean_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
+                   k: int = 1) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, unit vectors (as columns) and residuals |matvec(x_i) - theta_i x_i|
+    of the top k eigenpairs of a symmetric operator on R^size, largest first:
+    by dense eigh up to ``DENSE_EIG_SIZE`` coordinates, else by Lanczos (eigsh,
+    fixed start vector, seeded restarts, tol=0), which raises
+    ArpackNoConvergence rather than return an unconverged value.  For k > 1
+    Lanczos may return a multiple eigenvalue once, so ``values`` need not
+    repeat it."""
     if size <= DENSE_EIG_SIZE:
         mat = np.column_stack([matvec(e) for e in np.eye(size)])
         vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
@@ -293,6 +272,34 @@ def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
     vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
     residuals = np.array([np.linalg.norm(matvec(x) - theta * x)
                           for theta, x in zip(vals, vecs.T)])
+    return vals, vecs, residuals
+
+
+def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
+                   dec: Decomposition, k: int = 1) -> _TopEigenpair:
+    """Top k eigenpairs of a self-adjoint operator S on the mean-zero complement.
+
+    ``apply`` maps fields to fields, is self-adjoint for the weighted pairing
+    and is the identity on invariant fields, as every averaging operator and
+    its Gram powers are.  In the coordinates x = sqrt(w) f that pairing is
+    Euclidean and the orbit mean is an orthogonal projector P; the kernel
+    solves M = S - 2P by ``_euclidean_top``, which keeps the complement
+    spectrum of S and shifts the invariant fields to -1, below it.  The
+    vectors come back as fields, orthonormal in the weighted pairing and, for
+    k at most the complement's dimension, in the complement up to rounding.
+    """
+    rep = dec.rep
+    shape = (rep.n_points, rep.d)
+    sw = np.sqrt(rep.action.weights)[:, None]
+    applications = 0
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        f = np.reshape(x, shape) / sw
+        return (sw * (apply(f) - 2.0 * dec.mean(f))).ravel()
+
+    vals, vecs, residuals = _euclidean_top(matvec, rep.n_points * rep.d, k)
     return _TopEigenpair(vals, vecs.T.reshape((-1, *shape)) / sw, residuals, applications)
 
 
@@ -310,13 +317,6 @@ def _lp_grad(rep: Representation, f: np.ndarray, nrm: float) -> np.ndarray:
     p = rep.p
     w = rep.action.weights[:, None]
     return w * np.abs(f) ** (p - 1.0) * np.sign(f) * nrm ** (1.0 - p)
-
-
-def _lp_norm_and_grad(rep: Representation, f: np.ndarray) -> Tuple[float, np.ndarray]:
-    nrm = rep.norm(f)
-    if nrm == 0.0:
-        return 0.0, np.zeros_like(f)
-    return nrm, _lp_grad(rep, f, nrm)
 
 
 LP_ASCENT_MAX_ITER = 400

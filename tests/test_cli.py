@@ -258,6 +258,53 @@ def test_run_projection_without_gap_fails_invariant(tmp_path):
     assert report["failed_invariant"] == "no-spectral-gap"
 
 
+CYCLE = {"builder": "cyclic", "n": 8}
+
+
+@pytest.mark.parametrize("kind, fixture, name, value", [
+    ("markov", CYCLE, "k_max", "abc"),
+    ("markov", CYCLE, "k_max", -1),
+    ("markov", CYCLE, "k_max", 2.7),  # was truncated to 2
+    ("markov", CYCLE, "p", 1.0),
+    ("ergodic", CYCLE, "k_max", 0),
+    ("kazhdan", {"builder": "cyclic", "n": 4}, "eps", 2),
+    ("ghost", {"levels": [8]}, "k_max", 0),
+    ("warped", {"levels": [8, 16]}, "radius", -1),
+    ("expander", {"family": "sl2", "moduli": [3, 5]}, "d", 0),
+], ids=["markov-k_max-abc", "markov-k_max-negative", "markov-k_max-fraction",
+        "markov-p-1", "ergodic-k_max-0", "kazhdan-eps-2", "ghost-k_max-0",
+        "warped-radius-negative", "expander-d-0"])
+def test_run_rejects_bad_params(tmp_path, capsys, kind, fixture, name, value):
+    path = _write_config(tmp_path, {"kind": kind, "fixture": fixture, "params": {name: value}})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at $.params.{name}: must be ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("fixture, path", [
+    ({"family": "sl2", "moduli": ["abc", 5]}, "moduli[0]"),
+    ({"family": "sl2", "moduli": [5, 7.5]}, "moduli[1]"),  # was truncated to 7
+    ({"family": "sl2", "moduli": [1, 5]}, "moduli[0]"),
+    ({"family": "cycles", "sizes": [5, 0]}, "sizes[1]"),
+], ids=["modulus-abc", "modulus-fraction", "modulus-1", "size-0"])
+def test_run_rejects_bad_family_members(tmp_path, capsys, fixture, path):
+    config = _write_config(tmp_path, {"kind": "expander", "fixture": fixture})
+    assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at $.fixture.{path}: must be an integer")
+    assert len(err.splitlines()) == 1
+
+
+def test_run_rejects_a_bad_exponent_in_the_list(tmp_path, capsys):
+    path = _write_config(tmp_path, {"kind": "ergodic", "fixture": CYCLE,
+                                    "params": {"exponents": [2, 1.0]}})
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error at $.params.exponents[1]:")
+
+
 @pytest.mark.parametrize("kind", ["warped", "ghost"])
 @pytest.mark.parametrize("levels", [8, "8", [], [8, "16"], [1, 8], [8.0]])
 def test_run_rejects_malformed_levels(tmp_path, capsys, kind, levels):

@@ -4,7 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaplab.group_core import build_cyclic, build_sl2_quotient, orbit_restriction
+from gaplab.group_core import (
+    SL2_GENERATOR_MATRICES,
+    build_cyclic,
+    build_sl2_quotient,
+    orbit_restriction,
+)
 from gaplab.measures import dirac, lazy_uniform, uniform_on
 from gaplab.rep_markov import Representation, markov_operator, restricted_norm
 from gaplab.ergodic_walk import (
@@ -369,13 +374,49 @@ def test_group_table_word_lengths_match_group_core_bfs():
         assert by_matrix[mat] == table.word_length[gid]
 
 
-def test_group_table_right_mult_consistency():
+def test_group_table_left_mult_consistency():
     table = Sl2GroupTable(5)
-    # following right multiplication by a generator increases word length by
-    # at most one
+    # left multiplication by a generator changes word length by at most one
     for lab in table.labels:
-        nxt = table.right_mult[lab]
-        assert np.all(table.word_length[nxt] <= table.word_length + 1)
+        nxt = table.left_mult[lab]
+        assert np.all(np.abs(table.word_length[nxt] - table.word_length) <= 1)
+
+
+def _right_mult_drift(table, mu_labels, n_steps, trials, seed):
+    """Mean word lengths of the walk s_1 ... s_n stepped by right products,
+    each looked up from the matrix product g s."""
+    m = table.m
+    ids = {tuple(row): i for i, row in enumerate(table.elements.tolist())}
+    x = table.elements
+    right = {}
+    for lab in mu_labels:
+        e, f, g, h = SL2_GENERATOR_MATRICES[lab] if lab != "e" else (1, 0, 0, 1)
+        prods = np.stack([x[:, 0] * e + x[:, 1] * g, x[:, 0] * f + x[:, 1] * h,
+                          x[:, 2] * e + x[:, 3] * g, x[:, 2] * f + x[:, 3] * h], axis=-1) % m
+        right[lab] = np.array([ids[tuple(row)] for row in prods.tolist()])
+    labels = list(mu_labels)
+    gidx = _draw_indices(list(mu_labels.values()), trials, n_steps, seed)
+    pos = np.full(trials, table.identity)
+    mean_lengths = np.zeros(n_steps)
+    for n in range(n_steps):
+        for a, lab in enumerate(labels):
+            sel = gidx[:, n] == a
+            pos[sel] = right[lab][pos[sel]]
+        mean_lengths[n] = float(table.word_length[pos].mean())
+    return mean_lengths
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("mu_labels", [MU_LABELS, {"e12": 0.7, "e21^-1": 0.3}],
+                         ids=["uniform-lazy", "skew"])
+def test_drift_matches_right_multiplication_walk(m, mu_labels):
+    # the trials sit at the inverses of the right walk's products, which have
+    # the same word lengths, so the mean lengths agree bit for bit
+    table = Sl2GroupTable(m)
+    for seed in (0, 1):
+        drift = estimate_drift_mc(table, mu_labels, n_steps=24, trials=300, seed=seed)
+        ref = _right_mult_drift(table, mu_labels, 24, 300, seed)
+        assert np.array_equal(drift.mean_lengths, ref)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 12345])
@@ -406,6 +447,13 @@ def test_drift_refuses_fewer_than_two_steps(n_steps):
         estimate_drift_mc(Sl2GroupTable(4), MU_LABELS, n_steps=n_steps, trials=10, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_drift_refuses_fewer_than_one_trial(trials):
+    # no trial would give a nan drift that cuts every conditioned hit to 0
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        estimate_drift_mc(Sl2GroupTable(4), MU_LABELS, n_steps=8, trials=trials, seed=0)
+
+
 def test_drift_degenerate_for_lazy_identity_walk():
     table = Sl2GroupTable(4)
     with pytest.warns(RuntimeWarning):
@@ -424,8 +472,8 @@ def test_conditioned_zero_fraction_reduces_to_exact_series():
     targets = [rng.choice(sub.n_points, size=5, replace=False) for _ in range(10)]
     plan = plan_from_sets(sub, targets)
     starts = [0, 3, 17]
-    cs = conditioned_series(sub, MU_LABELS, plan, 0.0, table, starts,
-                            drift_steps=16, drift_trials=200, seed=2)
+    drift = estimate_drift_mc(table, MU_LABELS, n_steps=16, trials=200, seed=2)
+    cs = conditioned_series(sub, MU_LABELS, plan, 0.0, table, starts, drift)
     assert cs.a == 0.0
     ws = shrinking_series_exact(sub, mu_op, plan, starts)
     assert np.max(np.abs(cs.unconditioned - ws.hit_probs)) <= 1e-12
@@ -440,8 +488,8 @@ def test_conditioned_series_exact_cross_check():
     center = sub.points.index((1, 0))
     plan = plan_from_radii(sub, center, [0.5 * n ** (-0.2) for n in range(1, 25)])
     starts = [0, 11]
-    cs = conditioned_series(sub, MU_LABELS, plan, 0.5, table, starts,
-                            drift_steps=24, drift_trials=500, seed=3)
+    drift = estimate_drift_mc(table, MU_LABELS, n_steps=24, trials=500, seed=3)
+    cs = conditioned_series(sub, MU_LABELS, plan, 0.5, table, starts, drift)
     ws = shrinking_series_exact(sub, mu_op, plan, starts)
     assert np.max(np.abs(cs.unconditioned - ws.hit_probs)) <= 1e-12
     assert np.all(cs.hit_probs <= cs.unconditioned + 1e-15)
@@ -461,8 +509,7 @@ def test_conditioned_rejects_image_outside_fixture():
     plan = plan_from_sets(act, [[1], [1]])
     table = Sl2GroupTable(2)
     with pytest.raises(ValueError, match="outside the fixture"):
-        conditioned_series(act, MU_LABELS, plan, 0.0, table, [1],
-                           drift_steps=8, drift_trials=20, seed=0)
+        conditioned_series(act, MU_LABELS, plan, 0.0, table, [1], _fixed_drift(1.0))
 
 
 def test_conditioned_rejects_bad_fraction():
@@ -470,11 +517,12 @@ def test_conditioned_rejects_bad_fraction():
     table = Sl2GroupTable(4)
     plan = plan_from_sets(sub, [[0]])
     with pytest.raises(ValueError):
-        conditioned_series(sub, MU_LABELS, plan, 1.5, table, [0])
+        conditioned_series(sub, MU_LABELS, plan, 1.5, table, [0], _fixed_drift(1.0))
 
 
 def _conditioned_reference(action, mu_labels, plan, a, table, starts):
-    """The step loop as first written: a fresh bool mask per step, scatter steps."""
+    """The step loop as first written: a fresh bool mask per step, and steps
+    that scatter the mass at g to s g through the left products."""
     m = table.m
     starts = np.asarray(starts, dtype=np.int64)
     points = np.asarray(action.points, dtype=np.int64)
@@ -490,11 +538,11 @@ def _conditioned_reference(action, mu_labels, plan, a, table, starts):
     tail_mass = np.zeros(plan.horizon)
     for n in range(1, plan.horizon + 1):
         out = np.zeros_like(dist)
-        for lab, w in table.step_distribution(mu_labels):
-            if lab is None:
+        for lab, w in mu_labels.items():
+            if lab == "e":
                 out += w * dist
             else:
-                out[table.right_mult[lab]] += w * dist
+                out[table.left_mult[lab]] += w * dist
         dist = out
         cut = table.word_length > a * n
         tail_mass[n - 1] = float(dist[cut].sum())

@@ -26,6 +26,7 @@ from gaplab.group_core import (
     sl2_coset_coordinates,
     word_ball,
 )
+from gaplab.measures import DiscreteMeasure, power
 
 
 def test_build_cyclic_one_point():
@@ -152,15 +153,34 @@ def test_sl2_key_is_injective_and_below_m_cubed(m):
         assert np.any((np.gcd(a, m) > 1) & (np.gcd(c, m) > 1))
 
 
+def _matrix_products(x, y, m):
+    """Rows x y mod m of 2x2 matrices (a, b, c, d), one side possibly a single matrix."""
+    a, b, c, d = np.asarray(x).T
+    e, f, g, h = np.asarray(y).T
+    return np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h], axis=-1) % m
+
+
 @pytest.mark.parametrize("m", [2, 6, 16, 30])
-def test_sl2_table_right_mult_is_the_matrix_product(m):
+def test_sl2_table_left_mult_is_the_matrix_product(m):
     table = Sl2GroupTable(m)
     ids = {tuple(row): i for i, row in enumerate(table.elements.tolist())}
-    x = table.elements
-    for lab, (e, f, g, h) in SL2_GENERATOR_MATRICES.items():
-        prods = np.stack([x[:, 0] * e + x[:, 1] * g, x[:, 0] * f + x[:, 1] * h,
-                          x[:, 2] * e + x[:, 3] * g, x[:, 2] * f + x[:, 3] * h], axis=-1) % m
-        assert table.right_mult[lab].tolist() == [ids[tuple(row)] for row in prods.tolist()]
+    for lab, s in SL2_GENERATOR_MATRICES.items():
+        prods = _matrix_products(s, table.elements, m)
+        assert table.left_mult[lab].tolist() == [ids[tuple(row)] for row in prods.tolist()]
+
+
+@pytest.mark.parametrize("m", [2, 6, 16, 30])
+def test_sl2_table_right_mult_is_the_matrix_product(m):
+    # the left products carry right multiplication too: g s = (s^-1 g^-1)^-1
+    table = Sl2GroupTable(m)
+    ids = {tuple(row): i for i, row in enumerate(table.elements.tolist())}
+    a, b, c, d = table.elements.T
+    inv = np.array([ids[tuple(row)] for row in
+                    np.stack([d, -b % m, -c % m, a], axis=-1).tolist()])
+    for lab, s in SL2_GENERATOR_MATRICES.items():
+        right = inv[table.left_mult[group_core._SL2_GENS.inverse_label(lab)][inv]]
+        prods = _matrix_products(table.elements, s, m)
+        assert right.tolist() == [ids[tuple(row)] for row in prods.tolist()]
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -174,12 +194,11 @@ def test_sl2_order_counts_the_determinant_one_matrices(m):
 def test_sl2_closure_chunks_do_not_move_the_numbering(m, monkeypatch):
     default = _sl2_closure(m)
     monkeypatch.setattr(group_core, "_CLOSURE_CHUNK", 7)
-    elements, lengths, left, table = _sl2_closure(m)
+    elements, lengths, left = _sl2_closure(m)
     assert np.array_equal(elements, default[0])
     assert np.array_equal(lengths, default[1])
     for lab in SL2_GENERATOR_MATRICES:
         assert np.array_equal(left[lab], default[2][lab])
-    assert np.array_equal(table, default[3])
 
 
 def test_sl2_closure_refuses_generators_that_miss_the_group(monkeypatch):
@@ -190,14 +209,24 @@ def test_sl2_closure_refuses_generators_that_miss_the_group(monkeypatch):
         _sl2_closure(6)
 
 
-def test_sl2_table_build_memory_at_the_largest_modulus():
+def _sl2_table_build_peak():
     tracemalloc.start()
     try:
         Sl2GroupTable(Sl2GroupTable.MAX_MODULUS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 27e6
+    return peak
+
+
+def test_sl2_table_build_memory_at_the_largest_modulus():
+    assert _sl2_table_build_peak() < 27e6
+
+
+def test_sl2_table_build_holds_only_the_closure():
+    # 14.2 MB of elements, word lengths and left products, the 2 MB id table
+    # and the closure's chunk temporaries: no inverse lookup over all elements
+    assert _sl2_table_build_peak() < 19e6
 
 
 @pytest.mark.parametrize("m, digest", [
@@ -404,14 +433,24 @@ def test_sl2_generator_matrices_are_unimodular():
         assert a * d - b * c == 1
 
 
+def _walk_law(table, mu_labels, n):
+    """mu^n by gathers through ``walk_steps``, as the conditioned walk steps it."""
+    rows, weights = table.walk_steps(mu_labels)
+    dist = np.zeros(table.n_elements)
+    dist[table.identity] = 1.0
+    for _ in range(n):
+        dist = sum(w * dist[row] for row, w in zip(rows, weights))
+    return dist
+
+
 def _scatter_convolution_step(table, dist, mu_labels):
-    """Reference step: scatter each label's mass through its right multiplication."""
+    """Reference step: scatter each label's mass from g to s g through the left products."""
     out = np.zeros_like(dist)
-    for lab, w in table.step_distribution(mu_labels):
-        if lab is None:
+    for lab, w in mu_labels.items():
+        if lab == "e":
             out += w * dist
         else:
-            out[table.right_mult[lab]] += w * dist
+            out[table.left_mult[lab]] += w * dist
     return out
 
 
@@ -419,27 +458,48 @@ def _scatter_convolution_step(table, dist, mu_labels):
 def test_convolution_step_gather_matches_scatter_bit_for_bit(m):
     mu_labels = {"e": 0.2, "e12": 0.2, "e12^-1": 0.2, "e21": 0.2, "e21^-1": 0.2}
     table = Sl2GroupTable(m)
-    dist = np.zeros(table.n_elements)
-    dist[table.identity] = 1.0
-    ref = dist.copy()
-    for _ in range(50):
-        dist = table.convolution_step(dist, mu_labels)
+    ref = _walk_law(table, mu_labels, 0)
+    for n in range(1, 51):
         ref = _scatter_convolution_step(table, ref, mu_labels)
-        assert np.array_equal(dist, ref)
-    assert abs(dist.sum() - 1.0) <= 1e-12
+        assert np.array_equal(_walk_law(table, mu_labels, n), ref)
+    assert abs(ref.sum() - 1.0) <= 1e-12
 
 
 def test_convolution_step_unequal_weights_match_scatter():
-    # a non-symmetric measure: gathering through s^-1 must still move mass by s
+    # a non-symmetric measure: gathering through s^-1 g must still move mass by s
     mu_labels = {"e12": 0.7, "e21^-1": 0.3}
     table = Sl2GroupTable(8)
-    dist = np.zeros(table.n_elements)
-    dist[table.identity] = 1.0
-    ref = dist.copy()
+    ref = _walk_law(table, mu_labels, 0)
     for _ in range(10):
-        dist = table.convolution_step(dist, mu_labels)
         ref = _scatter_convolution_step(table, ref, mu_labels)
-    assert np.array_equal(dist, ref)
+    assert np.array_equal(_walk_law(table, mu_labels, 10), ref)
+
+
+@pytest.mark.parametrize("mu_labels", [
+    {"e": 0.2, "e12": 0.2, "e12^-1": 0.2, "e21": 0.2, "e21^-1": 0.2},
+    {"e12": 0.7, "e21^-1": 0.3},
+], ids=["uniform-lazy", "skew"])
+def test_walk_law_is_the_convolution_power(mu_labels):
+    # SL2(Z/5) acting on itself: element g sends the identity (point 0) to g
+    table = Sl2GroupTable(5)
+    act = build_sl2_quotient(5, "a")
+    mu = DiscreteMeasure({act.identity_element() if lab == "e" else act.generator_element(lab): w
+                          for lab, w in mu_labels.items()})
+    for n in range(6):
+        ref = np.zeros(table.n_elements)
+        for el, w in power(mu, n).atoms.items():
+            ref[el.perm[table.identity]] += w
+        assert np.max(np.abs(_walk_law(table, mu_labels, n) - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("mu_labels, message", [
+    ({"e": 0.5, "e12": -0.5, "e21": 1.0}, "negative weight"),
+    ({"e": 0.5, "f": 0.5}, "unknown label 'f'"),
+    ({"e": 0.5, "e12": 0.4}, "do not sum to 1"),
+])
+def test_walk_steps_reject_bad_measures(mu_labels, message):
+    with pytest.raises(ValueError, match=message):
+        Sl2GroupTable(4).walk_steps(mu_labels)
 
 
 def test_group_element_matches_the_per_entry_int_construction():

@@ -578,13 +578,20 @@ def _lp_ascent_reference(op, f0):
     """The ascent loop as first written: A f, |A f|_p and |f|_p recomputed at
     every step.  Returns the ratio and the number of accepted steps."""
     dec, rep = op.decomposition, op.rep
+
+    def norm_and_grad(g):
+        nrm = rep.norm(g)
+        if nrm == 0.0:
+            return 0.0, np.zeros_like(g)
+        return nrm, rep_markov._lp_grad(rep, g, nrm)
+
     f = dec.complement(f0)
     f /= rep.norm(f)
     ratio, step, accepted = 0.0, 1.0, 0
     for _ in range(rep_markov.LP_ASCENT_MAX_ITER):
         af = op.apply(f)
-        naf, gaf = rep_markov._lp_norm_and_grad(rep, af)
-        nf, gf = rep_markov._lp_norm_and_grad(rep, f)
+        naf, gaf = norm_and_grad(af)
+        nf, gf = norm_and_grad(f)
         ratio = naf / nf
         if naf == 0.0:
             break
