@@ -26,7 +26,13 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import ergodic_walk as ew
 from . import warped_cone as wc
-from .expanders import PoincareReport, QuotientSequence, certify_sequence
+from .expanders import (
+    SL2_GROUP_LIMIT,
+    PoincareReport,
+    QuotientSequence,
+    Sl2Quotient,
+    certify_sequence,
+)
 from .group_core import (
     FiniteAction,
     GeneratorSystem,
@@ -155,12 +161,9 @@ def build_fixture(spec: dict) -> FiniteAction:
             action = build_sl2_quotient(m, variant=variant)
         except ValueError as exc:
             raise ConfigError("$.fixture.m", str(exc)) from exc
-        orbit_of = spec.get("orbit_of")
-        if orbit_of is not None:
-            point = tuple(orbit_of)
-            if point not in action.points:
-                raise ConfigError("$.fixture.orbit_of", f"{point} not a fixture point")
-            action = orbit_restriction(action, action.points.index(point))
+        if spec.get("orbit_of") is not None:
+            index = _point_index(action, "$.fixture.orbit_of", spec["orbit_of"])
+            action = orbit_restriction(action, index)
         return action
     if builder == "explicit":
         try:
@@ -179,6 +182,18 @@ def build_fixture(spec: dict) -> FiniteAction:
             raise InvariantFailure("fixture-invariant", str(exc)) from exc
     raise ConfigError("$.fixture.builder",
                       "must be one of 'cyclic', 'sl2', 'explicit'")
+
+
+def _point_index(action: FiniteAction, path: str, value) -> int:
+    """The index of the fixture point ``value``, a JSON list of integers;
+    anything else is a ``ConfigError`` at ``path``."""
+    if not (isinstance(value, list)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
+        raise ConfigError(path, f"must be a list of integers, got {value!r}")
+    point = tuple(value)
+    if point not in action.points:
+        raise ConfigError(path, f"{point} not a fixture point")
+    return action.points.index(point)
 
 
 def build_measure(action: FiniteAction, spec: dict) -> DiscreteMeasure:
@@ -317,7 +332,11 @@ def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
 
 def certify_family(config: ExperimentConfig) -> PoincareReport:
     """The expander kind's certificate: the configured quotient family, with
-    the scalar Poincare relation checked on every connected quotient."""
+    the scalar Poincare relation checked on every connected quotient.
+
+    An SL2 member that ``certify_sequence`` would build (a composite modulus,
+    or any modulus when a vector bound is asked for) is refused above
+    ``SL2_GROUP_LIMIT`` elements, before any solve."""
     p = _param(config, "p", 2.0, float, EXPONENT)
     d = _param(config, "d", 1, int, AT_LEAST_1)
     budget = _param(config, "vector_budget", 0, int, AT_LEAST_0)
@@ -327,17 +346,22 @@ def certify_family(config: ExperimentConfig) -> PoincareReport:
         moduli = spec.get("moduli")
         if not isinstance(moduli, list) or len(moduli) < 2:
             raise ConfigError("$.fixture.moduli", "need a list of >= 2 moduli")
-        actions = [build_sl2_quotient(_number(f"$.fixture.moduli[{j}]", m, int, AT_LEAST_2), "a")
+        members = [Sl2Quotient(_number(f"$.fixture.moduli[{j}]", m, int, AT_LEAST_2))
                    for j, m in enumerate(moduli)]
+        for j, member in enumerate(members):
+            if member.needs_group(budget) and member.n_points > SL2_GROUP_LIMIT:
+                raise ConfigError(f"$.fixture.moduli[{j}]",
+                                  f"refusing to build {member.name}: {member.n_points} "
+                                  f"elements, above the limit {SL2_GROUP_LIMIT}")
     elif family == "cycles":
         sizes = spec.get("sizes")
         if not isinstance(sizes, list) or len(sizes) < 2:
             raise ConfigError("$.fixture.sizes", "need a list of >= 2 sizes")
-        actions = [build_cyclic(_number(f"$.fixture.sizes[{j}]", n, int, AT_LEAST_1))
+        members = [build_cyclic(_number(f"$.fixture.sizes[{j}]", n, int, AT_LEAST_1))
                    for j, n in enumerate(sizes)]
     else:
         raise ConfigError("$.fixture.family", "must be 'sl2' or 'cycles'")
-    report_obj = certify_sequence(QuotientSequence(actions), p=p, d=d,
+    report_obj = certify_sequence(QuotientSequence(members), p=p, d=d,
                                   vector_budget=budget, seed=config.seed)
     for r in report_obj.rows:
         if r.connected and r.relation_residual > 1e-9:
@@ -365,8 +389,8 @@ def _run_ergodic(config: ExperimentConfig, action: FiniteAction
     mu = build_measure(action, config.measure)
     k_max = _param(config, "k_max", 25, int, AT_LEAST_1)
     exponents = config.params.get("exponents", [2.0])
-    if not isinstance(exponents, list):
-        raise ConfigError("$.params.exponents", "must be a list")
+    if not (isinstance(exponents, list) and exponents):
+        raise ConfigError("$.params.exponents", f"must be a non-empty list, got {exponents!r}")
     ps = [_number(f"$.params.exponents[{j}]", p, float, EXPONENT)
           for j, p in enumerate(exponents)]
     rng = np.random.default_rng(config.seed)
@@ -409,10 +433,7 @@ def _run_shrinking(config: ExperimentConfig, action: FiniteAction
     horizon = _param(config, "horizon", 50, int, AT_LEAST_1)
     center = 0
     if params.get("center") is not None:
-        point = tuple(params["center"])
-        if point not in action.points:
-            raise ConfigError("$.params.center", f"{point} not a fixture point")
-        center = action.points.index(point)
+        center = _point_index(action, "$.params.center", params["center"])
     radius_scale = _param(config, "radius_scale", 0.45, float, FINITE)
     radius_exponent = _param(config, "radius_exponent", -0.125, float, FINITE)
     radii = [radius_scale * n**radius_exponent for n in range(1, horizon + 1)]

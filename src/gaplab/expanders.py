@@ -6,14 +6,18 @@ symmetrized uniform neighbor-averaging operator on mean-zero functions.  On
 SL2(Z/p) acting on itself, p prime, the operator commutes with right
 translations by the unipotent subgroup U, so it splits into induced blocks of
 p^2 - 1 points, and only three of those are distinct up to unitary
-equivalence: lambda_2 is the largest top eigenvalue among them, and the
-winning block's eigenvector is lifted back to the group.  Every other graph
-goes to the spectral kernel of ``rep_markov`` on the whole space.  Either way
-small problems go to dense eigh and larger ones to Lanczos.  Edge sums run
-over ordered pairs (v, s v), one per label, which is the convention that
-makes this relation exact.  Vector-valued constants are bounded from below
-by ratio ascent; a sequence of quotients is certified uniform when the
-per-quotient gaps stay bounded away from 1.
+equivalence: lambda_2 is the largest top eigenvalue among them.  A sequence
+member of prime modulus is certified from those blocks alone: connectivity
+from the pattern of block 0 (the linear action on the nonzero vectors of
+F_p^2), the relation residual from the twisted Dirichlet form of the blocks'
+eigenvector, and the group itself is built only when a vector bound needs it,
+to lift that eigenvector back.  Every other graph goes to the spectral kernel
+of ``rep_markov`` on the whole space.  Either way small problems go to dense
+eigh and larger ones to Lanczos.  Edge sums run over ordered pairs (v, s v),
+one per label, which is the convention that makes this relation exact.
+Vector-valued constants are bounded from below by ratio ascent; a sequence of
+quotients is certified uniform when the per-quotient gaps stay bounded away
+from 1.
 """
 
 from __future__ import annotations
@@ -21,15 +25,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import block_diag, bmat
 
 from .group_core import (
+    SL2_GENERATOR_MATRICES,
     CayleyGraph,
     FiniteAction,
     GroupElement,
+    _components,
+    _sl2_order,
+    _sl2_section,
+    build_sl2_quotient,
     sl2_coset_coordinates,
     sl2_induced_block,
     word_ball,
@@ -45,6 +54,7 @@ __all__ = [
     "MirhoBound",
     "mirho_upper_bound",
     "QuotientSequence",
+    "Sl2Quotient",
     "QuotientRow",
     "PoincareReport",
     "certify_sequence",
@@ -67,6 +77,11 @@ def _is_prime(m: int) -> bool:
     return m >= 2 and all(m % q for q in range(2, math.isqrt(m) + 1))
 
 
+def _prime_sl2(action: FiniteAction) -> bool:
+    """Whether the action is SL2(Z/p), p prime, acting on itself."""
+    return action.sl2_modulus is not None and _is_prime(action.sl2_modulus)
+
+
 def _character_classes(p: int) -> List[int]:
     """One a per class of blocks: a and a c^2 give unitarily equivalent ones
     (conjugation by diag(c, 1 / c)), so 0, 1 and, for odd p, the least
@@ -75,13 +90,21 @@ def _character_classes(p: int) -> List[int]:
     return [0, 1] + [a for a in range(2, p) if a not in squares][:1]
 
 
-def _induced_eigensolve(action: FiniteAction, weights: Dict[str, float]
-                        ) -> Tuple[float, np.ndarray]:
+def _label_weights(labels: Sequence[str]) -> Dict[str, float]:
+    """Mass 1 / |Q| per label of Q; a repeated label adds up."""
+    weights: Dict[str, float] = {}
+    for lab in labels:
+        weights[lab] = weights.get(lab, 0.0) + 1.0 / len(labels)
+    return weights
+
+
+def _block_solve(p: int, weights: Dict[str, float]) -> Tuple[float, np.ndarray, List[int]]:
     """lambda_2 of SL2(Z/p), p prime: the top eigenvalue of the direct sum of
     the induced blocks, one per character class, which is the largest of
-    their top eigenvalues.  The eigenvector is lifted to G blockwise by
-    f(sigma(v) u_t) = chi_a(t) F(v)."""
-    p = action.sl2_modulus
+    their top eigenvalues.  Returns it with its unit eigenvector x on the
+    direct sum and the classes a: block 0 holds x[:n], and the j-th complex
+    block the real and imaginary parts of its F at x[(2j - 1) n:(2j + 1) n],
+    n = p^2 - 1."""
     classes = _character_classes(p)
     blocks = [sl2_induced_block(p, a, weights) for a in classes]
     n = p * p - 1
@@ -99,19 +122,90 @@ def _induced_eigensolve(action: FiniteAction, weights: Dict[str, float]
         return y
 
     values, vectors, _residuals = _euclidean_top(matvec, total.shape[0])
-    value, x = float(values[0]), vectors[:, 0]
+    return float(values[0]), vectors[:, 0], classes
+
+
+def _block_fields(x: np.ndarray, p: int, classes: List[int]) -> List[np.ndarray]:
+    """The direct-sum vector x of ``_block_solve`` as one complex F per class."""
+    n = p * p - 1
+    return [x[:n].astype(complex)] + [
+        re + 1j * im for re, im in (np.split(x[(2 * j + 1) * n:(2 * j + 3) * n], 2)
+                                    for j in range(len(classes) - 1))]
+
+
+def _lift(action: FiniteAction, x: np.ndarray, classes: List[int]) -> np.ndarray:
+    """The field on G of the direct-sum vector x, blockwise by
+    f(sigma(v) u_t) = chi_a(t) F(v): its real or imaginary part, centred."""
+    p = action.sl2_modulus
     points = np.fromiter(chain.from_iterable(action.points), dtype=np.int64,
                          count=4 * action.n_points).reshape(-1, 4)
     v, t = sl2_coset_coordinates(points, p)
-    lifted = x[v].astype(complex)  # chi_0 = 1
-    for j, a in enumerate(classes[1:]):
-        re, im = np.split(x[(2 * j + 1) * n:(2 * j + 3) * n], 2)
-        lifted += np.exp(2j * np.pi * ((a * t) % p) / p) * (re + 1j * im)[v]
+    fields = _block_fields(x, p, classes)
+    lifted = fields[0][v]  # chi_0 = 1
+    for a, field in zip(classes[1:], fields[1:]):
+        lifted += np.exp(2j * np.pi * ((a * t) % p) / p) * field[v]
     # A is real, so the real and the imaginary part of the lift are both
     # eigenvectors unless zero, and the larger one is not
     real, imag = lifted.real, lifted.imag
     part = real if np.linalg.norm(real) >= np.linalg.norm(imag) else imag
-    return value, part - part.mean()
+    return part - part.mean()
+
+
+def _induced_eigensolve(action: FiniteAction, weights: Dict[str, float]
+                        ) -> Tuple[float, np.ndarray]:
+    """``_block_solve`` on the action's modulus, its eigenvector lifted to G."""
+    value, x, classes = _block_solve(action.sl2_modulus, weights)
+    return value, _lift(action, x, classes)
+
+
+def _block_translates(p: int, labels: Sequence[str]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per label s, for each nonzero vector v (numbered as in the blocks): the
+    number of s^-1 v and the t of s^-1 sigma(v) = sigma(s^-1 v) u_t."""
+    codes = np.arange(1, p * p, dtype=np.int64)
+    sections = _sl2_section(np.stack(np.divmod(codes, p), axis=-1), p).reshape(-1, 2, 2)
+    out = []
+    for lab in labels:
+        a, b, c, d = SL2_GENERATOR_MATRICES[lab]
+        inverse = np.array([[d, -b], [-c, a]]) % p
+        out.append(sl2_coset_coordinates((inverse @ sections % p).reshape(-1, 4), p))
+    return out
+
+
+def _blocks_connected(p: int, labels: Sequence[str],
+                      translates: List[Tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Whether the Cayley graph of SL2(Z/p) with generators ``labels`` is
+    connected, exactly, from block 0 alone.
+
+    Block 0 is G acting on G/U, the nonzero vectors of F_p^2.  If its pattern
+    has one component, the generated subgroup H acts transitively on G/U; if
+    some label is a nontrivial u_t, H contains U, which has prime order.  Then
+    |H| >= (p^2 - 1) p = |G|.  Conversely a disconnected pattern leaves H off
+    some coset, and labels with no u_t among them lie in the lower unipotent
+    subgroup, which fixes e_2, so their pattern is disconnected: the test is
+    exact.
+    """
+    unipotent = any(a % p == 1 and c % p == 0 and d % p == 1 and b % p
+                    for a, b, c, d in (SL2_GENERATOR_MATRICES[lab] for lab in labels))
+    return unipotent and _components(p * p - 1, [col for col, _t in translates])[0] == 1
+
+
+def _twisted_ratio(p: int, x: np.ndarray, classes: List[int],
+                   translates: List[Tuple[np.ndarray, np.ndarray]]) -> float:
+    """The Poincare ratio of the direct-sum vector x: sum |F|^2, block 0
+    centred, over the twisted Dirichlet form
+    sum_s sum_v |F(v) - chi_a(t(s, v)) F(s^-1 v)|^2 of every block.  This is
+    ``poincare_ratio`` of the field that x lifts to on G, whose sums are p
+    times these."""
+    fields = _block_fields(x, p, classes)
+    fields[0] = fields[0] - fields[0].mean()  # block 0 holds the constants
+    numerator = float(sum(np.vdot(f, f).real for f in fields))
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    denom = 0.0
+    for col, t in translates:
+        for a, field in zip(classes, fields):
+            diff = field - roots[(a * t) % p] * field[col]
+            denom += float(np.vdot(diff, diff).real)
+    return numerator / denom
 
 
 def _averaging_eigensolve(graph: CayleyGraph) -> Tuple[float, np.ndarray]:
@@ -126,12 +220,9 @@ def _averaging_eigensolve(graph: CayleyGraph) -> Tuple[float, np.ndarray]:
     the spectral kernel on the whole space.
     """
     action = graph.action
+    if _prime_sl2(action):
+        return _induced_eigensolve(action, _label_weights(graph.labels))
     # mass 1 / |Q| per label; labels acting by the same permutation add up
-    if action.sl2_modulus is not None and _is_prime(action.sl2_modulus):
-        weights: Dict[str, float] = {}
-        for lab in graph.labels:
-            weights[lab] = weights.get(lab, 0.0) + 1.0 / len(graph.labels)
-        return _induced_eigensolve(action, weights)
     atoms: Dict[GroupElement, float] = {}
     for lab in graph.labels:
         el = action.generator_element(lab)
@@ -313,22 +404,57 @@ def mirho_upper_bound(graph: CayleyGraph, k: int, defect: float) -> MirhoBound:
 
 # -- sequences ---------------------------------------------------------------
 
+# The largest group order a sequence member is built at.  On a 2-vCPU machine
+# the expander run on [5, 61] with a vector bound takes 2.1 s at a 151 MB peak,
+# and on [5, 64] (196,608 elements, the full-graph kernel) 5.1 s at 208 MB;
+# the built route on SL2(Z/101), 1,030,200 elements, took 432 MB.  Every
+# modulus up to 64 is below it.
+SL2_GROUP_LIMIT = 250_000
+
+
+@dataclass(frozen=True)
+class Sl2Quotient:
+    """SL2(Z/m) acting on itself, with generators ``labels``, as a sequence
+    member that is not built up front.
+
+    ``certify_sequence`` certifies a prime m from its induced blocks alone and
+    never builds the group, unless a vector bound asks for the full graph
+    (``needs_group``).  It builds every other member when that member's row
+    is computed, so one built quotient is alive at a time.
+    """
+
+    m: int
+    labels: Tuple[str, ...] = tuple(SL2_GENERATOR_MATRICES)
+
+    @property
+    def name(self) -> str:
+        return f"SL2(Z/{self.m})"
+
+    @property
+    def n_points(self) -> int:
+        return _sl2_order(self.m)
+
+    def needs_group(self, vector_budget: int) -> bool:
+        return vector_budget > 0 or not _is_prime(self.m)
+
+
+def _member_labels(member) -> Tuple[str, ...]:
+    return member.labels if isinstance(member, Sl2Quotient) else member.gens.labels
+
 
 class QuotientSequence:
-    """Finite-quotient actions sharing one generator label set."""
+    """Finite quotients sharing one generator label set: ``FiniteAction``s,
+    or ``Sl2Quotient``s built only when their certificate needs the group."""
 
-    def __init__(self, actions: Sequence[FiniteAction]) -> None:
-        if not actions:
+    def __init__(self, members: Sequence[Union[FiniteAction, Sl2Quotient]]) -> None:
+        if not members:
             raise ValueError("empty quotient sequence")
-        labels = actions[0].gens.labels
-        for act in actions[1:]:
-            if act.gens.labels != labels:
+        labels = _member_labels(members[0])
+        for member in members[1:]:
+            if _member_labels(member) != labels:
                 raise ValueError("quotients must share generator labels")
-        self.actions = list(actions)
+        self.members = list(members)
         self.labels = labels
-
-    def graphs(self) -> List[CayleyGraph]:
-        return [CayleyGraph(act) for act in self.actions]
 
 
 @dataclass
@@ -373,42 +499,73 @@ class PoincareReport:
         }
 
 
+def _relation_residual(ratio: float, n_labels: int, lambda2: float) -> float:
+    """|ratio / kappa_P - 1|: the Poincare ratio at the gap eigenvector
+    recomputes kappa_P through the quadratic forms, independently of the
+    eigenvalue arithmetic."""
+    return abs(ratio * 2.0 * n_labels * (1.0 - lambda2) - 1.0)
+
+
+def _block_row(p: int, labels: Sequence[str]
+               ) -> Tuple[QuotientRow, Optional[Tuple[float, np.ndarray, List[int]]]]:
+    """The row of SL2(Z/p), p prime, with generators ``labels``, from its
+    induced blocks alone, and the block solve (None if disconnected)."""
+    name, n = f"SL2(Z/{p})", _sl2_order(p)
+    translates = _block_translates(p, labels)
+    if not _blocks_connected(p, labels, translates):
+        return QuotientRow(name, n, 1.0, math.inf, math.nan, False), None
+    solve = value, x, classes = _block_solve(p, _label_weights(labels))
+    residual = _relation_residual(_twisted_ratio(p, x, classes, translates), len(labels), value)
+    kappa = 1.0 / (2.0 * len(labels) * (1.0 - value))
+    return QuotientRow(name, n, value, kappa, residual, True), solve
+
+
+def _member_row(member: Union[FiniteAction, Sl2Quotient], p: float, d: int,
+                vector_budget: int, seed: int) -> QuotientRow:
+    if isinstance(member, Sl2Quotient):
+        if not member.needs_group(vector_budget):
+            return _block_row(member.m, member.labels)[0]
+        graph = CayleyGraph(build_sl2_quotient(member.m, "a"), member.labels)
+    else:
+        graph = CayleyGraph(member)
+    act = graph.action
+    if _prime_sl2(act):
+        # the blocks give the row; the full graph serves the vector ascent
+        row, solve = _block_row(act.sl2_modulus, graph.labels)
+        if vector_budget > 0:
+            scal = ScalarPoincare(row.kappa_p, row.lambda2, row.connected,
+                                  row.n_vertices, len(graph.labels))
+            if solve is not None:
+                scal.eigenvector = _lift(act, solve[1], solve[2])
+            row.vector_lower = _vector_lower(graph, scal, p, d, vector_budget, seed)
+        return row
+    scal = poincare_scalar(graph)
+    residual = math.nan
+    if scal.connected and scal.eigenvector is not None:
+        ratio = poincare_ratio(graph, scal.eigenvector, p=2.0)
+        residual = _relation_residual(ratio, scal.n_labels, scal.lambda2)
+    vec_lower = None
+    if vector_budget > 0:
+        vec_lower = _vector_lower(graph, scal, p, d, vector_budget, seed)
+    return QuotientRow(name=act.name, n_vertices=act.n_points, lambda2=scal.lambda2,
+                       kappa_p=scal.kappa, relation_residual=residual,
+                       connected=scal.connected, vector_lower=vec_lower)
+
+
 def certify_sequence(seq: QuotientSequence, p: float = 2.0, d: int = 1,
                      vector_budget: int = 0, seed: int = 0) -> PoincareReport:
     """Per-quotient gaps and Poincare constants, with a uniformity verdict.
 
     Uniform gap and uniform Poincare constant are equivalent through the
-    exact scalar relation, checked per quotient as a residual.  The verdict
+    exact scalar relation, checked per quotient as a residual: on the full
+    graph, or for SL2(Z/p), p prime, on its induced blocks.  The verdict
     regresses log kappa_P against log N: genuinely uniform families stay
     flat, while e.g. cycles grow like N^2.  Disconnected members are flagged
     and force a non-uniform verdict.
     """
-    if len(seq.actions) < 2:
+    if len(seq.members) < 2:
         raise ValueError("need at least two quotients to certify a sequence")
-    rows: List[QuotientRow] = []
-    for act in seq.actions:
-        graph = CayleyGraph(act)
-        scal = poincare_scalar(graph)
-        residual = math.nan
-        if scal.connected and scal.eigenvector is not None:
-            # the ratio at the gap eigenvector recomputes kappa_P through the
-            # quadratic forms, independently of the eigenvalue arithmetic
-            ratio = poincare_ratio(graph, scal.eigenvector, p=2.0)
-            residual = abs(ratio * 2.0 * scal.n_labels * (1.0 - scal.lambda2) - 1.0)
-        vec_lower = None
-        if vector_budget > 0:
-            vec_lower = _vector_lower(graph, scal, p, d, vector_budget, seed)
-        rows.append(
-            QuotientRow(
-                name=act.name,
-                n_vertices=act.n_points,
-                lambda2=scal.lambda2,
-                kappa_p=scal.kappa,
-                relation_residual=residual,
-                connected=scal.connected,
-                vector_lower=vec_lower,
-            )
-        )
+    rows = [_member_row(member, p, d, vector_budget, seed) for member in seq.members]
     connected_rows = [r for r in rows if r.connected and r.lambda2 is not None]
     all_connected = all(r.connected for r in rows)
     epsilon0 = None

@@ -239,11 +239,7 @@ class FiniteAction:
     def _orbit_of(self) -> np.ndarray:
         """Orbit id of each point, the orbits numbered by their smallest member."""
         n = self.n_points
-        # row x holds the edges x -> s.x, and a self-loop for label-free systems
-        heads = np.column_stack([np.arange(n)] + [self.perms[lab] for lab in self.gens.labels])
-        graph = csr_matrix((np.ones(heads.size), heads.ravel(),
-                            np.arange(0, heads.size + 1, heads.shape[1])), shape=(n, n))
-        n_orbits, labels = connected_components(graph, connection="weak")
+        n_orbits, labels = _components(n, [self.perms[lab] for lab in self.gens.labels])
         first = np.empty(n_orbits, dtype=np.int64)
         first[labels[::-1]] = np.arange(n - 1, -1, -1)  # the last write is the smallest
         rank = np.empty(n_orbits, dtype=np.int64)
@@ -263,6 +259,17 @@ class FiniteAction:
     def orbit_index(self) -> np.ndarray:
         """Orbit id of each point, indexing ``orbits()``; callers must not write to it."""
         return self._orbit_of
+
+
+def _components(n: int, maps: Sequence[np.ndarray]) -> Tuple[int, np.ndarray]:
+    """``connected_components`` of the graph on n points with an edge
+    x -> m[x] for each map m, as undirected: their number and the label of
+    each point."""
+    # row x holds the edges x -> m[x], and a self-loop for an empty list of maps
+    heads = np.column_stack([np.arange(n)] + list(maps))
+    graph = csr_matrix((np.ones(heads.size), heads.ravel(),
+                        np.arange(0, heads.size + 1, heads.shape[1])), shape=(n, n))
+    return connected_components(graph, connection="weak")
 
 
 def is_ergodic(action: FiniteAction) -> bool:
@@ -659,7 +666,10 @@ class CayleyGraph:
         return a
 
     def is_connected(self) -> bool:
-        return len(self.action.orbits()) == 1
+        """Connectivity under this graph's labels, which may be fewer than the
+        action's."""
+        return _components(self.n_vertices,
+                          [self.edge_targets[lab] for lab in self.labels])[0] == 1
 
 
 # -- serialization -----------------------------------------------------------

@@ -432,3 +432,71 @@ def test_modules_import_alone(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, timeout=120).stdout
     assert out == b"True\n"
+
+
+def _refuse_sl2_builds(monkeypatch):
+    from gaplab import cli, expanders, group_core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an SL2 quotient")
+
+    for module in (group_core, expanders, cli):
+        monkeypatch.setattr(module, "build_sl2_quotient", refuse)
+
+
+@pytest.mark.parametrize("moduli, params, name", [
+    ([5, 74], {}, "SL2(Z/74): 303696 elements"),  # composite: always built
+    ([5, 67], {"vector_budget": 1}, "SL2(Z/67): 300696 elements"),  # the ascent's graph
+], ids=["composite-74", "vector-bound-67"])
+def test_run_refuses_sl2_builds_above_the_limit(tmp_path, capsys, monkeypatch,
+                                                  moduli, params, name):
+    _refuse_sl2_builds(monkeypatch)  # refused before any build or solve
+    path = _write_config(tmp_path, {"kind": "expander", "params": params,
+                                    "fixture": {"family": "sl2", "moduli": moduli}})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at $.fixture.moduli[1]: refusing to build {name}")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
+def test_expander_builds_each_quotient_when_its_row_is_computed(monkeypatch):
+    from gaplab import cli, expanders
+
+    events = []
+    build, scalar = expanders.build_sl2_quotient, expanders.poincare_scalar
+
+    def building(m, variant):
+        events.append(("build", m))
+        return build(m, variant)
+
+    def solving(graph):
+        events.append(("solve", graph.action.name))
+        return scalar(graph)
+
+    monkeypatch.setattr(expanders, "build_sl2_quotient", building)
+    monkeypatch.setattr(expanders, "poincare_scalar", solving)
+    cli.certify_family(ExperimentConfig("expander", {"family": "sl2", "moduli": [4, 5, 6]}))
+    # the prime modulus 5 is never built
+    assert events == [("build", 4), ("solve", "SL2(Z/4)"), ("build", 6), ("solve", "SL2(Z/6)")]
+
+
+@pytest.mark.parametrize("kind, fixture, params, where", [
+    ("shrinking", {"builder": "sl2", "m": 8, "variant": "b", "orbit_of": [1, 0]},
+     {"center": 5}, "$.params.center"),
+    ("shrinking", {"builder": "sl2", "m": 8, "variant": "b", "orbit_of": [1, 0]},
+     {"center": [1, True]}, "$.params.center"),
+    ("markov", {"builder": "sl2", "m": 8, "variant": "b", "orbit_of": 5},
+     {}, "$.fixture.orbit_of"),
+    ("ergodic", CYCLE, {"exponents": []}, "$.params.exponents"),
+], ids=["center-5", "center-bool", "orbit_of-5", "exponents-empty"])
+def test_run_rejects_bad_points_and_empty_exponents(tmp_path, capsys, kind, fixture,
+                                                    params, where):
+    path = _write_config(tmp_path, {"kind": kind, "fixture": fixture, "params": params})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {where}: must be ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()

@@ -190,22 +190,23 @@ def test_vector_lower_never_exceeds_mirho_bound():
 
 
 def test_certify_sequence_solves_each_quotient_once_for_the_vector_bound(monkeypatch):
+    # the block solve gives the row, and its lifted vector the ascent's start
     solved = []
-    solve = expanders._averaging_eigensolve
+    solve = expanders._block_solve
 
-    def counting(graph):
-        solved.append(graph.action.name)
-        return solve(graph)
+    def counting(p, weights):
+        solved.append(p)
+        return solve(p, weights)
 
-    monkeypatch.setattr(expanders, "_averaging_eigensolve", counting)
+    monkeypatch.setattr(expanders, "_block_solve", counting)
     seq = QuotientSequence([build_sl2_quotient(5, "a"), build_sl2_quotient(7, "a")])
     report = certify_sequence(seq, vector_budget=10)
-    assert solved == ["SL2(Z/5)", "SL2(Z/7)"]
+    assert solved == [5, 7]
     # the values of the two-solve route
     assert [r.vector_lower.hex() for r in report.rows] == [
         "0x1.4f1bbcdcbfa53p-1", "0x1.b504f333f9de6p-1"]
-    monkeypatch.setattr(expanders, "_averaging_eigensolve", solve)
-    for act, row in zip(seq.actions, report.rows):
+    monkeypatch.setattr(expanders, "_block_solve", solve)
+    for act, row in zip(seq.members, report.rows):
         assert row.vector_lower == poincare_vector_lower(CayleyGraph(act), 2.0, 1, 10)
 
 
@@ -340,3 +341,111 @@ def test_prime_regular_action_takes_the_blocks(monkeypatch):
     monkeypatch.setattr(expanders, "_induced_eigensolve", recording)
     poincare_scalar(CayleyGraph(act))
     assert calls == [act]
+
+
+# -- prime members from the blocks alone ----------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_block_row_matches_the_built_group(p):
+    row, _solve = expanders._block_row(p, tuple(SL2_GENERATOR_MATRICES))
+    graph = CayleyGraph(build_sl2_quotient(p, "a"))
+    scal = poincare_scalar(graph)
+    assert row.connected and row.n_vertices == graph.n_vertices
+    assert row.lambda2 == scal.lambda2 and row.kappa_p == scal.kappa
+    # the reference: the full-graph ratio of the lifted eigenvector
+    full = abs(poincare_ratio(graph, scal.eigenvector) * 2.0 * scal.n_labels
+               * (1.0 - scal.lambda2) - 1.0)
+    assert abs(row.relation_residual - full) <= 1e-13
+
+
+def _refuse_builds(monkeypatch):
+    from gaplab import cli, group_core
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an SL2 quotient")
+
+    for module in (group_core, expanders, cli):
+        monkeypatch.setattr(module, "build_sl2_quotient", refuse)
+
+
+def test_certify_family_builds_no_prime_quotient(monkeypatch):
+    from gaplab import cli
+
+    _refuse_builds(monkeypatch)
+    report = cli.certify_family(cli.ExperimentConfig(
+        "expander", {"family": "sl2", "moduli": [5, 7, 31]}))
+    # the rows of the route that built each group and lifted its eigenvector
+    assert [(r.name, r.n_vertices, r.lambda2.hex(), r.kappa_p.hex(), r.connected,
+             r.vector_lower) for r in report.rows] == [
+        ("SL2(Z/5)", 120, "0x1.9e3779b97f4a7p-1", "0x1.4f1bbcdcbfa51p-1", True, None),
+        ("SL2(Z/7)", 336, "0x1.b504f333f9de6p-1", "0x1.b504f333f9de5p-1", True, None),
+        ("SL2(Z/31)", 29760, "0x1.e2e96f5ce4a09p-1", "0x1.19a0739965abcp+1", True, None)]
+    for row, residual in zip(report.rows, [4.440892098500626e-16, 2.220446049250313e-16,
+                                           7.37188088351104e-14]):
+        assert abs(row.relation_residual - residual) <= 1e-15
+    assert report.epsilon0.hex() == "0x1.d1690a31b5f70p-5"
+    assert report.growth_slope.hex() == "0x1.bcff572ab2b96p-3"
+    assert report.uniform
+
+
+@pytest.mark.parametrize("labels", [("e21", "e21^-1"), ("e21",), ("e12", "e12^-1"),
+                                    ("e12^-1", "e21"), ("e12", "e21^-1", "e21")])
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_block_connectivity_is_that_of_the_cayley_graph(p, labels):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    row, _solve = expanders._block_row(p, labels)
+    act = build_sl2_quotient(p, "a")
+    n = act.n_points
+    targets = np.concatenate([act.perms[lab] for lab in labels])
+    graph = csr_matrix((np.ones(len(targets)), (np.tile(np.arange(n), len(labels)), targets)),
+                       shape=(n, n))
+    assert row.connected == (connected_components(graph, directed=False)[0] == 1)
+
+
+@pytest.mark.parametrize("moduli", [(5, 7), (4, 6)], ids=["blocks", "built"])
+def test_lower_unipotent_labels_give_a_disconnected_row(moduli):
+    # the composite moduli are built, and their graph is connected under
+    # these labels only if all four generators are counted
+    seq = QuotientSequence([expanders.Sl2Quotient(m, ("e21", "e21^-1")) for m in moduli])
+    report = certify_sequence(seq)
+    assert [(r.connected, r.kappa_p) for r in report.rows] == [(False, math.inf)] * 2
+    assert all(math.isnan(r.relation_residual) for r in report.rows)
+    assert not report.uniform
+
+
+def test_sl2_quotient_members_share_labels():
+    with pytest.raises(ValueError):
+        QuotientSequence([expanders.Sl2Quotient(5), build_cyclic(4)])
+    with pytest.raises(ValueError):
+        QuotientSequence([expanders.Sl2Quotient(5), expanders.Sl2Quotient(7, ("e12", "e21"))])
+    QuotientSequence([expanders.Sl2Quotient(5), build_sl2_quotient(4, "a")])
+
+
+def test_a_wrong_block_eigenvalue_fails_the_relation(tmp_path, monkeypatch):
+    import json
+
+    from gaplab.cli import main
+
+    solve = expanders._block_solve
+
+    def off_by_a_little(p, weights):
+        value, x, classes = solve(p, weights)
+        return value - 1e-6, x, classes
+
+    monkeypatch.setattr(expanders, "_block_solve", off_by_a_little)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": "expander",
+                                "fixture": {"family": "sl2", "moduli": [5, 7]}}))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["failed_invariant"] == "poincare-relation"
+
+
+def test_block_lambda2_at_31_and_61():
+    report = certify_sequence(QuotientSequence([expanders.Sl2Quotient(p) for p in (31, 61)]))
+    assert [r.lambda2 for r in report.rows] == [0.9431872177977435, 0.9536370794533505]
+    assert [r.n_vertices for r in report.rows] == [29760, 226920]
+    assert all(r.relation_residual <= 1e-12 for r in report.rows)

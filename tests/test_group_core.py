@@ -541,3 +541,11 @@ def test_sl2_coset_coordinates_rebuild_each_element(p):
     assert len(set(zip(v.tolist(), t.tolist()))) == len(elements) == (p * p - 1) * p
     sigma_col = (elements[:, [1, 3]] - t[:, None] * elements[:, [0, 2]]) % p
     assert len(set(zip(v.tolist(), map(tuple, sigma_col.tolist())))) == p * p - 1
+
+
+def test_cayley_graph_connectivity_counts_only_its_labels():
+    act = build_sl2_quotient(4, "a")
+    assert CayleyGraph(act).is_connected()
+    assert not CayleyGraph(act, labels=("e21", "e21^-1")).is_connected()
+    torus = build_sl2_quotient(4, "b")  # the origin is fixed
+    assert not CayleyGraph(torus).is_connected()
