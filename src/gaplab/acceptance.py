@@ -347,9 +347,8 @@ def criterion_7(seed: int) -> CriterionResult:
 
 
 def _alternating_plan(action: FiniteAction, horizon: int) -> ew.ShrinkingTargetPlan:
-    idx = {p: i for i, p in enumerate(action.points)}
-    t1 = [idx[(0, 0)], idx[(1, 0)], idx[(0, 1)], idx[(1, 1)]]
-    t2 = [idx[(4, 4)], idx[(5, 4)], idx[(4, 5)], idx[(5, 5)]]
+    t1 = [action.point_index(p) for p in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    t2 = [action.point_index(p) for p in ((4, 4), (5, 4), (4, 5), (5, 5))]
     return ew.plan_from_sets(action, [t1 if n % 2 else t2 for n in range(horizon)])
 
 
@@ -369,9 +368,9 @@ def criterion_8(seed: int) -> CriterionResult:
     details["mean_identity_gap"] = mean_gap
     passed = passed and mean_gap <= 1e-12
 
-    start = action.points.index((1, 0))
+    start = action.point_index((1, 0))
     oracle_gap = 0.0
-    atoms = [(el.inverse().perm_array(), w) for el, w in mu.items()]
+    atoms = [(el.inverse().perm, w) for el, w in mu.items()]
     for n in range(1, 7):
         total = 0.0
         member = plan.membership(n)
@@ -397,9 +396,9 @@ def criterion_8(seed: int) -> CriterionResult:
 
     # divergent-case envelope on the primitive orbit of the 64-torus
     big = build_sl2_quotient(64, variant="b")
-    sub = orbit_restriction(big, big.points.index((1, 0)))
+    sub = orbit_restriction(big, big.point_index((1, 0)))
     mu64 = lazy_uniform(sub)
-    center = sub.points.index((1, 0))
+    center = sub.point_index((1, 0))
     horizon = 1000
     radii = [0.45 * n ** (-0.125) for n in range(1, horizon + 1)]
     plan64 = ew.plan_from_radii(sub, center, radii)
@@ -432,10 +431,10 @@ def criterion_9(seed: int) -> CriterionResult:
 
     m = 32
     torus = build_sl2_quotient(m, variant="b")
-    sub = orbit_restriction(torus, torus.points.index((1, 0)))
+    sub = orbit_restriction(torus, torus.point_index((1, 0)))
     table = ew.Sl2GroupTable(m)
     horizon = 300
-    center = sub.points.index((1, 0))
+    center = sub.point_index((1, 0))
     plan = ew.plan_from_radii(sub, center,
                               [0.45 * n ** (-0.125) for n in range(1, horizon + 1)])
     rng = np.random.default_rng(seed + 7)

@@ -174,6 +174,10 @@ def build_fixture(spec: dict) -> FiniteAction:
                      for lab, p in spec["generators"].items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("$.fixture", f"explicit fixture malformed: {exc}") from exc
+        if not (_int_list(points) or (isinstance(points, list) and all(map(_int_list, points))
+                                      and len(set(map(len, points))) == 1)):
+            raise ConfigError("$.fixture.points",
+                              "must be a list of integers or of equal-length lists of integers")
         gens = GeneratorSystem(labels=tuple(perms), inverses=inverses)
         try:
             return FiniteAction(points, weights, gens, perms, name="explicit")
@@ -184,16 +188,21 @@ def build_fixture(spec: dict) -> FiniteAction:
                       "must be one of 'cyclic', 'sl2', 'explicit'")
 
 
+def _int_list(value) -> bool:
+    """Whether ``value`` is a JSON list of 64-bit integers (booleans excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) and -2**63 <= x < 2**63 for x in value)
+
+
 def _point_index(action: FiniteAction, path: str, value) -> int:
     """The index of the fixture point ``value``, a JSON list of integers;
     anything else is a ``ConfigError`` at ``path``."""
-    if not (isinstance(value, list)
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
-        raise ConfigError(path, f"must be a list of integers, got {value!r}")
-    point = tuple(value)
-    if point not in action.points:
-        raise ConfigError(path, f"{point} not a fixture point")
-    return action.points.index(point)
+    if not _int_list(value):
+        raise ConfigError(path, f"must be a list of 64-bit integers, got {value!r}")
+    try:
+        return action.point_index(value)
+    except ValueError as exc:
+        raise ConfigError(path, f"{tuple(value)} not a fixture point") from exc
 
 
 def build_measure(action: FiniteAction, spec: dict) -> DiscreteMeasure:

@@ -285,7 +285,7 @@ def shrinking_series_mc(action: FiniteAction, mu: DiscreteMeasure,
     if trials < 1:
         raise ValueError("need at least one trial")
     _walk_starts(action, plan, [start])
-    atoms = [(el.inverse().perm_array(), w) for el, w in mu.items()]
+    atoms = [(el.inverse().perm, w) for el, w in mu.items()]
     inv_perms = np.stack([a for a, _ in atoms])
     n_steps = plan.horizon
     gidx = _draw_indices([w for _, w in atoms], trials, n_steps, seed)
@@ -453,8 +453,8 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     rows, weights = table.walk_steps(mu_labels)
     a = drift_fraction * drift.two_a / 2.0
     m = table.m
-    points = np.asarray(action.points, dtype=np.int64).reshape(action.n_points, -1)
-    if points.shape[1] != 2 or points.min() < 0 or points.max() >= m:
+    points = action.points
+    if points.shape[1:] != (2,) or points.min() < 0 or points.max() >= m:
         raise ValueError("group table modulus does not match the action grid")
     index_of = np.full(m * m, -1, dtype=np.int64)
     index_of[points[:, 0] * m + points[:, 1]] = np.arange(action.n_points)

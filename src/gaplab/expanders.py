@@ -2,29 +2,29 @@
 
 The scalar Poincare constant of a connected graph with generator labels Q is
 1 / (2 |Q| (1 - lambda_2)), where lambda_2 is the top eigenvalue of the
-symmetrized uniform neighbor-averaging operator on mean-zero functions.  On
-SL2(Z/p) acting on itself, p prime, the operator commutes with right
-translations by the unipotent subgroup U, so it splits into induced blocks of
-p^2 - 1 points, and only three of those are distinct up to unitary
-equivalence: lambda_2 is the largest top eigenvalue among them.  A sequence
-member of prime modulus is certified from those blocks alone: connectivity
-from the pattern of block 0 (the linear action on the nonzero vectors of
-F_p^2), the relation residual from the twisted Dirichlet form of the blocks'
-eigenvector, and the group itself is built only when a vector bound needs it,
-to lift that eigenvector back.  Every other graph goes to the spectral kernel
-of ``rep_markov`` on the whole space.  Either way small problems go to dense
-eigh and larger ones to Lanczos.  Edge sums run over ordered pairs (v, s v),
-one per label, which is the convention that makes this relation exact.
-Vector-valued constants are bounded from below by ratio ascent; a sequence of
-quotients is certified uniform when the per-quotient gaps stay bounded away
-from 1.
+symmetrized uniform neighbor-averaging operator on mean-zero functions.
+``poincare_scalar`` takes it from the spectral kernel of ``rep_markov`` on
+the whole space, for every action.  On SL2(Z/p) acting on itself, p prime,
+the operator commutes with right translations by the unipotent subgroup U,
+so it splits into induced blocks of p^2 - 1 points, and only three of those
+are distinct up to unitary equivalence: lambda_2 is the largest top
+eigenvalue among them.  A sequence member given as an ``Sl2Quotient`` of
+prime modulus is certified from those blocks alone: connectivity from the
+pattern of block 0 (the linear action on the nonzero vectors of F_p^2), the
+relation residual from the twisted Dirichlet form of the blocks'
+eigenvector, and the group itself is built only when a vector bound needs
+it, to lift that eigenvector back onto the group's points.  Either way small
+problems go to dense eigh and larger ones to Lanczos.  Edge sums run over
+ordered pairs (v, s v), one per label, which is the convention that makes
+this relation exact.  Vector-valued constants are bounded from below by
+ratio ascent; a sequence of quotients is certified uniform when the
+per-quotient gaps stay bounded away from 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -75,11 +75,6 @@ class ScalarPoincare:
 
 def _is_prime(m: int) -> bool:
     return m >= 2 and all(m % q for q in range(2, math.isqrt(m) + 1))
-
-
-def _prime_sl2(action: FiniteAction) -> bool:
-    """Whether the action is SL2(Z/p), p prime, acting on itself."""
-    return action.sl2_modulus is not None and _is_prime(action.sl2_modulus)
 
 
 def _character_classes(p: int) -> List[int]:
@@ -133,13 +128,11 @@ def _block_fields(x: np.ndarray, p: int, classes: List[int]) -> List[np.ndarray]
                                     for j in range(len(classes) - 1))]
 
 
-def _lift(action: FiniteAction, x: np.ndarray, classes: List[int]) -> np.ndarray:
-    """The field on G of the direct-sum vector x, blockwise by
+def _lift(action: FiniteAction, p: int, x: np.ndarray, classes: List[int]) -> np.ndarray:
+    """The field on G = SL2(Z/p), p prime, acting on itself (``action``, its
+    points the matrices (a, b, c, d)) of the direct-sum vector x, blockwise by
     f(sigma(v) u_t) = chi_a(t) F(v): its real or imaginary part, centred."""
-    p = action.sl2_modulus
-    points = np.fromiter(chain.from_iterable(action.points), dtype=np.int64,
-                         count=4 * action.n_points).reshape(-1, 4)
-    v, t = sl2_coset_coordinates(points, p)
+    v, t = sl2_coset_coordinates(action.points, p)
     fields = _block_fields(x, p, classes)
     lifted = fields[0][v]  # chi_0 = 1
     for a, field in zip(classes[1:], fields[1:]):
@@ -149,13 +142,6 @@ def _lift(action: FiniteAction, x: np.ndarray, classes: List[int]) -> np.ndarray
     real, imag = lifted.real, lifted.imag
     part = real if np.linalg.norm(real) >= np.linalg.norm(imag) else imag
     return part - part.mean()
-
-
-def _induced_eigensolve(action: FiniteAction, weights: Dict[str, float]
-                        ) -> Tuple[float, np.ndarray]:
-    """``_block_solve`` on the action's modulus, its eigenvector lifted to G."""
-    value, x, classes = _block_solve(action.sl2_modulus, weights)
-    return value, _lift(action, x, classes)
 
 
 def _block_translates(p: int, labels: Sequence[str]) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -210,18 +196,8 @@ def _twisted_ratio(p: int, x: np.ndarray, classes: List[int],
 
 def _averaging_eigensolve(graph: CayleyGraph) -> Tuple[float, np.ndarray]:
     """Top mean-zero eigenvalue (and eigenvector) of the symmetrized
-    neighbor-averaging operator.
-
-    An action that carries a prime ``sl2_modulus`` p is SL2(Z/p) acting on
-    itself.  There the operator splits into the induced blocks of
-    ``group_core.sl2_induced_block``, p^2 - 1 points each, and lambda_2 is
-    the largest top eigenvalue of the three distinct ones; the full operator
-    is never built.  Every other action, composite moduli included, goes to
-    the spectral kernel on the whole space.
-    """
+    neighbor-averaging operator, from the spectral kernel on the whole space."""
     action = graph.action
-    if _prime_sl2(action):
-        return _induced_eigensolve(action, _label_weights(graph.labels))
     # mass 1 / |Q| per label; labels acting by the same permutation add up
     atoms: Dict[GroupElement, float] = {}
     for lab in graph.labels:
@@ -526,19 +502,18 @@ def _member_row(member: Union[FiniteAction, Sl2Quotient], p: float, d: int,
         if not member.needs_group(vector_budget):
             return _block_row(member.m, member.labels)[0]
         graph = CayleyGraph(build_sl2_quotient(member.m, "a"), member.labels)
+        if _is_prime(member.m):
+            # the blocks give the row; the full graph serves the vector ascent
+            row, solve = _block_row(member.m, member.labels)
+            scal = ScalarPoincare(row.kappa_p, row.lambda2, row.connected,
+                                  row.n_vertices, len(member.labels))
+            if solve is not None:
+                scal.eigenvector = _lift(graph.action, member.m, solve[1], solve[2])
+            row.vector_lower = _vector_lower(graph, scal, p, d, vector_budget, seed)
+            return row
     else:
         graph = CayleyGraph(member)
     act = graph.action
-    if _prime_sl2(act):
-        # the blocks give the row; the full graph serves the vector ascent
-        row, solve = _block_row(act.sl2_modulus, graph.labels)
-        if vector_budget > 0:
-            scal = ScalarPoincare(row.kappa_p, row.lambda2, row.connected,
-                                  row.n_vertices, len(graph.labels))
-            if solve is not None:
-                scal.eigenvector = _lift(act, solve[1], solve[2])
-            row.vector_lower = _vector_lower(graph, scal, p, d, vector_budget, seed)
-        return row
     scal = poincare_scalar(graph)
     residual = math.nan
     if scal.connected and scal.eigenvector is not None:
@@ -558,7 +533,7 @@ def certify_sequence(seq: QuotientSequence, p: float = 2.0, d: int = 1,
 
     Uniform gap and uniform Poincare constant are equivalent through the
     exact scalar relation, checked per quotient as a residual: on the full
-    graph, or for SL2(Z/p), p prime, on its induced blocks.  The verdict
+    graph, or for an ``Sl2Quotient`` of prime modulus on its induced blocks.  The verdict
     regresses log kappa_P against log N: genuinely uniform families stay
     flat, while e.g. cycles grow like N^2.  Disconnected members are flagged
     and force a non-uniform verdict.

@@ -6,6 +6,12 @@ together with one measure-preserving permutation per generator label.  Group
 elements are identified by their realization, i.e. by the permutation of the
 action space they induce; word lengths are exact breadth-first distances in
 the realized group.
+
+The data format is decided here, once: points, permutations and generator
+maps are int64 arrays.  ``FiniteAction.points`` has shape (n,) for integer
+points and (n, k) for vector points, and ``GroupElement.perm`` is a
+read-only view of the bytes that hash the element.  JSON lists appear only
+at the serialization boundary (``action_to_json``).
 """
 
 from __future__ import annotations
@@ -69,13 +75,14 @@ class GeneratorSystem:
 class GroupElement:
     """A group element realized as a permutation of the action space.
 
-    Equality and hashing use the realization only: two words mapping to the
-    same permutation are the same element.  ``word_length`` is the length of
-    the shortest word known to express the element (exact when produced by
-    breadth-first closure).
+    The permutation is held once, as the bytes of an int64 array; ``perm`` is
+    a read-only view of them.  Equality and hashing use those bytes, so two
+    words mapping to the same permutation are the same element.
+    ``word_length`` is the length of the shortest word known to express the
+    element (exact when produced by breadth-first closure).
     """
 
-    __slots__ = ("perm", "word_length", "label")
+    __slots__ = ("_bytes", "perm", "word_length", "label")
 
     def __init__(
         self,
@@ -83,18 +90,19 @@ class GroupElement:
         word_length: Optional[int] = None,
         label: Optional[str] = None,
     ) -> None:
-        self.perm: Tuple[int, ...] = tuple(np.asarray(perm, dtype=np.int64).tolist())
+        self._bytes = np.ascontiguousarray(perm, dtype=np.int64).tobytes()
+        self.perm: np.ndarray = np.frombuffer(self._bytes, dtype=np.int64)
         self.word_length = word_length
         self.label = label
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupElement) and self.perm == other.perm
+        return isinstance(other, GroupElement) and self._bytes == other._bytes
 
     def __hash__(self) -> int:
-        return hash(self.perm)
+        return hash(self._bytes)
 
     def __repr__(self) -> str:
-        tag = self.label if self.label is not None else f"perm{self.perm}"
+        tag = self.label if self.label is not None else f"perm{tuple(self.perm.tolist())}"
         return f"GroupElement({tag}, |g|={self.word_length})"
 
     @property
@@ -102,31 +110,30 @@ class GroupElement:
         return len(self.perm)
 
     def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm))
+        return bool(np.array_equal(self.perm, np.arange(len(self.perm))))
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """Product g*h acting by x -> g(h(x))."""
         if len(self.perm) != len(other.perm):
             raise ValueError("cannot compose elements realized on different spaces")
-        gp, hp = self.perm, other.perm
-        perm = tuple(gp[hp[i]] for i in range(len(hp)))
         wl = None
         if self.word_length is not None and other.word_length is not None:
             wl = self.word_length + other.word_length
-        return GroupElement(perm, word_length=wl)
+        return GroupElement(self.perm[other.perm], word_length=wl)
 
     def inverse(self) -> "GroupElement":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return GroupElement(tuple(inv), word_length=self.word_length)
-
-    def perm_array(self) -> np.ndarray:
-        return np.asarray(self.perm, dtype=np.int64)
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(len(self.perm))
+        return GroupElement(inv, word_length=self.word_length)
 
     def key(self) -> str:
         """Stable serialization id."""
-        return ",".join(str(i) for i in self.perm)
+        return ",".join(map(str, self.perm.tolist()))
+
+    def sort_key(self) -> bytes:
+        """The permutation as big-endian bytes, which sort as the tuples of
+        its (nonnegative) entries do: the order of supports and balls."""
+        return self.perm.astype(">i8").tobytes()
 
 
 class TorusGridMetric:
@@ -166,12 +173,11 @@ class SubsetMetricView:
 class FiniteAction:
     """A finite probability space with measure-preserving generator maps.
 
-    ``perms[label][i]`` is the index of ``s . x_i``.  Weights form a
-    probability vector preserved pointwise by every generator map, and maps
-    for a label and its inverse label are mutually inverse permutations.
-    ``sl2_modulus`` is m when the action is SL2(Z/m) acting on itself by left
-    translation through ``SL2_GENERATOR_MATRICES``, its points the matrices
-    (a, b, c, d); it is None otherwise.
+    ``points`` is an int64 array, of shape (n,) for integer points and
+    (n, k) for points that are vectors of k integers; ``point_index`` finds
+    a point in it.  ``perms[label][i]`` is the index of ``s . x_i``.  Weights
+    form a probability vector preserved pointwise by every generator map, and
+    maps for a label and its inverse label are mutually inverse permutations.
     """
 
     def __init__(
@@ -182,20 +188,20 @@ class FiniteAction:
         perms: Dict[str, np.ndarray],
         metric=None,
         name: str = "action",
-        sl2_modulus: Optional[int] = None,
     ) -> None:
-        self.points = list(points)
+        self.points = np.asarray(points, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=float)
         self.gens = gens
         self.perms = {lab: np.asarray(p, dtype=np.int64) for lab, p in perms.items()}
         self.metric = metric
         self.name = name
-        self.sl2_modulus = sl2_modulus
         self._validate()
 
     # -- invariants -------------------------------------------------------
 
     def _validate(self) -> None:
+        if self.points.ndim not in (1, 2):
+            raise ValueError("points must be integers or vectors of integers")
         n = len(self.points)
         if self.weights.shape != (n,):
             raise ValueError("weights length does not match number of points")
@@ -226,8 +232,19 @@ class FiniteAction:
     def n_points(self) -> int:
         return len(self.points)
 
+    def point_index(self, point) -> int:
+        """The index of ``point``: an integer, or a sequence of k integers when
+        the points are vectors of k integers.  ``ValueError`` if it is not a
+        point of the action."""
+        target = np.asarray(point)
+        if target.dtype.kind in "iu" and target.shape == self.points.shape[1:]:
+            hits = (self.points == target).reshape(self.n_points, -1).all(axis=1)
+            if hits.any():
+                return int(np.argmax(hits))
+        raise ValueError(f"{point} is not a point of {self.name}")
+
     def identity_element(self) -> GroupElement:
-        return GroupElement(range(self.n_points), word_length=0, label="e")
+        return GroupElement(np.arange(self.n_points), word_length=0, label="e")
 
     def generator_element(self, label: str) -> GroupElement:
         el = GroupElement(self.perms[label], word_length=1, label=label)
@@ -290,7 +307,7 @@ def build_cyclic(n: int) -> FiniteAction:
     gens = GeneratorSystem(labels=("g", "g^-1"), inverses={"g": "g^-1", "g^-1": "g"})
     perms = {"g": (idx + 1) % n, "g^-1": (idx - 1) % n}
     weights = np.full(n, 1.0 / n)
-    return FiniteAction(list(range(n)), weights, gens, perms, name=f"Z/{n}")
+    return FiniteAction(idx, weights, gens, perms, name=f"Z/{n}")
 
 
 # Integer lifts of the elementary SL2(Z) generators; reduced mod m on use.
@@ -535,10 +552,8 @@ def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
             raise ValueError(f"variant 'a' requires modulus >= 2, got {m}")
         elements, _lengths, left_mult = _sl2_closure(m)
         n = len(elements)
-        points = list(zip(*elements.T.tolist()))
         weights = np.full(n, 1.0 / n)
-        return FiniteAction(points, weights, _SL2_GENS, left_mult, name=f"SL2(Z/{m})",
-                            sl2_modulus=m)
+        return FiniteAction(elements, weights, _SL2_GENS, left_mult, name=f"SL2(Z/{m})")
     if m < 1:
         raise ValueError(f"variant 'b' requires modulus >= 1, got {m}")
     n = m * m
@@ -550,9 +565,8 @@ def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
         ny = (c * xs + d * ys) % m
         perms[lab] = nx * m + ny
     weights = np.full(n, 1.0 / n)
-    points = [(int(x), int(y)) for x, y in zip(xs, ys)]
     return FiniteAction(
-        points,
+        np.stack([xs, ys], axis=-1),
         weights,
         _SL2_GENS,
         perms,
@@ -568,15 +582,10 @@ def orbit_restriction(action: FiniteAction, point_index: int) -> FiniteAction:
     fixtures are not transitive (the origin is fixed), so ergodic-theorem
     experiments run on an orbit restriction.
     """
-    orbit_of = action.orbit_index()
-    oid = int(orbit_of[point_index])
-    members = action.orbits()[oid]
-    reindex = {int(old): new for new, old in enumerate(members.tolist())}
-    n = len(members)
-    perms = {}
-    for lab in action.gens.labels:
-        p = action.perms[lab]
-        perms[lab] = np.asarray([reindex[int(p[old])] for old in members], dtype=np.int64)
+    members = action.orbits()[int(action.orbit_index()[point_index])]
+    reindex = np.full(action.n_points, -1, dtype=np.int64)
+    reindex[members] = np.arange(len(members))
+    perms = {lab: reindex[action.perms[lab][members]] for lab in action.gens.labels}
     w = action.weights[members]
     total = float(w.sum())
     if total <= 0:
@@ -584,10 +593,10 @@ def orbit_restriction(action: FiniteAction, point_index: int) -> FiniteAction:
     metric = None
     if action.metric is not None:
         metric = SubsetMetricView(action.metric, members)
-    points = [action.points[int(old)] for old in members]
+    point = action.points[point_index].tolist()  # the name shows a vector as a tuple
     return FiniteAction(
-        points, w / total, action.gens, perms, metric=metric,
-        name=f"{action.name}|orbit({action.points[point_index]})",
+        action.points[members], w / total, action.gens, perms, metric=metric,
+        name=f"{action.name}|orbit({tuple(point) if isinstance(point, list) else point})",
     )
 
 
@@ -616,22 +625,22 @@ def element_ball(
     if identity is None:
         if not gens:
             raise ValueError("need at least one element to infer the space")
-        identity = GroupElement(range(gens[0].degree), word_length=0, label="e")
-    found: Dict[Tuple[int, ...], GroupElement] = {identity.perm: identity}
+        identity = GroupElement(np.arange(gens[0].degree), word_length=0, label="e")
+    found = {identity}
     frontier = [identity]
     for depth in range(1, r + 1):
         new_frontier: List[GroupElement] = []
         for el in frontier:
             for g in gens:
                 prod = g.compose(el)
-                if prod.perm not in found:
+                if prod not in found:
                     prod.word_length = depth
-                    found[prod.perm] = prod
+                    found.add(prod)
                     new_frontier.append(prod)
         if not new_frontier:
             break
         frontier = new_frontier
-    return sorted(found.values(), key=lambda e: (e.word_length, e.perm))
+    return sorted(found, key=lambda e: (e.word_length, e.sort_key()))
 
 
 # -- Cayley graphs ----------------------------------------------------------
@@ -679,7 +688,7 @@ def action_to_json(action: FiniteAction) -> dict:
     return {
         "name": action.name,
         "n_points": action.n_points,
-        "points": [list(p) if isinstance(p, tuple) else p for p in action.points],
+        "points": action.points.tolist(),
         "weights": action.weights.tolist(),
         "generators": {
             lab: action.perms[lab].tolist() for lab in action.gens.labels

@@ -128,8 +128,8 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
     if dec.complement_dim() == 0:
         return KazhdanOracleResult(best=math.inf, lower_bound=math.inf,
                                    minimizer=None, p=rep.p)
-    q_inv = np.stack([el.inverse().perm_array() for el in q_set])  # (|Q|, n)
-    q_perm = [el.perm_array() for el in q_set]
+    q_inv = np.stack([el.inverse().perm for el in q_set])  # (|Q|, n)
+    q_perm = [el.perm for el in q_set]
 
     def normalize(v: np.ndarray) -> Optional[np.ndarray]:
         v = dec.complement(v)

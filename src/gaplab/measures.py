@@ -57,7 +57,7 @@ class DiscreteMeasure:
 
     @property
     def support(self) -> List[GroupElement]:
-        return sorted(self.atoms, key=lambda e: e.perm)
+        return sorted(self.atoms, key=GroupElement.sort_key)
 
     @property
     def degree(self) -> int:
@@ -121,7 +121,7 @@ def power(mu: DiscreteMeasure, k: int) -> DiscreteMeasure:
     """k-fold convolution power; k = 0 gives the Dirac mass at the identity."""
     if k < 0:
         raise ValueError("power requires k >= 0")
-    ident = GroupElement(range(mu.degree), word_length=0, label="e")
+    ident = GroupElement(np.arange(mu.degree), word_length=0, label="e")
     result = dirac(ident)
     base = mu
     while k:
@@ -194,11 +194,14 @@ class AdmissibilityCertificate:
                 raise ValueError("decomposition does not reproduce the measure")
 
     def to_json_dict(self) -> dict:
+        def by_perm(part: Dict[GroupElement, float]) -> list:
+            return [[el.key(), part[el]] for el in sorted(part, key=GroupElement.sort_key)]
+
         return {
             "M": self.M,
             "optimal": self.optimal,
-            "alpha": [[el.key(), w] for el, w in sorted(self.alpha.items(), key=lambda t: t[0].perm)],
-            "beta": [[el.key(), w] for el, w in sorted(self.beta.items(), key=lambda t: t[0].perm)],
+            "alpha": by_perm(self.alpha),
+            "beta": by_perm(self.beta),
             "kazhdan_set": sorted(el.key() for el in self.kazhdan_set),
         }
 

@@ -164,7 +164,7 @@ class MarkovOperator:
         self.measure = measure
         atoms = list(measure.items())
         # row x holds mu(g) at column g^-1 x, one entry per atom; repeats are summed
-        cols = np.stack([np.argsort(el.perm_array()) for el, _ in atoms], axis=1)
+        cols = np.stack([np.argsort(el.perm) for el, _ in atoms], axis=1)
         vals = np.tile([float(w) for _, w in atoms], rep.n_points)
         indptr = np.arange(0, cols.size + 1, len(atoms))
         self.matrix = csr_matrix((vals, cols.ravel(), indptr), shape=(rep.n_points,) * 2)
@@ -568,6 +568,6 @@ def operator_identities_check(rep: Representation, mu: DiscreteMeasure,
 def _element_matrix(rep: Representation, el: GroupElement) -> np.ndarray:
     n = rep.n_points
     mat = np.zeros((n, n))
-    inv = el.inverse().perm_array()
+    inv = el.inverse().perm
     mat[np.arange(n), inv] = 1.0
     return mat

@@ -249,11 +249,8 @@ def propagation_exhaustive(level: WarpedLevel, g: GroupElement,
     if wl is None:
         raise ValueError("group element carries no word length")
     dists = level.all_distances()
-    perm = g.perm_array()
     # a pair (x, y) with x = g y must never be separated beyond |g|
-    xs = perm
-    ys = np.arange(level.n_points)
-    return bool(np.all(dists[xs, ys] <= wl + 1e-12))
+    return bool(np.all(dists[g.perm, np.arange(level.n_points)] <= wl + 1e-12))
 
 
 # -- ghost projection --------------------------------------------------------------

@@ -53,7 +53,8 @@ def test_fixture_builders():
     assert act.n_points == 6
     orb = build_fixture({"builder": "sl2", "m": 4, "variant": "b",
                          "orbit_of": [1, 0]})
-    assert (0, 0) not in orb.points
+    with pytest.raises(ValueError):
+        orb.point_index((0, 0))
     with pytest.raises(ConfigError):
         build_fixture({"builder": "unknown"})
     with pytest.raises(ConfigError):
@@ -167,6 +168,27 @@ def test_cli_corrupted_fixture_fails_invariant(tmp_path):
     assert report["status"] == "invariant-failure"
     assert report["failed_invariant"] == "fixture-invariant"
     assert "preserve" in report["message"]
+
+
+@pytest.mark.parametrize("points", [["a", "b", "c"], [[0, 1], [2], [3, 4]], [0, True, 2],
+                                    [0.5, 1, 2], [2**63, 1, 2]],
+                         ids=["strings", "ragged", "bool", "float", "beyond-int64"])
+def test_explicit_points_must_be_integers_or_equal_length_integer_lists(tmp_path, capsys,
+                                                                         points):
+    doc = {"kind": "markov",
+           "fixture": {"builder": "explicit", "points": points,
+                       "weights": [1 / 3] * 3,
+                       "generators": {"s": [1, 2, 0], "s^-1": [2, 0, 1]},
+                       "inverses": {"s": "s^-1", "s^-1": "s"}}}
+    out = tmp_path / "out"
+    assert main(["run", str(_write_config(tmp_path, doc)), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.fixture.points: must be ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+    # vector points of one length are accepted, and serialize as lists
+    doc["fixture"]["points"] = [[0, 1], [2, 3], [4, 5]]
+    assert build_fixture(doc["fixture"]).points.tolist() == [[0, 1], [2, 3], [4, 5]]
 
 
 def test_run_reports_are_byte_identical(tmp_path):

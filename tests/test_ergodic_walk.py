@@ -39,8 +39,7 @@ def _band_violations(mc, exact_probs, z):
 
 def _torus_fixture(m):
     act = build_sl2_quotient(m, variant="b")
-    idx = {p: i for i, p in enumerate(act.points)}
-    sub = orbit_restriction(act, idx[(1, 0)])
+    sub = orbit_restriction(act, act.point_index((1, 0)))
     return sub, lazy_uniform(sub)
 
 
@@ -129,7 +128,7 @@ def test_empty_targets_give_zero():
 
 def _word_enumeration_oracle(action, mu, target_members, n, start):
     """P(walk at step n in target) by brute-force word enumeration."""
-    atoms = [(el.inverse().perm_array(), w) for el, w in mu.items()]
+    atoms = [(el.inverse().perm, w) for el, w in mu.items()]
     total = 0.0
     for word in itertools.product(range(len(atoms)), repeat=n):
         pos = start
@@ -145,7 +144,7 @@ def _word_enumeration_oracle(action, mu, target_members, n, start):
 
 def test_exact_series_matches_word_enumeration():
     act, mu = _torus_fixture(8)  # 48 points
-    idx0 = act.points.index((1, 0))
+    idx0 = act.point_index((1, 0))
     rng = np.random.default_rng(5)
     targets = [rng.choice(act.n_points, size=4, replace=False) for _ in range(6)]
     plan = plan_from_sets(act, targets)
@@ -214,7 +213,7 @@ def test_monotone_coupling_in_targets():
 
 def test_plan_from_radii_uses_exact_counting_measure():
     act, _ = _torus_fixture(8)
-    center = act.points.index((1, 0))
+    center = act.point_index((1, 0))
     plan = plan_from_radii(act, center, [0.3, 0.2, 0.1])
     for n in range(1, 4):
         ball = plan.targets[n - 1]
@@ -237,8 +236,8 @@ def test_mc_deterministic_measure_is_exact():
     g = act.generator_element("e12")
     mu = dirac(g)
     # orbit of the deterministic walk x -> g^-1 x
-    inv = g.inverse().perm_array()
-    pos = act.points.index((1, 1))
+    inv = g.inverse().perm
+    pos = act.point_index((1, 1))
     expected = []
     cur = pos
     for _ in range(6):
@@ -251,10 +250,10 @@ def test_mc_deterministic_measure_is_exact():
 
 def test_mc_within_binomial_bands_of_exact():
     act, mu = _torus_fixture(8)
-    center = act.points.index((1, 0))
+    center = act.point_index((1, 0))
     radii = [0.4 * n ** (-0.5) for n in range(1, 21)]
     plan = plan_from_radii(act, center, radii)
-    start = act.points.index((0, 1))
+    start = act.point_index((0, 1))
     exact = shrinking_series_exact(act, mu, plan, starts=[start])
     mc = shrinking_series_mc(act, mu, plan, trials=4000, seed=7, start=start)
     assert _band_violations(mc, exact.hit_probs[0], z=4.0) == 0
@@ -268,10 +267,10 @@ def test_mc_sigma_within_3sigma_on_64_torus():
         [act.identity_element()]
         + [act.generator_element(lab) for lab in act.gens.labels]
     )
-    center = act.points.index((1, 0))
+    center = act.point_index((1, 0))
     radii = [n ** (-0.5) for n in range(1, 31)]
     plan = plan_from_radii(act, center, radii)
-    start = act.points.index((0, 1))
+    start = act.point_index((0, 1))
     exact = shrinking_series_exact(act, mu, plan, starts=[start])
     mc = shrinking_series_mc(act, mu, plan, trials=10_000, seed=41, start=start)
     band = 3.0 * float(mc.sigma_per_trial.std(ddof=1)) / np.sqrt(mc.trials)
@@ -292,12 +291,12 @@ def test_divergent_envelope_bounded_as_horizon_grows():
     # on a divergent plan the normalized deviation |sigma(x) - S_N| / S_N^0.6
     # stays bounded across growing horizons for the sampled starts
     act = build_sl2_quotient(16, variant="b")
-    sub = orbit_restriction(act, act.points.index((1, 0)))
+    sub = orbit_restriction(act, act.point_index((1, 0)))
     mu = uniform_on(
         [sub.identity_element()]
         + [sub.generator_element(lab) for lab in sub.gens.labels]
     )
-    center = sub.points.index((1, 0))
+    center = sub.point_index((1, 0))
     rng = np.random.default_rng(19)
     sample = rng.choice(sub.n_points, size=50, replace=False)
     for horizon in (100, 200, 400):
@@ -367,7 +366,7 @@ def test_group_table_word_lengths_match_group_core_bfs():
     # match elements through their action on the group (left translation)
     by_matrix = {}
     for el in ball:
-        image_of_identity = act.points[el.perm[act.points.index((1, 0, 0, 1))]]
+        image_of_identity = tuple(act.points[el.perm[act.point_index((1, 0, 0, 1))]].tolist())
         by_matrix[image_of_identity] = el.word_length
     for gid in range(table.n_elements):
         mat = tuple(int(v) for v in table.elements[gid])
@@ -485,7 +484,7 @@ def test_conditioned_series_exact_cross_check():
     m = 8
     sub, mu_op = _torus_fixture(m)
     table = Sl2GroupTable(m)
-    center = sub.points.index((1, 0))
+    center = sub.point_index((1, 0))
     plan = plan_from_radii(sub, center, [0.5 * n ** (-0.2) for n in range(1, 25)])
     starts = [0, 11]
     drift = estimate_drift_mc(table, MU_LABELS, n_steps=24, trials=500, seed=3)
@@ -525,7 +524,7 @@ def _conditioned_reference(action, mu_labels, plan, a, table, starts):
     that scatter the mass at g to s g through the left products."""
     m = table.m
     starts = np.asarray(starts, dtype=np.int64)
-    points = np.asarray(action.points, dtype=np.int64)
+    points = action.points
     index_of = np.full(m * m, -1, dtype=np.int64)
     index_of[points[:, 0] * m + points[:, 1]] = np.arange(action.n_points)
     ga, gb, gc, gd = table.elements.T
@@ -582,7 +581,7 @@ def test_conditioned_series_reused_masks_match_reference_loop():
 def test_conditioned_series_radius_plan_matches_reference_loop():
     sub, _ = _torus_fixture(8)
     table = Sl2GroupTable(8)
-    center = sub.points.index((1, 0))
+    center = sub.point_index((1, 0))
     plan = plan_from_radii(sub, center, [0.5 * n ** (-0.2) for n in range(1, 41)])
     _assert_matches_reference(sub, plan, table, [0, 11, 30])
 
@@ -591,9 +590,9 @@ def _criterion_9_walk_peak():
     """tracemalloc peak of criterion 9's walk: 40 starts on the (1, 0) orbit
     of (Z/32)^2, 300 steps."""
     torus = build_sl2_quotient(32, variant="b")
-    sub = orbit_restriction(torus, torus.points.index((1, 0)))
+    sub = orbit_restriction(torus, torus.point_index((1, 0)))
     table = Sl2GroupTable(32)
-    center = sub.points.index((1, 0))
+    center = sub.point_index((1, 0))
     plan = plan_from_radii(sub, center, [0.45 * n ** (-0.125) for n in range(1, 301)])
     starts = np.random.default_rng(7).choice(sub.n_points, size=40, replace=False)
     drift = _fixed_drift(1.0)
@@ -621,7 +620,7 @@ def test_conditioned_series_builds_no_full_size_temporary():
 def _orbit_inputs(fault):
     """SL2(Z/8)'s primitive orbit (48 points), a plan, starts with one fault, the message."""
     torus = build_sl2_quotient(8, variant="b")
-    sub = orbit_restriction(torus, torus.points.index((1, 0)))
+    sub = orbit_restriction(torus, torus.point_index((1, 0)))
     assert sub.n_points == 48
     if fault == "plan-on-torus":
         return sub, plan_from_sets(torus, [[60], [61], [62]]), [0], "different action"

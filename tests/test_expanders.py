@@ -199,15 +199,16 @@ def test_certify_sequence_solves_each_quotient_once_for_the_vector_bound(monkeyp
         return solve(p, weights)
 
     monkeypatch.setattr(expanders, "_block_solve", counting)
-    seq = QuotientSequence([build_sl2_quotient(5, "a"), build_sl2_quotient(7, "a")])
+    seq = QuotientSequence([expanders.Sl2Quotient(5), expanders.Sl2Quotient(7)])
     report = certify_sequence(seq, vector_budget=10)
     assert solved == [5, 7]
     # the values of the two-solve route
     assert [r.vector_lower.hex() for r in report.rows] == [
         "0x1.4f1bbcdcbfa53p-1", "0x1.b504f333f9de6p-1"]
-    monkeypatch.setattr(expanders, "_block_solve", solve)
-    for act, row in zip(seq.members, report.rows):
-        assert row.vector_lower == poincare_vector_lower(CayleyGraph(act), 2.0, 1, 10)
+    # the ascent from the kernel's eigenvector on the built group reaches the same
+    for member, row in zip(seq.members, report.rows):
+        graph = CayleyGraph(build_sl2_quotient(member.m, "a"))
+        assert abs(row.vector_lower - poincare_vector_lower(graph, 2.0, 1, 10)) <= 1e-12
 
 
 def test_certify_sequence_requires_two():
@@ -297,21 +298,21 @@ def test_induced_block_spectra_make_up_the_full_spectrum(p, weights):
 def test_block_lambda2_matches_the_kernel_and_its_lift_the_relation(p):
     act = build_sl2_quotient(p, "a")
     graph = CayleyGraph(act)
-    scal = poincare_scalar(graph)
-    kernel = _symmetrized_top(_generator_operator(act, UNIFORM)).value
-    assert abs(scal.lambda2 - kernel) <= 1e-13
-    vec = scal.eigenvector
+    value, x, classes = expanders._block_solve(p, UNIFORM)
+    assert abs(value - poincare_scalar(graph).lambda2) <= 1e-13  # the kernel
+    vec = expanders._lift(act, p, x, classes)
     assert vec.shape == (act.n_points,) and np.all(np.isfinite(vec))
     assert abs(vec.sum()) <= 1e-9 * np.linalg.norm(vec)
     ratio = poincare_ratio(graph, vec)
-    assert abs(ratio * 2.0 * scal.n_labels * (1.0 - scal.lambda2) - 1.0) <= 1e-9
+    assert abs(ratio * 2.0 * len(graph.labels) * (1.0 - value) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("weights", [UNIFORM, SKEWED], ids=["uniform", "skewed"])
 def test_induced_eigensolve_lifts_an_eigenvector_of_the_full_operator(weights):
     act = build_sl2_quotient(11, "a")
     op = _generator_operator(act, weights)
-    value, vec = expanders._induced_eigensolve(act, weights)
+    value, x, classes = expanders._block_solve(11, weights)
+    vec = expanders._lift(act, 11, x, classes)
     assert abs(value - _symmetrized_top(op).value) <= 1e-13
     image = (op.apply(vec) + op.apply_transpose(vec))[:, 0] / 2.0
     assert np.linalg.norm(image - value * vec) <= 1e-12 * np.linalg.norm(vec)
@@ -321,26 +322,14 @@ def _no_blocks(*args):
     raise AssertionError("solved by the induced blocks")
 
 
+# poincare_scalar is the kernel on every action, prime SL2(Z/p) included
 @pytest.mark.parametrize("act", [build_sl2_quotient(8, "a"), build_sl2_quotient(9, "a"),
-                                 build_sl2_quotient(7, "b")], ids=["sl2-8", "sl2-9", "torus-7"])
+                                 build_sl2_quotient(7, "b"), build_sl2_quotient(7, "a")],
+                         ids=["sl2-8", "sl2-9", "torus-7", "sl2-7"])
 def test_composite_moduli_and_the_torus_keep_the_kernel(act, monkeypatch):
-    monkeypatch.setattr(expanders, "_induced_eigensolve", _no_blocks)
+    monkeypatch.setattr(expanders, "_block_solve", _no_blocks)
     value, _vec = expanders._averaging_eigensolve(CayleyGraph(act))
     assert value == _symmetrized_top(_generator_operator(act, UNIFORM)).value
-
-
-def test_prime_regular_action_takes_the_blocks(monkeypatch):
-    act = build_sl2_quotient(7, "a")
-    calls = []
-    solve = expanders._induced_eigensolve
-
-    def recording(action, weights):
-        calls.append(action)
-        return solve(action, weights)
-
-    monkeypatch.setattr(expanders, "_induced_eigensolve", recording)
-    poincare_scalar(CayleyGraph(act))
-    assert calls == [act]
 
 
 # -- prime members from the blocks alone ----------------------------------------
@@ -348,14 +337,16 @@ def test_prime_regular_action_takes_the_blocks(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_block_row_matches_the_built_group(p):
-    row, _solve = expanders._block_row(p, tuple(SL2_GENERATOR_MATRICES))
+    row, (_value, x, classes) = expanders._block_row(p, tuple(SL2_GENERATOR_MATRICES))
     graph = CayleyGraph(build_sl2_quotient(p, "a"))
-    scal = poincare_scalar(graph)
+    scal = poincare_scalar(graph)  # the kernel on the whole space
     assert row.connected and row.n_vertices == graph.n_vertices
-    assert row.lambda2 == scal.lambda2 and row.kappa_p == scal.kappa
+    assert abs(row.lambda2 - scal.lambda2) <= 1e-13
+    assert abs(row.kappa_p - scal.kappa) <= 1e-12 * scal.kappa
     # the reference: the full-graph ratio of the lifted eigenvector
-    full = abs(poincare_ratio(graph, scal.eigenvector) * 2.0 * scal.n_labels
-               * (1.0 - scal.lambda2) - 1.0)
+    lifted = expanders._lift(graph.action, p, x, classes)
+    full = abs(poincare_ratio(graph, lifted) * 2.0 * scal.n_labels
+               * (1.0 - row.lambda2) - 1.0)
     assert abs(row.relation_residual - full) <= 1e-13
 
 

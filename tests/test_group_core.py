@@ -26,7 +26,7 @@ from gaplab.group_core import (
     sl2_coset_coordinates,
     word_ball,
 )
-from gaplab.measures import DiscreteMeasure, power
+from gaplab.measures import DiscreteMeasure, lazy_uniform, power
 
 
 def test_build_cyclic_one_point():
@@ -75,7 +75,7 @@ def _brute_force_sl2(m):
 def test_sl2_variant_a_mod2_order_six():
     act = build_sl2_quotient(2, variant="a")
     assert act.n_points == 6
-    assert set(act.points) == _brute_force_sl2(2)
+    assert set(map(tuple, act.points.tolist())) == _brute_force_sl2(2)
 
 
 def test_sl2_variant_a_mod3_order():
@@ -112,8 +112,8 @@ def _deque_sl2(m):
 def test_sl2_variant_a_matches_deque_reference(m):
     elements, perms = _deque_sl2(m)
     act = build_sl2_quotient(m, variant="a")
-    assert act.points == elements
-    assert all(type(x) is int for x in act.points[-1])
+    assert act.points.dtype == np.int64
+    assert act.points.tolist() == [list(x) for x in elements]
     for lab in SL2_GENERATOR_MATRICES:
         assert act.perms[lab].tolist() == perms[lab]
 
@@ -121,7 +121,7 @@ def test_sl2_variant_a_matches_deque_reference(m):
 def test_sl2_table_shares_the_quotient_order():
     table = Sl2GroupTable(7)
     act = build_sl2_quotient(7, variant="a")
-    assert [tuple(row) for row in table.elements.tolist()] == act.points
+    assert np.array_equal(table.elements, act.points)
     assert table.word_length[0] == 0
     assert np.all(np.diff(table.word_length) >= 0)  # breadth-first levels
 
@@ -248,10 +248,9 @@ def test_sl2_variant_b_mod2_hand_arithmetic():
     act = build_sl2_quotient(2, variant="b")
     assert act.n_points == 4
     # (1 1; 0 1): (x, y) -> (x + y, y) mod 2
-    idx = {p: i for i, p in enumerate(act.points)}
     p = act.perms["e12"]
-    for (x, y) in act.points:
-        assert p[idx[(x, y)]] == idx[((x + y) % 2, y)]
+    for i, (x, y) in enumerate(act.points.tolist()):
+        assert p[i] == act.point_index(((x + y) % 2, y))
 
 
 def test_sl2_variant_b_mod1_one_point():
@@ -285,14 +284,13 @@ def test_word_ball_cyclic_radius_one():
 def _enumerate_words(action, r):
     """Oracle: all products of <= r generators, deduplicated by realization."""
     gens = [action.generator_element(lab) for lab in action.gens.labels]
-    best = {action.identity_element().perm: 0}
+    best = {tuple(range(action.n_points)): 0}
     for length in range(1, r + 1):
         for word in itertools.product(gens, repeat=length):
             el = action.identity_element()
             for g in word:
                 el = g.compose(el)
-            if el.perm not in best:
-                best[el.perm] = length
+            best.setdefault(tuple(el.perm.tolist()), length)
     return best
 
 
@@ -302,7 +300,7 @@ def test_word_ball_sl2_mod3_matches_word_enumeration():
     oracle = _enumerate_words(act, 2)
     assert len(ball) == len(oracle)
     for el in ball:
-        assert oracle[el.perm] == el.word_length
+        assert oracle[tuple(el.perm.tolist())] == el.word_length
 
 
 def test_word_ball_monotone_and_stabilizes():
@@ -365,11 +363,13 @@ def test_torus_action_orbits_and_restriction():
     orbit_sizes = sorted(len(o) for o in act.orbits())
     assert sum(orbit_sizes) == 16
     # restrict to the orbit of a primitive vector
-    idx = act.points.index((1, 0))
+    idx = act.point_index((1, 0))
     sub = orbit_restriction(act, idx)
     assert is_ergodic(sub)
     assert abs(sub.weights.sum() - 1.0) < 1e-12
-    assert (1, 0) in sub.points and (0, 0) not in sub.points
+    assert sub.points[sub.point_index((1, 0))].tolist() == [1, 0]
+    with pytest.raises(ValueError, match="not a point"):
+        sub.point_index((0, 0))
 
 
 def _bfs_orbits(action):
@@ -507,11 +507,13 @@ def test_group_element_matches_the_per_entry_int_construction():
     g = act.generator_element("e12")
     h = g.compose(act.generator_element("e21"))
     for el, source in ((g, act.perms["e12"]), (h, h.perm)):
-        old = tuple(int(i) for i in source)
-        assert el.perm == old
-        assert all(type(i) is int for i in el.perm)
-        assert hash(el) == hash(old)
+        old = [int(i) for i in source]
+        same = GroupElement(old)  # built entry by entry from Python ints
+        assert el.perm.dtype == np.int64 and not el.perm.flags.writeable
+        assert el.perm.tolist() == old
+        assert el == same and hash(el) == hash(same)
         assert el.key() == ",".join(str(i) for i in old)
+    assert g != h and g.compose(h) != h.compose(g)
 
 
 @pytest.mark.parametrize("bad", [[0, 0, 2], [0, 1, 3], [-1, 1, 2]],
@@ -522,17 +524,9 @@ def test_action_rejects_a_generator_map_that_is_not_a_permutation(bad):
         FiniteAction([0, 1, 2], np.full(3, 1.0 / 3), gens, {"g": np.array(bad)})
 
 
-def test_sl2_modulus_marks_only_the_regular_action():
-    assert build_sl2_quotient(7, "a").sl2_modulus == 7
-    torus = build_sl2_quotient(7, "b")
-    assert torus.sl2_modulus is None
-    assert orbit_restriction(torus, 1).sl2_modulus is None
-    assert build_cyclic(7).sl2_modulus is None
-
-
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_sl2_coset_coordinates_rebuild_each_element(p):
-    elements = np.array(build_sl2_quotient(p, "a").points)
+    elements = build_sl2_quotient(p, "a").points
     v, t = sl2_coset_coordinates(elements, p)
     first = np.stack(np.divmod(v + 1, p), axis=-1)
     assert np.array_equal(first, elements[:, [0, 2]])
@@ -549,3 +543,62 @@ def test_cayley_graph_connectivity_counts_only_its_labels():
     assert not CayleyGraph(act, labels=("e21", "e21^-1")).is_connected()
     torus = build_sl2_quotient(4, "b")  # the origin is fixed
     assert not CayleyGraph(torus).is_connected()
+
+
+def test_action_fingerprints_are_pinned():
+    # the scalar-point serialization and the orbit names
+    assert action_fingerprint(build_cyclic(8)) == (
+        "7546e0ef5e9619b0d49e49cb5372bf1d8706da64418fc548fbb20056da009518")
+    torus = build_sl2_quotient(8, "b")
+    sub = orbit_restriction(torus, torus.point_index((1, 0)))
+    assert sub.name == "SL2 on (Z/8)^2|orbit((1, 0))"
+    assert action_fingerprint(sub) == (
+        "cbd9c5962e5b5e28da2ff96409efc152c1daad82dc674684eb211b9cb6c5999b")
+    gens = GeneratorSystem(labels=("g", "g^-1"), inverses={"g": "g^-1", "g^-1": "g"})
+    explicit = FiniteAction([5, 3, 9], np.full(3, 1 / 3), gens,
+                            {"g": [1, 2, 0], "g^-1": [2, 0, 1]}, name="explicit")
+    assert action_fingerprint(explicit) == (
+        "9c7fdc562fcaa5338fad7e80c0a82f7801947d96a1a1c77cb5f0e2a79249e2b9")
+    assert orbit_restriction(explicit, explicit.point_index(3)).name == "explicit|orbit(3)"
+
+
+def test_word_ball_keys_are_pinned():
+    import hashlib
+
+    keys = [el.key() for el in word_ball(build_sl2_quotient(5, "a"), 2)]
+    assert len(keys) == 17
+    assert keys[0] == ",".join(map(str, range(120)))
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+        "2a2f865b80dbf166c22862d6b120f2c389b20404108c1c298876494bf9653f70")
+
+
+def test_sort_key_orders_as_the_int_tuples():
+    # entries above 255 tell big-endian bytes from native little-endian ones
+    rng = np.random.default_rng(5)
+    elements = [GroupElement(rng.permutation(600)) for _ in range(40)]
+    elements += [GroupElement(np.roll(np.arange(600), -k)) for k in (1, 255, 256, 511)]
+    assert sorted(elements, key=GroupElement.sort_key) == sorted(
+        elements, key=lambda el: tuple(el.perm.tolist()))
+
+
+def test_point_index_finds_scalar_and_vector_points():
+    cyclic = build_cyclic(5)
+    assert cyclic.point_index(3) == 3 and cyclic.point_index(np.int64(4)) == 4
+    torus = build_sl2_quotient(4, "b")
+    assert torus.point_index((2, 3)) == 11 and torus.point_index([0, 1]) == 1
+    for action, point in ((cyclic, 5), (cyclic, (3,)), (cyclic, 2.0), (cyclic, True),
+                          (torus, (4, 0)), (torus, 3), (torus, (1, 0, 0))):
+        with pytest.raises(ValueError, match="not a point"):
+            action.point_index(point)
+
+
+def test_lazy_uniform_on_sl2_101_stays_below_160_mb():
+    # the points are the closure's element array and each permutation one
+    # int64 buffer: about 115 MB held (Python tuples held 330 MB, peak 338 MB)
+    tracemalloc.start()
+    try:
+        lazy_uniform(build_sl2_quotient(101, "a"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160e6

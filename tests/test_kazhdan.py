@@ -170,7 +170,7 @@ def test_oracle_lp_vector_fields_max_displacement(labels):
     res = kazhdan_constant_oracle(rep, q, n_starts=8, seed=2)
     v = res.minimizer
     assert v.shape == (4, 2)
-    disps = [rep.norm(v - v[s.inverse().perm_array()]) for s in q]
+    disps = [rep.norm(v - v[s.inverse().perm]) for s in q]
     assert res.best == pytest.approx(max(disps), abs=1e-12)
     assert rep.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(Decomposition(rep).mean(v))) <= 1e-12

@@ -10,6 +10,7 @@ from gaplab.measures import (
     certify_admissible,
     convolve,
     dirac,
+    lazy_uniform,
     measure_to_json,
     power,
     reflect,
@@ -269,3 +270,21 @@ def test_measure_serialization(z4):
     doc = measure_to_json(mu, cert)
     assert len(doc["atoms"]) == 3
     assert doc["certificate"]["M"] == pytest.approx(3.0)
+
+
+def test_certificate_json_is_pinned():
+    # alpha and beta are listed in the lexicographic order of the permutations
+    act = build_cyclic(7)
+    q = [act.generator_element(lab) for lab in act.gens.labels]
+    cert = certify_admissible(power(lazy_uniform(act), 2), q)
+    assert cert.to_json_dict() == {
+        "M": 3.0000000000000004, "optimal": True,
+        "alpha": [["0,1,2,3,4,5,6", 0.33333333333333326],
+                  ["1,2,3,4,5,6,0", 0.33333333333333337],
+                  ["6,0,1,2,3,4,5", 0.33333333333333337]],
+        "beta": [["0,1,2,3,4,5,6", 0.6666666666666667],
+                 ["1,2,3,4,5,6,0", 0.33333333333333337],
+                 ["2,3,4,5,6,0,1", 0.33333333333333337],
+                 ["5,6,0,1,2,3,4", 0.33333333333333337],
+                 ["6,0,1,2,3,4,5", 0.33333333333333337]],
+        "kazhdan_set": ["1,2,3,4,5,6,0", "6,0,1,2,3,4,5"]}

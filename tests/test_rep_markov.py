@@ -26,7 +26,7 @@ from gaplab.rep_markov import (
 
 def _translate(el, f):
     """(pi_g f)(x) = f(g^-1 x)."""
-    return f[el.inverse().perm_array()]
+    return f[el.inverse().perm]
 
 
 def _z4_setup(p=2.0, d=1):
@@ -348,8 +348,8 @@ def test_csr_apply_matches_atom_gathers():
     mu = DiscreteMeasure({ball[i]: float(x) for i, x in zip(idx, w / w.sum())})
     op = markov_operator(Representation(act, d=2), mu)
     f = rng.standard_normal((act.n_points, 2))
-    gather = sum(x * f[el.inverse().perm_array()] for el, x in mu.items())
-    scatter = sum(x * f[el.perm_array()] for el, x in mu.items())
+    gather = sum(x * f[el.inverse().perm] for el, x in mu.items())
+    scatter = sum(x * f[el.perm] for el, x in mu.items())
     assert np.allclose(op.apply(f), gather, rtol=0, atol=1e-15)
     assert np.allclose(op.apply_transpose(f), scatter, rtol=0, atol=1e-15)
 
