@@ -4,16 +4,22 @@ Covers admissibility certification: a measure rho is admissible with respect
 to a set Q when its density splits as rho = (alpha + beta) / M with alpha a
 probability density, beta >= 0 dominating every Q-translate of alpha, and
 M = sum(alpha + beta) the normalizing factor.  For finite supports the
-infimum of M over decompositions is attained by a small linear program.
+infimum of M over decompositions is 1 / max sum(y) of a packing LP in
+y = alpha / M.  A small dense-tableau simplex solves it in floats; the
+certificate carries M from the solver's alpha made exactly feasible, and a
+lower bound M_lower from its dual point made exactly feasible and evaluated
+in rationals, so [M_lower, M] brackets the optimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .group_core import FiniteAction, GroupElement
 
@@ -34,6 +40,8 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
+OPT_GAP = 1e-12  # M counts as optimal when M - M_lower <= OPT_GAP * M
+SIMPLEX_TOL = 1e-12  # reduced costs and pivots at or below this count as zero
 
 
 class DiscreteMeasure:
@@ -55,9 +63,15 @@ class DiscreteMeasure:
             raise ValueError("atoms realized on different spaces")
         self.atoms = cleaned
 
+    @cached_property
+    def _order(self) -> Tuple[GroupElement, ...]:
+        # sorted once: sort_key copies a whole permutation per atom, and
+        # atoms is never written after __init__
+        return tuple(sorted(self.atoms, key=GroupElement.sort_key))
+
     @property
     def support(self) -> List[GroupElement]:
-        return sorted(self.atoms, key=GroupElement.sort_key)
+        return list(self._order)
 
     @property
     def degree(self) -> int:
@@ -70,7 +84,7 @@ class DiscreteMeasure:
         return len(self.atoms)
 
     def items(self):
-        return [(el, self.atoms[el]) for el in self.support]
+        return [(el, self.atoms[el]) for el in self._order]
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure({len(self.atoms)} atoms)"
@@ -146,13 +160,19 @@ class NotAdmissibleError(ValueError):
 
 @dataclass
 class AdmissibilityCertificate:
-    """An (alpha, beta)-decomposition witnessing admissibility w.r.t. Q."""
+    """An (alpha, beta)-decomposition witnessing admissibility w.r.t. Q.
+
+    `M_lower` is a certified lower bound on the minimal M for the measure's
+    support (None when no LP was solved); `optimal` claims
+    M - M_lower <= OPT_GAP * M.
+    """
 
     alpha: Dict[GroupElement, float]
     beta: Dict[GroupElement, float]
     kazhdan_set: FrozenSet[GroupElement]
     M: float
-    optimal: bool = True
+    optimal: bool = False
+    M_lower: Optional[float] = None
 
     def verify(self, measure: DiscreteMeasure, tol: float = 1e-9,
                repro_tol: float = 1e-12) -> None:
@@ -171,6 +191,12 @@ class AdmissibilityCertificate:
             raise ValueError("alpha does not sum to 1")
         if self.M < 2.0 - tol:
             raise ValueError(f"normalizing factor {self.M} below 2")
+        if self.M_lower is not None and self.M_lower > self.M * (1.0 + tol):
+            raise ValueError(f"lower bound {self.M_lower} above M = {self.M}")
+        if self.optimal and (self.M_lower is None
+                             or self.M - self.M_lower > OPT_GAP * self.M):
+            raise ValueError(f"M = {self.M} claimed optimal but its lower "
+                             f"bound is {self.M_lower}")
         total = sum(self.alpha.values()) + sum(self.beta.values())
         if abs(total - self.M) > tol:
             raise ValueError("M does not equal sum(alpha + beta)")
@@ -199,6 +225,7 @@ class AdmissibilityCertificate:
 
         return {
             "M": self.M,
+            "M_lower": self.M_lower,
             "optimal": self.optimal,
             "alpha": by_perm(self.alpha),
             "beta": by_perm(self.beta),
@@ -233,10 +260,68 @@ def uniform_extended(
         beta=beta,
         kazhdan_set=frozenset(q_set),
         M=float(len(support)),
-        optimal=False,
     )
     cert.verify(mu)
     return mu, cert
+
+
+def _packing_simplex(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Maximize sum(y) subject to a y <= b and y >= 0, for a >= 0 and b > 0.
+
+    Dense-tableau primal simplex in floats.  The origin is feasible, so it
+    starts from the slack basis with no phase 1.  Bland's rule (Bland, Math.
+    Oper. Res. 2, 1977) enters the lowest-indexed improving column and
+    breaks ratio-test ties by the lowest basic index, so the tied ratios of
+    symmetric supports cannot make it cycle.  Returns the primal point y and
+    the dual point z >= 0 read off the slack reduced costs; at an optimum
+    a^T z >= 1 holds up to rounding.
+    """
+    m, k = a.shape
+    tab = np.hstack([a, np.eye(m), b[:, None]])
+    cost = np.concatenate([np.ones(k), np.zeros(m)])  # reduced costs
+    basis = np.arange(k, k + m)
+    for _ in range(50 * (m + k)):
+        improving = np.flatnonzero(cost > SIMPLEX_TOL)
+        if improving.size == 0:
+            break
+        j = improving[0]
+        rows = np.flatnonzero(tab[:, j] > SIMPLEX_TOL)
+        if rows.size == 0:
+            raise ValueError(f"packing LP unbounded in column {j}")
+        ratios = tab[rows, -1] / tab[rows, j]
+        ties = rows[ratios <= ratios.min() + SIMPLEX_TOL]
+        r = ties[np.argmin(basis[ties])]
+        tab[r] /= tab[r, j]
+        col = tab[:, j].copy()
+        col[r] = 0.0
+        tab -= np.outer(col, tab[r])
+        cost -= cost[j] * tab[r, :-1]
+        basis[r] = j
+    else:
+        raise RuntimeError("simplex pivot limit reached")
+    y = np.zeros(k)
+    structural = basis < k
+    y[basis[structural]] = np.clip(tab[structural, -1], 0.0, None)
+    return y, np.clip(-cost[k:], 0.0, None)
+
+
+def _dual_lower_bound(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> float:
+    """A float at or below 1 / b^T z', with z' = z / min(a^T z), in rationals.
+
+    z' >= 0 and a^T z' >= 1 hold exactly, so by weak duality (Schrijver,
+    *Theory of Linear and Integer Programming*, 1986) b^T z' >= max sum(y),
+    and 1 / b^T z' bounds M = 1 / max sum(y) from below.
+    """
+    live = np.flatnonzero(z > 0.0)
+    zq = [Fraction(float(z[r])) for r in live]
+    cover = min(sum((Fraction(float(a[r, c])) * w for r, w in zip(live, zq) if a[r, c]),
+                    Fraction(0))
+                for c in range(a.shape[1]))
+    if cover <= 0:
+        raise ValueError("dual point covers no column of the packing LP")
+    exact = cover / sum(Fraction(float(b[r])) * w for r, w in zip(live, zq))
+    lower = float(exact)
+    return math.nextafter(lower, 0.0) if Fraction(lower) > exact else lower
 
 
 def certify_admissible(
@@ -246,9 +331,12 @@ def certify_admissible(
 
     Minimizes M = sum(alpha + beta) subject to alpha, beta >= 0,
     sum(alpha) = 1, beta >= s.alpha for every s in Q, and
-    alpha + beta = M rho.  The optimum is the exact normalizing factor for
-    this finite support.  Raises NotAdmissibleError with a support witness
-    when no decomposition exists.
+    alpha + beta = M rho.  With y = alpha / M this is the packing LP
+    max sum(y) subject to y_i <= rho_i and y_i + y_j <= rho_i whenever
+    x_i = s x_j for s in Q (2 y_j <= rho_j when s fixes x_j), y >= 0 and
+    y = 0 off the allowed points; then M = 1 / max sum(y).  Every variable
+    is bounded by its own row, so the LP is bounded.  Raises
+    NotAdmissibleError with a support witness when no decomposition exists.
     """
     q_set = list(dict.fromkeys(Q))
     if not q_set:
@@ -260,10 +348,8 @@ def certify_admissible(
 
     # alpha may only sit on points whose every Q-translate stays in supp(rho):
     # beta vanishes off the support, so alpha(s^-1 x) = 0 for x outside.
-    allowed = []
-    for j, el in enumerate(support):
-        if all(s.compose(el) in index for s in q_set):
-            allowed.append(j)
+    translates = [[index.get(s.compose(el)) for s in q_set] for el in support]
+    allowed = [j for j in range(n) if None not in translates[j]]
     if not allowed:
         raise NotAdmissibleError(
             "no admissible alpha: every support point has a Q-translate "
@@ -273,76 +359,45 @@ def certify_admissible(
                 "escaping": {
                     support[j].key(): [
                         s.compose(support[j]).key()
-                        for s in q_set
-                        if s.compose(support[j]) not in index
+                        for s, i in zip(q_set, translates[j])
+                        if i is None
                     ]
                     for j in range(n)
                 },
             },
         )
 
-    # variables z = (alpha_0 .. alpha_{n-1}, M); minimize M
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    b_eq = np.array([1.0])
+    # rows of the packing LP over the allowed columns: y_j <= rho_j, then
+    # y_i + y_j <= rho_i for x_i = s x_j, s by s
+    column = {j: c for c, j in enumerate(allowed)}
+    k = len(allowed)
+    a = np.tile(np.eye(k), (len(q_set) + 1, 1))
+    b_rows = list(allowed)
+    for t in range(len(q_set)):
+        for c, j in enumerate(allowed):
+            i = translates[j][t]
+            if i in column:
+                a[(t + 1) * k + c, column[i]] += 1.0
+            b_rows.append(i)
+    b = weights[b_rows]
+    y, z = _packing_simplex(a, b)
 
-    rows: List[np.ndarray] = []
-    # beta_i = M rho_i - alpha_i >= 0
-    for i in range(n):
-        row = np.zeros(n + 1)
-        row[i] = 1.0
-        row[n] = -weights[i]
-        rows.append(row)
-    # beta_i >= alpha_j whenever x_i = s x_j for s in Q
-    for s in q_set:
-        for j, el in enumerate(support):
-            moved = s.compose(el)
-            i = index.get(moved)
-            if i is None:
-                continue
-            row = np.zeros(n + 1)
-            row[i] += 1.0
-            row[j] += 1.0
-            row[n] = -weights[i]
-            rows.append(row)
-    a_ub = np.vstack(rows)
-    b_ub = np.zeros(len(rows))
-
-    bounds = [(0.0, 1.0) if j in set(allowed) else (0.0, 0.0) for j in range(n)]
-    bounds.append((0.0, None))
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise NotAdmissibleError(
-            f"linear program infeasible: {res.message}",
-            witness={"status": int(res.status)},
-        )
     # project the solver's alpha to exact feasibility: normalize it, then take
-    # the closed-form minimal M for that alpha, so beta = M rho - alpha is
-    # nonnegative and dominating by construction (M moves by at most the
-    # solver slack)
-    alpha_vec = np.clip(res.x[:n], 0.0, None)
-    alpha_vec /= alpha_vec.sum()
-    translate_of: List[List[int]] = [[] for _ in range(n)]
-    for s in q_set:
-        for j, el in enumerate(support):
-            i = index.get(s.compose(el))
-            if i is not None:
-                translate_of[i].append(j)
-    need = np.array([
-        alpha_vec[i] + max((alpha_vec[j] for j in translate_of[i]), default=0.0)
-        for i in range(n)
-    ])
-    m_exact = float(np.max(need / weights))
+    # the closed-form minimal M for that alpha, the largest row ratio
+    # (a alpha) / b, so beta = M rho - alpha is nonnegative and dominating by
+    # construction (M moves by at most the solver slack)
+    alpha_vec = np.zeros(n)
+    alpha_vec[allowed] = y / y.sum()
+    m_exact = float(np.max(a @ alpha_vec[allowed] / b))
+    m_lower = _dual_lower_bound(a, b, z)
     beta_vec = m_exact * weights - alpha_vec
     cert = AdmissibilityCertificate(
         alpha={support[i]: float(alpha_vec[i]) for i in range(n) if alpha_vec[i] > 0},
         beta={support[i]: float(beta_vec[i]) for i in range(n) if beta_vec[i] > 0},
         kazhdan_set=frozenset(q_set),
         M=m_exact,
-        optimal=True,
+        optimal=m_exact - m_lower <= OPT_GAP * m_exact,
+        M_lower=m_lower,
     )
     cert.verify(rho, tol=1e-12)
     return cert

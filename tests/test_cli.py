@@ -456,6 +456,23 @@ def test_modules_import_alone(module):
     assert out == b"True\n"
 
 
+def test_run_never_imports_scipy_optimize(tmp_path):
+    # a fresh process: the measures tests import linprog as their reference
+    path = _write_config(tmp_path, {"kind": "kazhdan",
+                                    "fixture": {"builder": "sl2", "m": 5, "variant": "a"},
+                                    "params": {"n_starts": 8}, "seed": 0})
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; import gaplab.cli as cli; "
+            f"assert cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, timeout=120).stdout
+    assert out == b"False\n"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["M_lp"]["value"] == 5.0  # the LP ran
+
+
 def _refuse_sl2_builds(monkeypatch):
     from gaplab import cli, expanders, group_core
 

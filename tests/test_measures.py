@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from gaplab.group_core import build_cyclic, build_sl2_quotient, word_ball
+from gaplab import measures
+from gaplab.group_core import GroupElement, build_cyclic, build_sl2_quotient, word_ball
 from gaplab.measures import (
     AdmissibilityCertificate,
     NotAdmissibleError,
@@ -278,13 +279,147 @@ def test_certificate_json_is_pinned():
     q = [act.generator_element(lab) for lab in act.gens.labels]
     cert = certify_admissible(power(lazy_uniform(act), 2), q)
     assert cert.to_json_dict() == {
-        "M": 3.0000000000000004, "optimal": True,
-        "alpha": [["0,1,2,3,4,5,6", 0.33333333333333326],
-                  ["1,2,3,4,5,6,0", 0.33333333333333337],
-                  ["6,0,1,2,3,4,5", 0.33333333333333337]],
+        "M": 3.0, "M_lower": 3.0, "optimal": True,
+        "alpha": [["0,1,2,3,4,5,6", 0.3333333333333333],
+                  ["1,2,3,4,5,6,0", 0.3333333333333333],
+                  ["6,0,1,2,3,4,5", 0.3333333333333333]],
         "beta": [["0,1,2,3,4,5,6", 0.6666666666666667],
-                 ["1,2,3,4,5,6,0", 0.33333333333333337],
-                 ["2,3,4,5,6,0,1", 0.33333333333333337],
-                 ["5,6,0,1,2,3,4", 0.33333333333333337],
-                 ["6,0,1,2,3,4,5", 0.33333333333333337]],
+                 ["1,2,3,4,5,6,0", 0.3333333333333333],
+                 ["2,3,4,5,6,0,1", 0.3333333333333333],
+                 ["5,6,0,1,2,3,4", 0.3333333333333333],
+                 ["6,0,1,2,3,4,5", 0.3333333333333333]],
         "kazhdan_set": ["1,2,3,4,5,6,0", "6,0,1,2,3,4,5"]}
+    assert list(cert.to_json_dict()) == ["M", "M_lower", "optimal", "alpha", "beta",
+                                         "kazhdan_set"]
+
+
+def test_support_is_sorted_once(monkeypatch):
+    mu = power(lazy_uniform(build_cyclic(9)), 2)
+    first, first_items = mu.support, mu.items()
+    calls = []
+    real = GroupElement.sort_key
+    monkeypatch.setattr(GroupElement, "sort_key",
+                        lambda el: calls.append(el) or real(el))
+    assert mu.support == first and mu.items() == first_items
+    assert calls == []
+    assert first == sorted(mu.atoms, key=real)
+
+
+# -- the admissibility LP ------------------------------------------------------
+
+
+def _cyclic_elements(n):
+    act = build_cyclic(n)
+    els = [act.identity_element()]
+    for _ in range(n - 1):
+        els.append(act.generator_element("g").compose(els[-1]))
+    return els
+
+
+def _certify_recording(monkeypatch, rho, q):
+    """certify_admissible, also returning the packing LP (a, b) it solved."""
+    seen = []
+    real = measures._packing_simplex
+
+    def recording(a, b):
+        seen.append((a.copy(), b.copy()))
+        return real(a, b)
+
+    monkeypatch.setattr(measures, "_packing_simplex", recording)
+    cert = certify_admissible(rho, q)
+    monkeypatch.setattr(measures, "_packing_simplex", real)
+    assert len(seen) == 1
+    assert cert.M_lower <= cert.M
+    return cert, seen[0]
+
+
+def _highs_max(a, b):
+    from scipy.optimize import linprog  # reference only; gaplab never imports it
+
+    res = linprog(-np.ones(a.shape[1]), A_ub=a, b_ub=b, bounds=(0.0, None),
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def test_packing_simplex_matches_highs_on_random_lps(monkeypatch):
+    rng = np.random.default_rng(20)
+    solved = 0
+    while solved < 20:
+        n = int(rng.integers(2, 41))
+        els = _cyclic_elements(n)
+        picked = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+        w = rng.random(len(picked)) + 0.05
+        rho = measures.DiscreteMeasure(
+            {els[i]: wi for i, wi in zip(picked, w / w.sum())})
+        q = [els[i] for i in rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)),
+                                        replace=False)]
+        try:
+            cert, (a, b) = _certify_recording(monkeypatch, rho, q)
+        except NotAdmissibleError:
+            continue
+        y, z = measures._packing_simplex(a, b)
+        best = _highs_max(a, b)
+        assert np.all(a @ y <= b + 1e-15) and np.all(y >= 0.0)
+        assert y.sum() == pytest.approx(best, rel=1e-12)
+        assert cert.M == pytest.approx(1.0 / best, rel=1e-12)
+        assert cert.optimal and cert.M - cert.M_lower <= measures.OPT_GAP * cert.M
+        solved += 1
+
+
+def test_certify_degenerate_uniform_cycle(monkeypatch):
+    # every ratio test ties on the 8-cycle: y_j + y_{j+-1} <= 1/8
+    els = _cyclic_elements(8)
+    cert, (a, b) = _certify_recording(monkeypatch, uniform_on(els), [els[1], els[7]])
+    assert cert.M == 2.0 and cert.M_lower == 2.0 and cert.optimal
+    assert 1.0 / _highs_max(a, b) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_certify_identity_in_q_doubles_its_row(monkeypatch):
+    # rho uniform on {0, 1} in Z/4, Q = {e, g}: alpha sits on 0 alone, and
+    # beta(0) >= alpha(0) for s = e gives 2 y_0 <= 1/2, so M = 4 (not 2)
+    els = _cyclic_elements(4)
+    cert, (a, b) = _certify_recording(monkeypatch, uniform_on(els[:2]), [els[0], els[1]])
+    assert 2.0 in a
+    assert cert.M == 4.0 and cert.M_lower == 4.0 and cert.optimal
+    assert cert.alpha == {els[0]: 1.0}
+
+
+def test_certify_flags_a_suboptimal_primal_point(monkeypatch):
+    els = _cyclic_elements(8)
+    rho, q = uniform_on(els), [els[1], els[7]]
+    real = measures._packing_simplex
+
+    def scaled(a, b):  # the whole point halved: alpha is normalized, M stays
+        y, z = real(a, b)
+        return y / 2, z
+
+    def dented(a, b):  # one coordinate halved: a feasible, suboptimal vertex
+        y, z = real(a, b)
+        y = y.copy()
+        y[np.argmax(y)] /= 2
+        return y, z
+
+    monkeypatch.setattr(measures, "_packing_simplex", scaled)
+    cert = certify_admissible(rho, q)
+    assert cert.M == 2.0 and cert.optimal
+    monkeypatch.setattr(measures, "_packing_simplex", dented)
+    cert = certify_admissible(rho, q)  # verifies itself
+    assert cert.M_lower == 2.0 and cert.M == pytest.approx(16 / 7)
+    assert not cert.optimal
+    cert.verify(rho, tol=1e-12)
+
+
+def test_verify_rejects_an_unbacked_optimality_claim(z4):
+    e = z4.identity_element()
+    q = [z4.generator_element("g"), z4.generator_element("g^-1")]
+    mu, cert = uniform_extended(q, e)
+    assert cert.M_lower is None and not cert.optimal
+    assert cert.to_json_dict()["M_lower"] is None
+    for lower in (None, cert.M - 0.5):
+        cert.optimal, cert.M_lower = True, lower
+        with pytest.raises(ValueError, match="claimed optimal"):
+            cert.verify(mu)
+    cert.optimal, cert.M_lower = False, cert.M + 0.5
+    with pytest.raises(ValueError, match="lower bound"):
+        cert.verify(mu)
