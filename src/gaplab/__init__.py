@@ -37,7 +37,6 @@ from .rep_markov import (
     restricted_norm,
 )
 from .kazhdan import (
-    KazhdanCertificate,
     boost_pair,
     hecke_conversion,
     hilbert_improvement,

@@ -1,12 +1,13 @@
 """The acceptance suite: every certified claim as one pass/fail criterion.
 
-Criteria 1, 2, 6, 7 and 10 run the ``gaplab run`` pipeline of their kind
-(``cli.execute``; 6 calls ``cli.certify_family`` for the relation residuals)
-and check its report: markov, projection, expander, ergodic, warped and
-ghost.  They keep independent oracles: dense matrix powers (1) and
-Floyd-Warshall, generator jumps, propagation and R = 0 locality (10).  The
-other criteria call the layers directly.  A runner's ``InvariantFailure``
-fails its own criterion only.  ``run_all`` runs the core twice and adds the
+Criteria 1, 2, 3, 4, 6, 7, 10 and 11 run the ``gaplab run`` pipeline of
+their kind (``cli.execute``; 6 calls ``cli.certify_family`` for the relation
+residuals) and check its report: markov, projection, kazhdan (3, 4 and 11),
+expander, ergodic, warped and ghost.  They keep independent oracles: dense
+matrix powers (1), grid search for M (4), the Kazhdan oracle on the boosted
+set (11) and Floyd-Warshall, generator jumps, propagation and R = 0
+locality (10).  The other criteria call the layers directly.  A runner's
+``InvariantFailure`` fails its own criterion only.  ``run_all`` runs the core twice and adds the
 determinism criterion by byte-comparing the two serialized reports.
 """
 
@@ -27,25 +28,13 @@ from . import warped_cone as wc
 from .group_core import (
     FiniteAction,
     GeneratorSystem,
-    build_cyclic,
+    GroupElement,
     build_sl2_quotient,
     orbit_restriction,
     word_ball,
 )
-from .kazhdan import (
-    boost_pair,
-    hilbert_improvement,
-    kappa_from_decay,
-    kazhdan_constant_oracle,
-    norm_bound_from_kappa,
-)
-from .measures import (
-    DiscreteMeasure,
-    certify_admissible,
-    lazy_uniform,
-    uniform_extended,
-    uniform_on,
-)
+from .kazhdan import boost_pair, kazhdan_constant_oracle
+from .measures import DiscreteMeasure, lazy_uniform, uniform_on
 from .rep_markov import (
     Representation,
     markov_operator,
@@ -103,6 +92,24 @@ GAPPED_FIXTURES = [
     ("SL2(Z/5) regular", {"builder": "sl2", "m": 5, "variant": "a"}),
     ("(Z/16)^2 torus", {"builder": "sl2", "m": 16, "variant": "b"}),
 ]
+# the kazhdan run's fixtures, by the names criteria 3, 4 and 11 report
+KAZHDAN_FIXTURES = {"Z/2": GAPPED_FIXTURES[0][1], "Z/4": GAPPED_FIXTURES[1][1],
+                    "SL2(Z/5)": GAPPED_FIXTURES[2][1]}
+
+
+def _kazhdan_run(name: str, seed: int) -> Tuple[FiniteAction, Dict[str, object]]:
+    """The fixture ``KAZHDAN_FIXTURES[name]`` and the values of its kazhdan run
+    with 16 oracle starts (Q every generator, the measure uniform on Q u {e})."""
+    spec = KAZHDAN_FIXTURES[name]
+    action = cli.build_fixture(spec)
+    report, _series = cli.execute(cli.ExperimentConfig(
+        "kazhdan", spec, params={"n_starts": 16}, seed=seed), action)
+    return action, {key: entry["value"] for key, entry in report.items() if "value" in entry}
+
+
+def _kazhdan_set(action: FiniteAction) -> List[GroupElement]:
+    """The distinct generator elements of ``action``."""
+    return list(dict.fromkeys(action.generator_element(lab) for lab in action.gens.labels))
 
 
 # -- criteria -------------------------------------------------------------------
@@ -157,30 +164,21 @@ def criterion_2(seed: int) -> CriterionResult:
 
 
 def criterion_3(seed: int) -> CriterionResult:
-    """Sandwich inequalities on the Fourier-exact fixtures."""
-    z2 = build_cyclic(2)
-    z4 = build_cyclic(4)
-    cases = [
-        ("Z/2", z2, [z2.generator_element("g")], 2.0),
-        ("Z/4", z4, [z4.generator_element("g"), z4.generator_element("g^-1")], 3.0),
-    ]
+    """Sandwich inequalities on the Fourier-exact fixtures, from the kazhdan run."""
     tol = 1e-6
     details: Dict[str, object] = {}
     passed = True
-    for name, action, q, m_factor in cases:
-        rep = Representation(action)
-        mu, cert = uniform_extended(q, action.identity_element())
-        lam = restricted_norm(markov_operator(rep, mu), seed=seed).value
-        kappa = kazhdan_constant_oracle(rep, q, seed=seed, n_starts=16).best
-        upper = norm_bound_from_kappa(cert.M, 2.0, min(kappa, 2.0))
-        improved = hilbert_improvement(lam)
+    for name in ("Z/2", "Z/4"):
+        _action, run = _kazhdan_run(name, seed)
+        kappa, lam = run["kappa_oracle"], run["lambda"]
+        upper, improved = run["norm_bound_from_kappa"], run["sqrt2_improvement"]
         ok = (
             1.0 - kappa <= lam + tol
             and lam <= upper + tol
             and improved <= kappa + tol
         )
         details[name] = {"kappa": kappa, "lambda": lam, "upper_bound": upper,
-                         "sqrt2_lower": improved, "M": cert.M}
+                         "sqrt2_lower": improved, "M": run["M_certificate"]}
         passed = passed and ok
     # the Z/2 instance attains the upper bound with equality: both vanish
     z2d = details["Z/2"]
@@ -235,30 +233,20 @@ def _grid_oracle_m(rho: DiscreteMeasure, q_set, steps=60, rounds=5) -> float:
 
 
 def criterion_4(seed: int) -> CriterionResult:
-    """Admissibility: canonical certificates and the LP against grid search."""
+    """Admissibility: the kazhdan run's certificates, its LP against grid search."""
     details: Dict[str, object] = {}
     passed = True
-    z2 = build_cyclic(2)
-    z4 = build_cyclic(4)
-    sl2 = build_sl2_quotient(5, variant="a")
-    cases = [
-        ("Z/2", z2, [z2.generator_element("g")]),
-        ("Z/4", z4, [z4.generator_element("g"), z4.generator_element("g^-1")]),
-        ("SL2(Z/5)", sl2, [sl2.generator_element(lab) for lab in sl2.gens.labels]),
-    ]
-    for name, action, q in cases:
-        mu, cert = uniform_extended(q, action.identity_element())
-        opt = certify_admissible(mu, q)
-        ok = cert.M <= len(q) + 1 + 1e-12 and opt.M <= cert.M + 1e-9
-        details[name] = {"M_certificate": cert.M, "M_lp": opt.M, "q_size": len(q)}
+    for name in KAZHDAN_FIXTURES:
+        action, run = _kazhdan_run(name, seed)
+        q = _kazhdan_set(action)
+        m_cert, m_lp = run["M_certificate"], run["M_lp"]
+        ok = m_cert <= len(q) + 1 + 1e-12 and m_lp <= m_cert + 1e-9
+        details[name] = {"M_certificate": m_cert, "M_lp": m_lp, "q_size": len(q)}
         passed = passed and ok
-    # grid-search oracle on the 3-point support
-    q4 = [z4.generator_element("g"), z4.generator_element("g^-1")]
-    mu3 = uniform_on([z4.identity_element()] + q4)
-    lp = certify_admissible(mu3, q4).M
-    oracle = _grid_oracle_m(mu3, q4)
-    details["grid_oracle"] = {"lp": lp, "grid": oracle, "gap": abs(lp - oracle)}
-    passed = passed and abs(lp - oracle) <= 1e-6
+        if name == "Z/4":  # grid-search oracle on the 3-point support
+            oracle = _grid_oracle_m(uniform_on([action.identity_element()] + q), q)
+            details["grid_oracle"] = {"lp": m_lp, "grid": oracle, "gap": abs(m_lp - oracle)}
+            passed = passed and abs(m_lp - oracle) <= 1e-6
     return CriterionResult(4, "admissibility certification", passed, details)
 
 
@@ -522,27 +510,23 @@ def _floyd_warshall(level: wc.WarpedLevel) -> np.ndarray:
 
 
 def criterion_11(seed: int) -> CriterionResult:
-    """Round-trip constants on the Z/4 fixture."""
-    action = build_cyclic(4)
-    rep = Representation(action)
-    q = [action.generator_element("g"), action.generator_element("g^-1")]
-    mu = uniform_on([action.identity_element()] + q)
-    lam = restricted_norm(markov_operator(rep, mu), seed=seed).value
-    conv = kappa_from_decay(lam)
-    oracle = kazhdan_constant_oracle(rep, q, seed=seed, n_starts=16)
+    """Round-trip constants on the Z/4 fixture, from the kazhdan run."""
+    action, run = _kazhdan_run("Z/4", seed)
+    lam, kappa = run["lambda"], run["kappa_from_decay"]
     details: Dict[str, object] = {
         "lambda": lam,
-        "kappa_from_decay": conv.kappa,
-        "kappa_oracle": oracle.best,
+        "kappa_from_decay": kappa,
+        "kappa_oracle": run["kappa_oracle"],
     }
-    passed = abs(conv.kappa - (1.0 - lam)) <= 1e-12
-    passed = passed and conv.kappa <= oracle.best + 1e-6
+    passed = abs(kappa - (1.0 - lam)) <= 1e-12
+    passed = passed and kappa <= run["kappa_oracle"] + 1e-6
+    q = _kazhdan_set(action)
     boost = boost_pair(q, 1.0 / 3.0, 0.1)
     details["boost"] = {"m": boost.m, "kappa": boost.kappa,
                         "set_size": len(boost.kazhdan_set)}
     passed = passed and boost.m == 3 and abs(boost.kappa - 26.0 / 27.0) <= 1e-12
-    re_measure = kazhdan_constant_oracle(rep, boost.kazhdan_set, seed=seed,
-                                         n_starts=16)
+    re_measure = kazhdan_constant_oracle(Representation(action), boost.kazhdan_set,
+                                         seed=seed, n_starts=16)
     confirmed = max(re_measure.lower_bound or 0.0, 0.0)
     details["boost_oracle_lower"] = confirmed
     details["boost_oracle_best"] = re_measure.best

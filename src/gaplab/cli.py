@@ -4,8 +4,10 @@ A config names an experiment kind, a fixture, a measure and numeric
 parameters; ``execute`` runs the pipeline of its kind in memory and ``run``
 writes the result as a JSON report plus CSV series for external plotting.
 The acceptance criteria call ``execute`` too, so each certificate is
-computed in one place.  Every number in a report carries a provenance tag
-(measured | paper-formula | oracle).  Exit status: 0 all asserted
+computed in one place; the ``kazhdan`` kind's report is the one Kazhdan
+certificate (Q every fixture generator, none of them the identity, and the
+measure uniform on Q u {e}).  Every number in a report carries a provenance
+tag (measured | paper-formula | oracle).  Exit status: 0 all asserted
 invariants passed, 1 an invariant failed (named in the report), 2 the config
 did not validate (field-path diagnostic on stderr).
 """
@@ -60,6 +62,7 @@ from .rep_markov import (
     NEUMANN_TERM_TOL,
     NON_GAPPED,
     DenseLimitError,
+    InvariantFailure,
     Representation,
     defect_curve,
     markov_operator,
@@ -75,12 +78,6 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str) -> None:
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-class InvariantFailure(RuntimeError):
-    def __init__(self, name: str, message: str) -> None:
-        super().__init__(f"{name}: {message}")
-        self.name = name
 
 
 def _jsonify(value):
@@ -302,6 +299,10 @@ def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
     n_starts = _param(config, "n_starts", 32, int, AT_LEAST_0)
     eps = _param(config, "eps", 0.1, float, OPEN_UNIT)
     q = [action.generator_element(lab) for lab in action.gens.labels]
+    for lab, el in zip(action.gens.labels, q):
+        if el.is_identity():  # refuse before the solve runs
+            raise ConfigError("$.fixture", f"generator {lab!r} acts as the identity; "
+                              "the kazhdan kind needs a Kazhdan set without e")
     rep = Representation(action, p=p)
     mu, cert = uniform_extended(q, action.identity_element())
     opt = certify_admissible(mu, q)
@@ -319,17 +320,16 @@ def _run_kazhdan(config: ExperimentConfig, action: FiniteAction
         ),
     }
     if est.quality == "exact":
-        conv = kappa_from_decay(est.value) if est.value < 1 else None
-        if conv is not None:
+        if rep.p == 2.0:
+            report["sqrt2_improvement"] = tag(hilbert_improvement(est.value),
+                                              "paper-formula")
+        if est.value < 1:  # lambda = 0 gives kappa 1, S 0 and boost m 1
+            conv = kappa_from_decay(est.value)
             report["kappa_from_decay"] = tag(conv.kappa, "paper-formula")
             report["S_total"] = tag(conv.S_total, "paper-formula")
             if math.isfinite(oracle.best) and conv.kappa > oracle.best + 1e-6:
                 raise InvariantFailure("decay-kappa-exceeds-oracle",
                                        "kazhdan conversion inconsistent")
-        if rep.p == 2.0:
-            report["sqrt2_improvement"] = tag(hilbert_improvement(est.value),
-                                              "paper-formula")
-        if est.value < 1:
             boost = boost_pair(q, est.value, eps)
             report["boost"] = {
                 "m": boost.m,
@@ -437,6 +437,9 @@ def _run_ergodic(config: ExperimentConfig, action: FiniteAction
 
 def _run_shrinking(config: ExperimentConfig, action: FiniteAction
                   ) -> Tuple[dict, Dict[str, List[List]]]:
+    if action.metric is None:  # the targets are metric balls
+        raise ConfigError("$.fixture", "the shrinking kind needs a fixture with a metric: "
+                          "builder 'sl2' with variant 'b' (optionally 'orbit_of')")
     mu = build_measure(action, config.measure)
     params = config.params
     horizon = _param(config, "horizon", 50, int, AT_LEAST_1)

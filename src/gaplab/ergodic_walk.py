@@ -20,6 +20,7 @@ import numpy as np
 from .group_core import FiniteAction, Sl2GroupTable
 from .measures import DiscreteMeasure
 from .rep_markov import (
+    InvariantFailure,
     MarkovOperator,
     NormEstimate,
     Representation,
@@ -120,7 +121,8 @@ def ergodic_error_curve(op: MarkovOperator, f: np.ndarray, K: int,
     """Errors e_k = |A^k f - Mf|_p for k = 1..K by iterated application.
 
     With an exact-quality restricted norm the geometric bound
-    e_k <= lam^k |f|_p is asserted (tolerance 1e-9).  Non-ergodic actions
+    e_k <= lam^k |f|_p is asserted (tolerance 1e-9): a violation is the
+    ``InvariantFailure`` "ergodic-decay-bound".  Non-ergodic actions
     fall back to orbitwise means, with a warning.
     """
     if K < 1:
@@ -145,7 +147,8 @@ def ergodic_error_curve(op: MarkovOperator, f: np.ndarray, K: int,
         bound = est.value ** np.arange(1, K + 1) * fnorm
         worst = float(np.max(errors - bound))
         if worst > 1e-9:
-            raise RuntimeError(
+            raise InvariantFailure(
+                "ergodic-decay-bound",
                 f"geometric decay bound violated by {worst:.3e}; "
                 "operator or norm computation is inconsistent"
             )

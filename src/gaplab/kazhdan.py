@@ -6,19 +6,21 @@ mean-zero field), the restricted norm lambda of an admissible averaging
 operator, the normalizing factor M of the measure, and the summable decay
 total S.  The conversion formulas are one-sided bounds; the oracle computes
 kappa variationally and pairs the heuristic minimum with a rigorous
-quadratic lower bound.
+quadratic lower bound.  ``gaplab run`` kind ``kazhdan`` (``cli``) puts all
+four together on one fixture, and acceptance criteria 3, 4 and 11 read that
+report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .group_core import GroupElement, element_ball
-from .measures import AdmissibilityCertificate, DiscreteMeasure, uniform_on
+from .measures import AdmissibilityCertificate, uniform_on
 from .rep_markov import (
     Decomposition,
     MarkovOperator,
@@ -34,13 +36,11 @@ __all__ = [
     "kazhdan_constant_oracle",
     "norm_bound_from_kappa",
     "kappa_from_decay",
-    "decay_certificate",
     "hilbert_improvement",
     "BoostResult",
     "boost_pair",
     "product_average_bound",
     "hecke_conversion",
-    "KazhdanCertificate",
 ]
 
 
@@ -220,25 +220,13 @@ class DecayConversion:
 def kappa_from_decay(lam: float) -> DecayConversion:
     """Kazhdan constant from geometric decay a_k = lam^k.
 
-    S = lam / (1 - lam) and kappa = 1 / (1 + S) = 1 - lam.
+    S = lam / (1 - lam) and kappa = 1 / (1 + S) = 1 - lam.  lam = 0, a
+    perfect gap, gives S = 0 and kappa = 1.
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"decay rate must lie in (0, 1), got {lam}")
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"decay rate must lie in [0, 1), got {lam}")
     s_total = lam / (1.0 - lam)
     return DecayConversion(kappa=1.0 / (1.0 + s_total), S_total=s_total)
-
-
-def decay_certificate(mu: DiscreteMeasure, lam: float,
-                      M: Optional[float] = None) -> "KazhdanCertificate":
-    conv = kappa_from_decay(lam)
-    return KazhdanCertificate(
-        kazhdan_set=frozenset(mu.support),
-        kappa=conv.kappa,
-        lam=lam,
-        M=M,
-        S_bound=conv.S_total,
-        provenance="paper-formula",
-    )
 
 
 def hilbert_improvement(lam: float, p: float = 2.0) -> float:
@@ -260,18 +248,18 @@ class BoostResult:
 def boost_pair(Q: Iterable[GroupElement], lam: float, eps: float) -> BoostResult:
     """Kazhdan pair (Qbar^m, 1 - eps) from a decay rate lam.
 
-    m = ceil(log eps / log lam) and the boosted constant is 1 - lam^m; the
-    boosted set is the ball of radius m in Q u {e}, i.e. all products of at
-    most m elements of Q.
+    m = ceil(log eps / log lam), and m = 1 at lam = 0; the boosted constant
+    is 1 - lam^m.  The boosted set is the ball of radius m in Q u {e}, i.e.
+    all products of at most m elements of Q.
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"decay rate must lie in (0, 1), got {lam}")
+    if not 0.0 <= lam < 1.0:
+        raise ValueError(f"decay rate must lie in [0, 1), got {lam}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     q_set = list(dict.fromkeys(Q))
     if not q_set:
         raise ValueError("empty Kazhdan set")
-    m = max(1, math.ceil(math.log(eps) / math.log(lam)))
+    m = max(1, math.ceil(math.log(eps) / math.log(lam))) if lam > 0.0 else 1
     kappa = 1.0 - lam**m
     ball = element_ball(q_set, m)
     return BoostResult(m=m, kappa=kappa, kazhdan_set=ball)
@@ -317,30 +305,3 @@ def hecke_conversion(direction: str, *, m: int, zeta: Optional[float] = None,
         return 2.0 * m - 2.0 + math.sqrt(4.0 - kappa * kappa)
     raise ValueError(f"unknown direction {direction!r}")
 
-
-@dataclass
-class KazhdanCertificate:
-    """Aggregate (Q, kappa) data with the measured norm and decay total."""
-
-    kazhdan_set: FrozenSet[GroupElement]
-    kappa: float
-    lam: Optional[float] = None
-    M: Optional[float] = None
-    S_bound: Optional[float] = None
-    provenance: str = "measured"
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.kappa <= 2.0 or math.isinf(self.kappa)):
-            raise ValueError(f"kappa out of [0, 2]: {self.kappa}")
-        if self.lam is not None and not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda out of [0, 1]: {self.lam}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kazhdan_set": sorted(el.key() for el in self.kazhdan_set),
-            "kappa": self.kappa,
-            "lambda": self.lam,
-            "M": self.M,
-            "S_bound": self.S_bound,
-            "provenance": self.provenance,
-        }

@@ -42,6 +42,7 @@ __all__ = [
 PROB_TOL = 1e-12
 OPT_GAP = 1e-12  # M counts as optimal when M - M_lower <= OPT_GAP * M
 SIMPLEX_TOL = 1e-12  # reduced costs and pivots at or below this count as zero
+REPRO_TOL = 1e-12  # atomwise reproduction of the measure by (alpha + beta) / M
 
 
 class DiscreteMeasure:
@@ -174,12 +175,11 @@ class AdmissibilityCertificate:
     optimal: bool = False
     M_lower: Optional[float] = None
 
-    def verify(self, measure: DiscreteMeasure, tol: float = 1e-9,
-               repro_tol: float = 1e-12) -> None:
+    def verify(self, measure: DiscreteMeasure, tol: float = 1e-9) -> None:
         """Re-check every certificate invariant; raises on violation.
 
         `tol` absorbs solver slack in the domination and bookkeeping checks;
-        the atomwise reproduction of the measure is held to `repro_tol`.
+        the atomwise reproduction of the measure is held to `REPRO_TOL`.
         """
         if not self.kazhdan_set:
             raise ValueError("certificate has an empty Kazhdan set")
@@ -216,7 +216,7 @@ class AdmissibilityCertificate:
         # reproduction: (alpha + beta) / M == measure atomwise
         keys = set(combined) | set(measure.atoms)
         for el in keys:
-            if abs(combined.get(el, 0.0) / self.M - measure.weight(el)) > repro_tol:
+            if abs(combined.get(el, 0.0) / self.M - measure.weight(el)) > REPRO_TOL:
                 raise ValueError("decomposition does not reproduce the measure")
 
     def to_json_dict(self) -> dict:

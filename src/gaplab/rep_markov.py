@@ -34,6 +34,7 @@ __all__ = [
     "operator_identities_check",
     "IdentityReport",
     "DenseLimitError",
+    "InvariantFailure",
     "require_dense",
 ]
 
@@ -42,6 +43,14 @@ DENSE_LIMIT = 4096  # largest N for which dense N x N matrices are built
 
 class DenseLimitError(ValueError):
     """A dense n x n matrix was asked for with n above DENSE_LIMIT."""
+
+
+class InvariantFailure(RuntimeError):
+    """A certified bound failed at run time; ``name`` says which one."""
+
+    def __init__(self, name: str, message: str) -> None:
+        super().__init__(f"{name}: {message}")
+        self.name = name
 
 
 def require_dense(n: int, what: str) -> None:

@@ -26,7 +26,7 @@ from .group_core import (
     build_sl2_quotient,
     word_ball,
 )
-from .measures import DiscreteMeasure, lazy_uniform
+from .measures import lazy_uniform
 from .rep_markov import (
     NON_GAPPED,
     Representation,
@@ -242,15 +242,13 @@ def propagation_check(level: WarpedLevel, g: GroupElement,
     return PropagationReport(word_length=wl, pairs=pairs)
 
 
-def propagation_exhaustive(level: WarpedLevel, g: GroupElement,
-                           word_length: Optional[int] = None) -> bool:
+def propagation_exhaustive(level: WarpedLevel, g: GroupElement) -> bool:
     """Exact check over all singleton support pairs at once."""
-    wl = word_length if word_length is not None else g.word_length
-    if wl is None:
+    if g.word_length is None:
         raise ValueError("group element carries no word length")
     dists = level.all_distances()
     # a pair (x, y) with x = g y must never be separated beyond |g|
-    return bool(np.all(dists[g.perm, np.arange(level.n_points)] <= wl + 1e-12))
+    return bool(np.all(dists[g.perm, np.arange(level.n_points)] <= g.word_length + 1e-12))
 
 
 # -- ghost projection --------------------------------------------------------------
@@ -320,24 +318,22 @@ class GhostReport:
         return bool(np.all(self.cone_defects() <= self.sup_lambda**ks + tol))
 
 
-def ghost_defect(levels: Sequence[WarpedLevel], k_max: int,
-                 measures: Optional[Sequence[DiscreteMeasure]] = None) -> GhostReport:
-    """Per-level gaps and the defect curves |A^k - P|, k <= k_max.
+def ghost_defect(levels: Sequence[WarpedLevel], k_max: int) -> GhostReport:
+    """Per-level gaps and the defect curves |A^k - P|, k <= k_max, of the
+    lazy uniform measure.
 
-    Each level's curve is ``rep_markov.defect_curve``: for a self-adjoint
-    operator, such as that of the default lazy uniform measure, it reuses
-    the level's restricted-norm solve and adds k_max applications of A;
-    other measures take one solve per k.  The cone-level defect is the sup
+    Each level's curve is ``rep_markov.defect_curve``: the operator is
+    self-adjoint, so it reuses the level's restricted-norm solve and adds
+    k_max applications of A.  The cone-level defect is the sup
     over levels; the report flags whether the measured gaps are uniformly
     below 1 (the spectral-gap hypothesis is measured, not assumed).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     rows = []
-    for i, level in enumerate(levels):
-        mu = measures[i] if measures is not None else lazy_uniform(level.action)
+    for level in levels:
         rep = Representation(level.action, p=2.0, d=1)
-        op = markov_operator(rep, mu)
+        op = markov_operator(rep, lazy_uniform(level.action))
         est = restricted_norm(op)
         gapped = est.value < NON_GAPPED
         if not gapped:

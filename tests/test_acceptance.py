@@ -5,6 +5,7 @@ once per session; each test asserts one criterion and prints its pass/fail
 line.  Stated runtime budgets are asserted on the measured core runtimes.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -173,6 +174,40 @@ def test_runner_invariant_failure_fails_only_its_criterion(monkeypatch):
     assert not results[0].passed
     assert results[0].details == {"failed_invariant": "neumann-projection-gap"}
     assert results[1].passed and results[2].passed
+
+
+def test_kazhdan_runner_failure_fails_criteria_3_4_and_11(monkeypatch):
+    def broken(config, action):
+        raise cli.InvariantFailure("decay-kappa-exceeds-oracle", "forced")
+
+    monkeypatch.setitem(cli.FIXTURE_RUNNERS, "kazhdan", broken)
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [c for c in acceptance.CRITERIA if c[0] in (2, 3, 4, 11)])
+    results = acceptance.run_core(0)
+    assert [r.cid for r in results] == [2, 3, 4, 11]
+    assert results[0].passed
+    for r in results[1:]:
+        assert not r.passed
+        assert r.details == {"failed_invariant": "decay-kappa-exceeds-oracle"}
+
+
+def test_ergodic_decay_bound_violation_fails_only_criterion_7(monkeypatch):
+    # an exact restricted norm below the true one breaks e_k <= lambda^k |f|
+    true_norm = cli.restricted_norm
+
+    def halved(op, **kwargs):
+        est = true_norm(op, **kwargs)
+        if est.quality != "exact":
+            return est
+        return dataclasses.replace(est, value=est.value / 2)
+
+    monkeypatch.setattr(cli, "restricted_norm", halved)
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [c for c in acceptance.CRITERIA if c[0] in (7, 8)])
+    results = acceptance.run_core(0)
+    assert [r.cid for r in results] == [7, 8]
+    assert results[0].details == {"failed_invariant": "ergodic-decay-bound"}
+    assert not results[0].passed and results[1].passed
 
 
 CORE_REPORT = ("import sys; from gaplab import acceptance; "

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gaplab import cli
 from gaplab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -243,6 +245,39 @@ def test_run_kazhdan_kind(tmp_path):
     assert report["boost"]["m"] == 3
 
 
+def test_run_kazhdan_kind_at_perfect_gap(tmp_path):
+    # on Z/2, {e, g} is a perfect gap: lambda 0 gives kappa 1, S 0 and m 1
+    config = ExperimentConfig(kind="kazhdan", fixture={"builder": "cyclic", "n": 2})
+    assert run(config, tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["lambda"]["value"] == 0.0
+    assert report["kappa_from_decay"]["value"] == 1.0
+    assert report["S_total"]["value"] == 0.0
+    assert report["boost"]["m"] == 1
+    assert report["norm_bound_from_kappa"]["value"] == 0.0
+
+
+@pytest.mark.parametrize("fixture", [
+    {"builder": "cyclic", "n": 1},
+    {"builder": "explicit", "points": [0, 1, 2], "weights": [1 / 3] * 3,
+     "generators": {"s": [1, 2, 0], "s^-1": [2, 0, 1], "t": [0, 1, 2]},
+     "inverses": {"s": "s^-1", "s^-1": "s", "t": "t"}},
+], ids=["cyclic-1", "explicit"])
+def test_run_kazhdan_refuses_an_identity_generator(tmp_path, capsys, monkeypatch, fixture):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve ran before the config check")
+
+    for name in ("restricted_norm", "kazhdan_constant_oracle", "certify_admissible"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = _write_config(tmp_path, {"kind": "kazhdan", "fixture": fixture})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.fixture: generator ")
+    assert "acts as the identity" in err and len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
 def test_run_projection_kind(tmp_path):
     config = ExperimentConfig(
         kind="projection",
@@ -348,6 +383,35 @@ def test_run_ergodic_kind(tmp_path):
     assert run(config, tmp_path) == 0
     assert (tmp_path / "errors_p2.0.csv").exists()
     assert (tmp_path / "errors_p1.5.csv").exists()
+
+
+def test_run_ergodic_decay_bound_violation_fails_invariant(tmp_path, monkeypatch):
+    # a restricted norm below the true one breaks e_k <= lambda^k |f|
+    true_norm = cli.restricted_norm
+
+    def halved(op, **kwargs):
+        est = true_norm(op, **kwargs)
+        return dataclasses.replace(est, value=est.value / 2)
+
+    monkeypatch.setattr(cli, "restricted_norm", halved)
+    config = ExperimentConfig(kind="ergodic", fixture=CYCLE)
+    assert run(config, tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["status"] == "invariant-failure"
+    assert report["failed_invariant"] == "ergodic-decay-bound"
+
+
+@pytest.mark.parametrize("fixture", [CYCLE, {"builder": "sl2", "m": 8, "variant": "a"}],
+                         ids=["cyclic-8", "sl2-8-a"])
+def test_run_shrinking_needs_a_metric(tmp_path, capsys, fixture):
+    path = _write_config(tmp_path, {"kind": "shrinking", "fixture": fixture})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.fixture: the shrinking kind needs a fixture "
+                          "with a metric: builder 'sl2' with variant 'b'")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
 
 
 def test_fixture_hash_present_and_stable(tmp_path):
@@ -539,3 +603,14 @@ def test_run_rejects_bad_points_and_empty_exponents(tmp_path, capsys, kind, fixt
     assert err.startswith(f"config error at {where}: must be ")
     assert len(err.splitlines()) == 1
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["markov", "projection", "kazhdan", "ergodic", "shrinking"])
+def test_run_on_tiny_cycles_exits_cleanly(tmp_path, kind, n):
+    # a run ends in an exit status, never an exception; 0 and 1 leave a report
+    path = _write_config(tmp_path, {"kind": kind, "fixture": {"builder": "cyclic", "n": n}})
+    out = tmp_path / "out"
+    status = main(["run", str(path), "--out-dir", str(out)])
+    assert status in (0, 1, 2)
+    assert (out / "report.json").exists() == (status != 2)
