@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import ergodic_walk as ew
 from . import warped_cone as wc
@@ -100,11 +99,14 @@ def tag(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
+DEFAULT_MEASURE = {"kind": "lazy_uniform"}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
     fixture: dict
-    measure: dict = field(default_factory=lambda: {"kind": "lazy_uniform"})
+    measure: dict = field(default_factory=lambda: dict(DEFAULT_MEASURE))
     params: dict = field(default_factory=dict)
     seed: int = 0
 
@@ -124,7 +126,7 @@ class ExperimentConfig:
         fixture = doc.get("fixture")
         if not isinstance(fixture, dict):
             raise ConfigError("$.fixture", "must be an object")
-        measure = doc.get("measure", {"kind": "lazy_uniform"})
+        measure = doc.get("measure", dict(DEFAULT_MEASURE))
         if not isinstance(measure, dict):
             raise ConfigError("$.measure", "must be an object")
         params = doc.get("params", {})
@@ -556,6 +558,10 @@ RUNNERS = {
     "ghost": _run_ghost,
 }
 KINDS = (*FIXTURE_RUNNERS, *RUNNERS)
+# kinds whose measure is part of the experiment: uniform on Q u {e}
+# (kazhdan), on the generator labels (expander), lazy uniform on every level
+# (warped, ghost)
+OWN_MEASURE_KINDS = ("kazhdan", "expander", "warped", "ghost")
 
 
 # -- orchestration ------------------------------------------------------------------
@@ -574,17 +580,18 @@ def execute(config: ExperimentConfig, action: Optional[FiniteAction] = None
     """Run one experiment in memory; returns its report and CSV series.
 
     Kinds in ``FIXTURE_RUNNERS`` run on ``action``, built from the config if
-    not given.  Non-convergence is an ``InvariantFailure``, an oversized
-    dense build a ``ConfigError``.
+    not given.  A measure given to a kind in ``OWN_MEASURE_KINDS`` and an
+    oversized dense build are ``ConfigError``s.
     """
+    if config.kind in OWN_MEASURE_KINDS and config.measure != DEFAULT_MEASURE:
+        raise ConfigError("$.measure", f"the {config.kind} kind sets its own measure; "
+                          f"leave it out or give {DEFAULT_MEASURE}, got {config.measure!r}")
     try:
         if config.kind not in FIXTURE_RUNNERS:
             return RUNNERS[config.kind](config)
         if action is None:
             action = build_fixture(config.fixture)
         return FIXTURE_RUNNERS[config.kind](config, action)
-    except ArpackNoConvergence as exc:
-        raise InvariantFailure("eigensolve-not-converged", str(exc)) from exc
     except DenseLimitError as exc:
         raise ConfigError("$.fixture", str(exc)) from exc
 

@@ -229,7 +229,7 @@ def shrinking_series_exact(action: FiniteAction, mu: DiscreteMeasure,
     rows[np.arange(len(starts)), starts] = 1.0
     hit = np.zeros((len(starts), plan.horizon))
     for n in range(1, plan.horizon + 1):
-        rows = rows @ op.matrix  # r <- r A for each start row
+        rows = op.transposed.apply_rows(rows)  # r <- r A for each start row
         member = plan.membership(n)
         hit[:, n - 1] = rows[:, member].sum(axis=1)
     if hit.size and (hit.min() < -1e-12 or hit.max() > 1.0 + 1e-12):

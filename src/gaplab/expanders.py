@@ -28,19 +28,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import block_diag, bmat
 
 from .group_core import (
     SL2_GENERATOR_MATRICES,
     CayleyGraph,
     FiniteAction,
+    FixedDegreeMatrix,
     GroupElement,
     _components,
     _sl2_order,
     _sl2_section,
     build_sl2_quotient,
     sl2_coset_coordinates,
-    sl2_induced_block,
+    sl2_induced_blocks,
     word_ball,
 )
 from .measures import DiscreteMeasure
@@ -97,35 +97,43 @@ def _block_solve(p: int, weights: Dict[str, float]) -> Tuple[float, np.ndarray, 
     """lambda_2 of SL2(Z/p), p prime: the top eigenvalue of the direct sum of
     the induced blocks, one per character class, which is the largest of
     their top eigenvalues.  Returns it with its unit eigenvector x on the
-    direct sum and the classes a: block 0 holds x[:n], and the j-th complex
-    block the real and imaginary parts of its F at x[(2j - 1) n:(2j + 1) n],
-    n = p^2 - 1."""
+    direct sum and the classes a: block 0 holds x[:n], n = p^2 - 1, and the
+    complex blocks follow, each F as n (Re F(v), Im F(v)) pairs, so that
+    x[n:] viewed as complex numbers is their F, one after the other."""
     classes = _character_classes(p)
-    blocks = [sl2_induced_block(p, a, weights) for a in classes]
     n = p * p - 1
-    # Block 0 is real.  A complex block X + iY enters as [[X, -Y], [Y, X]],
-    # which has each of its eigenvalues twice and (Re F, Im F) for an
-    # eigenvector F.  One real Lanczos solve on the sum takes about 2/3 of
-    # the time of one solve per block.
-    total = block_diag([blocks[0]] + [bmat([[b.real, -b.imag], [b.imag, b.real]])
-                                      for b in blocks[1:]], format="csr")
+    total = _direct_sum(sl2_induced_blocks(p, classes, weights))
+    field = np.empty(total.n, dtype=complex)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        # M - 2P, P the projector on block 0's constants
-        y = total @ x
-        y[:n] -= (2.0 / n) * x[:n].sum(axis=0)
+        # Block 0 is real, and a complex block X + iY acts on the pairs
+        # (Re F, Im F) as [[X, -Y], [Y, X]], which has each of its
+        # eigenvalues twice and (Re F, Im F) for an eigenvector F.  One real
+        # Lanczos solve on the sum takes about 2/3 of the time of one solve
+        # per block.  M - 2P, P the projector on block 0's constants.
+        field[:n], field[n:] = x[:n], np.ascontiguousarray(x[n:]).view(complex)
+        image = total @ field
+        y = np.empty_like(x)
+        y[:n] = image[:n].real - (2.0 / n) * x[:n].sum()
+        y[n:].view(complex)[:] = image[n:]
         return y
 
-    values, vectors, _residuals = _euclidean_top(matvec, total.shape[0])
+    values, vectors, _residuals = _euclidean_top(matvec, (2 * len(classes) - 1) * n)
     return float(values[0]), vectors[:, 0], classes
+
+
+def _direct_sum(blocks: List[FixedDegreeMatrix]) -> FixedDegreeMatrix:
+    """Blocks of one degree on the diagonal of one matrix."""
+    n = blocks[0].n
+    return FixedDegreeMatrix(np.concatenate([b.cols + j * n for j, b in enumerate(blocks)], axis=1),
+                             np.concatenate([b.vals for b in blocks], axis=1))
 
 
 def _block_fields(x: np.ndarray, p: int, classes: List[int]) -> List[np.ndarray]:
     """The direct-sum vector x of ``_block_solve`` as one complex F per class."""
     n = p * p - 1
-    return [x[:n].astype(complex)] + [
-        re + 1j * im for re, im in (np.split(x[(2 * j + 1) * n:(2 * j + 3) * n], 2)
-                                    for j in range(len(classes) - 1))]
+    return [x[:n].astype(complex)] + np.split(np.ascontiguousarray(x[n:]).view(complex),
+                                             len(classes) - 1)
 
 
 def _lift(action: FiniteAction, p: int, x: np.ndarray, classes: List[int]) -> np.ndarray:

@@ -16,19 +16,19 @@ at the serialization boundary (``action_to_json``).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "GeneratorSystem",
     "GroupElement",
     "FiniteAction",
+    "FixedDegreeMatrix",
     "CayleyGraph",
     "TorusGridMetric",
     "SubsetMetricView",
@@ -43,7 +43,7 @@ __all__ = [
     "SL2_GENERATOR_MATRICES",
     "Sl2GroupTable",
     "sl2_coset_coordinates",
-    "sl2_induced_block",
+    "sl2_induced_blocks",
 ]
 
 PROB_TOL = 1e-12
@@ -255,13 +255,7 @@ class FiniteAction:
     @cached_property
     def _orbit_of(self) -> np.ndarray:
         """Orbit id of each point, the orbits numbered by their smallest member."""
-        n = self.n_points
-        n_orbits, labels = _components(n, [self.perms[lab] for lab in self.gens.labels])
-        first = np.empty(n_orbits, dtype=np.int64)
-        first[labels[::-1]] = np.arange(n - 1, -1, -1)  # the last write is the smallest
-        rank = np.empty(n_orbits, dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(n_orbits)
-        return rank[labels]
+        return _components(self.n_points, [self.perms[lab] for lab in self.gens.labels])[1]
 
     @cached_property
     def _orbits(self) -> List[np.ndarray]:
@@ -279,14 +273,33 @@ class FiniteAction:
 
 
 def _components(n: int, maps: Sequence[np.ndarray]) -> Tuple[int, np.ndarray]:
-    """``connected_components`` of the graph on n points with an edge
-    x -> m[x] for each map m, as undirected: their number and the label of
-    each point."""
-    # row x holds the edges x -> m[x], and a self-loop for an empty list of maps
-    heads = np.column_stack([np.arange(n)] + list(maps))
-    graph = csr_matrix((np.ones(heads.size), heads.ravel(),
-                        np.arange(0, heads.size + 1, heads.shape[1])), shape=(n, n))
-    return connected_components(graph, connection="weak")
+    """Connected components of the graph on n points with an edge x - m[x]
+    for each map m: their number, and the label of each point, the
+    components numbered in the order of their smallest members.
+
+    Min-label propagation with pointer jumping: every point points at a
+    point of its component no larger than itself.  A round hooks, across
+    every edge, the root of the larger end onto the smaller root, then jumps
+    every pointer to its root; once a round changes nothing, the roots are
+    the components' smallest points.
+    """
+    root = np.arange(n)
+    while True:
+        hooked = root.copy()
+        for m in maps:
+            heads = root[m]
+            np.minimum.at(hooked, heads, root)
+            np.minimum.at(hooked, root, heads)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    is_root = root == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
 
 
 def is_ergodic(action: FiniteAction) -> bool:
@@ -294,6 +307,89 @@ def is_ergodic(action: FiniteAction) -> bool:
     support = np.flatnonzero(action.weights > 0)
     orbit_of = action.orbit_index()
     return len(set(orbit_of[support].tolist())) <= 1
+
+
+# -- fixed-degree matrices -------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class FixedDegreeMatrix:
+    """An n x n matrix with the same number of slots in every row.
+
+    Slot j of row i holds ``vals[j, i]`` at column ``cols[j, i]``, and
+    ``M @ x`` sums a row's slots in slot order.  ``from_slots`` gives every
+    row its distinct columns first, ascending, each with the sum of its
+    entries, repeats the last column with value 0 in the slots left, and
+    keeps as many slots as the row with the most distinct columns needs.
+    A Markov operator and an induced SL2 block are sums of a few weighted
+    permutation matrices, one per slot, so their rows have equal length.
+    """
+
+    cols: np.ndarray  # (degree, n) int64
+    vals: np.ndarray  # (degree, n) float64 or complex128
+
+    @staticmethod
+    def from_slots(cols: np.ndarray, vals: np.ndarray) -> "FixedDegreeMatrix":
+        """Row i holds vals[j, i] at column cols[j, i] for every slot j;
+        repeated columns of a row are merged, summed in slot order.  Trailing
+        axes of ``vals`` stack matrices with the same columns, merged at once."""
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals)
+        order = np.argsort(cols, axis=0, kind="stable")
+        cols = np.take_along_axis(cols, order, axis=0)
+        vals = np.take_along_axis(vals, order.reshape(order.shape + (1,) * (vals.ndim - 2)),
+                                  axis=0)
+        first = np.ones(cols.shape, dtype=bool)
+        first[1:] = cols[1:] != cols[:-1]
+        merged = np.cumsum(first, axis=0) - 1  # the slot each entry lands in
+        rows = np.arange(cols.shape[1])
+        degree = int(merged[-1].max()) + 1  # the most distinct columns of a row
+        out_cols = np.repeat(cols[-1:], degree, axis=0)  # the largest column
+        out_vals = np.zeros((degree,) + vals.shape[1:], dtype=vals.dtype)
+        for j in range(len(cols)):
+            out_cols[merged[j], rows] = cols[j]
+            out_vals[merged[j], rows] += vals[j]
+        return FixedDegreeMatrix(out_cols, out_vals)
+
+    @property
+    def n(self) -> int:
+        return self.cols.shape[1]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """M x for a vector x of shape (n,), or column by column for (n, k)."""
+        x = np.asarray(x)
+        vals = self.vals.reshape(self.vals.shape + (1,) * (x.ndim - 1))
+        terms = vals * x.take(self.cols, axis=0)
+        out = terms[0]
+        for j in range(1, len(terms)):
+            out += terms[j]
+        return out
+
+    def apply_rows(self, x: np.ndarray) -> np.ndarray:
+        """M applied to every row of x, of shape (k, n): x M^T."""
+        out = self.vals[0] * x[:, self.cols[0]]
+        for j in range(1, len(self.cols)):
+            out += self.vals[j] * x[:, self.cols[j]]
+        return out
+
+    def entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the stored entries (no padding slot),
+        of a matrix built by ``from_slots``."""
+        stored = np.ones(self.cols.shape, dtype=bool)
+        stored[1:] = self.cols[1:] != self.cols[:-1]
+        rows = np.broadcast_to(np.arange(self.n), self.cols.shape)
+        return rows[stored], self.cols[stored], self.vals[stored]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.n, self.n), dtype=self.vals.dtype)
+        rows, cols, vals = self.entries()
+        out[rows, cols] = vals
+        return out
+
+    def equals(self, other: "FixedDegreeMatrix") -> bool:
+        """Entrywise equality of two matrices built by ``from_slots``."""
+        return (np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.vals, other.vals))
 
 
 # -- builders --------------------------------------------------------------
@@ -505,8 +601,10 @@ def sl2_coset_coordinates(mats: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndar
     return v[:, 0] * p + v[:, 1] - 1, t
 
 
-def sl2_induced_block(p: int, a: int, weights: Dict[str, float]) -> csr_matrix:
-    """The block of A = sum_s mu(s) pi_s on Ind_U^G chi_a, for G = SL2(Z/p).
+def sl2_induced_blocks(p: int, classes: Sequence[int],
+                       weights: Dict[str, float]) -> List[FixedDegreeMatrix]:
+    """The blocks of A = sum_s mu(s) pi_s on Ind_U^G chi_a, for G = SL2(Z/p),
+    one per a in ``classes``.
 
     ``weights`` gives mu(s) for labels of ``SL2_GENERATOR_MATRICES``, and
     pi_s f(x) = f(s^-1 x) is the left translation of ``build_sl2_quotient(p,
@@ -517,10 +615,12 @@ def sl2_induced_block(p: int, a: int, weights: Dict[str, float]) -> csr_matrix:
 
     The field f is l^2-normalized when F is, up to the factor sqrt(p), so the
     spectrum of the symmetrized operator (A + A*) / 2 on L^2(G) is the union
-    over a in F_p of the spectra of the returned (M + M^H) / 2, a
-    (p^2 - 1) x (p^2 - 1) matrix with at most 2 |supp mu| entries per row.
-    It is complex, except at a = 0: chi_0 = 1, and A_0 is the linear action
-    on the nonzero vectors, a real matrix.
+    over a in F_p of the spectra of the returned (M + M^H) / 2, complex
+    (p^2 - 1) x (p^2 - 1) matrices with at most 2 |supp mu| slots per row
+    (|supp mu| for a symmetric measure, whose M and M^H share columns).  The
+    columns do not depend on a, so the blocks are built together.  At a = 0,
+    chi_0 = 1 and A_0 is the linear action on the nonzero vectors, a real
+    matrix.
     """
     n = p * p - 1
     codes = np.arange(n, dtype=np.int64)
@@ -531,10 +631,16 @@ def sl2_induced_block(p: int, a: int, weights: Dict[str, float]) -> csr_matrix:
         inverse = SL2_GENERATOR_MATRICES[_SL2_GENS.inverse_label(lab)]
         col, t = sl2_coset_coordinates(_sl2_mul([x % p for x in inverse], sections, p), p)
         cols.append(col)
-        vals.append(w * roots[(a * t) % p] if a % p else np.full(n, float(w)))
-    rows = np.tile(codes, len(cols))
-    m = csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(n, n))
-    return ((m + m.conj().T) / 2.0).tocsr()
+        vals.append(w * roots[np.outer(t, classes) % p])  # roots[0] = 1 exactly
+    # M^H from the transposed slots, merged in the same slot order, is the
+    # exact conjugate transpose of M, so the sum is exactly Hermitian
+    inverses = [np.argsort(col) for col in cols]
+    m = FixedDegreeMatrix.from_slots(cols, vals)
+    m_h = FixedDegreeMatrix.from_slots(inverses,
+                                       [val[inv].conj() for val, inv in zip(vals, inverses)])
+    both = FixedDegreeMatrix.from_slots(np.concatenate([m.cols, m_h.cols]),
+                                        np.concatenate([m.vals, m_h.vals]))
+    return [FixedDegreeMatrix(both.cols, both.vals[..., j] * 0.5) for j in range(len(classes))]
 
 
 def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
@@ -698,7 +804,5 @@ def action_to_json(action: FiniteAction) -> dict:
 
 
 def action_fingerprint(action: FiniteAction) -> str:
-    import hashlib
-
     blob = json.dumps(action_to_json(action), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -16,10 +16,8 @@ from functools import cached_property
 from typing import Callable, List, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .group_core import FiniteAction, GroupElement
+from .group_core import FiniteAction, FixedDegreeMatrix, GroupElement
 from .measures import DiscreteMeasure, convolve, translate
 
 __all__ = [
@@ -160,30 +158,41 @@ class NormEstimate:
     # Ritz value; it bounds the nearest eigenvalue, not certainly the top one
     upper: float = 1.0
     iterations: int = 0  # operator applications of the spectral solve
-    converged: bool = True  # the solve raises ArpackNoConvergence otherwise
+    converged: bool = True  # the solve raises InvariantFailure otherwise
 
 
 class MarkovOperator:
-    """Averaging operator A f(x) = sum_g mu(g) f(g^-1 x), stored as the CSR ``matrix``."""
+    """Averaging operator A f(x) = sum_g mu(g) f(g^-1 x).
+
+    ``matrix`` holds A in fixed-degree form, one slot per atom: row x holds
+    mu(g) at column g^-1 x, and atoms that coincide on a point are merged.
+    ``transposed`` holds A^T the same way, mu(g) at column g x.
+    """
 
     def __init__(self, rep: Representation, measure: DiscreteMeasure) -> None:
         if measure.degree != rep.n_points:
             raise ValueError("measure atoms are not realized on the action space")
         self.rep = rep
         self.measure = measure
-        atoms = list(measure.items())
-        # row x holds mu(g) at column g^-1 x, one entry per atom; repeats are summed
-        cols = np.stack([np.argsort(el.perm) for el, _ in atoms], axis=1)
-        vals = np.tile([float(w) for _, w in atoms], rep.n_points)
-        indptr = np.arange(0, cols.size + 1, len(atoms))
-        self.matrix = csr_matrix((vals, cols.ravel(), indptr), shape=(rep.n_points,) * 2)
-        self.matrix.sum_duplicates()
+        self.matrix = self._slots(lambda el: el.inverse().perm)
         self.decomposition = Decomposition(rep)
 
+    def _slots(self, column: Callable[[GroupElement], np.ndarray]) -> FixedDegreeMatrix:
+        atoms = list(self.measure.items())
+        weights = np.array([float(w) for _, w in atoms])[:, None]
+        return FixedDegreeMatrix.from_slots(
+            np.stack([column(el) for el, _ in atoms]),
+            np.broadcast_to(weights, (len(atoms), self.n_points)))
+
     @cached_property
-    def _transpose(self) -> csr_matrix:
-        # built once: forming matrix.T on every call costs 3x the product
-        return self.matrix.T.tocsr()
+    def transposed(self) -> FixedDegreeMatrix:
+        return self._slots(lambda el: el.perm)
+
+    @cached_property
+    def self_adjoint(self) -> bool:
+        """Whether the matrix equals its transpose entrywise; the transpose
+        is the adjoint for the weighted pairing."""
+        return self.matrix.equals(self.transposed)
 
     @cached_property
     def _gram_top(self) -> _TopEigenpair:
@@ -204,7 +213,7 @@ class MarkovOperator:
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
         """Adjoint for the weighted pairing; same array op as the plain transpose."""
-        return self._transpose @ self.rep._coerce(values)
+        return self.transposed @ self.rep._coerce(values)
 
     def apply_power(self, values: np.ndarray, k: int) -> np.ndarray:
         f = self.rep._coerce(values)
@@ -218,8 +227,8 @@ class MarkovOperator:
 
     def to_coo(self) -> List[Tuple[int, int, float]]:
         """Coordinate-list export of the matrix, sorted by (row, col)."""
-        coo = self.matrix.tocoo()
-        return sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+        rows, cols, vals = self.matrix.entries()
+        return sorted(zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
 
 def markov_operator(rep: Representation, mu: DiscreteMeasure) -> MarkovOperator:
@@ -229,11 +238,21 @@ def markov_operator(rep: Representation, mu: DiscreteMeasure) -> MarkovOperator:
 # -- the spectral kernel -----------------------------------------------------
 
 # Operators of at most this many coordinates are formed and solved by dense
-# eigh.  On the tiniest ones ARPACK's last bits change between calls in one
-# process (lambda_2 of Z/3 and Z/4 did), which breaks byte-identical reports;
-# test_small_spectra_replay_bit_identical fails for any cutoff below 4.  The
+# eigh.  On the tiniest ones ARPACK's last bits changed between calls in one
+# process (lambda_2 of Z/3 and Z/4 did), which broke byte-identical reports;
+# test_small_spectra_replay_bit_identical failed for any cutoff below 4.  The
 # margin up to 32 costs nothing: a 32 x 32 eigh takes microseconds.
 DENSE_EIG_SIZE = 32
+# Lanczos basis size, and each restart keeps the top 2/3 of the Ritz vectors.
+# Measured against 20, 28, 32 and 40 vectors and against keeping 1/2 or 3/4:
+# on the nine certify-sl2 SL2(Z/p) block sums, p = 5..31, this takes 832
+# applications in all (ARPACK took 859 with its 20), on the m = 32 torus 72
+# (71) and on the n = 512 cycle 296 (371); more vectors save applications on
+# the cycle but cost more per step on the blocks.
+LANCZOS_BASIS = 24
+# A solve that has not converged after this many applications per coordinate
+# raises InvariantFailure("eigensolve-not-converged").
+LANCZOS_APPLICATIONS_PER_COORDINATE = 10
 
 
 @dataclass
@@ -258,29 +277,112 @@ class _TopEigenpair:
         return float(self.residuals[0])
 
 
+# Sums over every coordinate go through einsum, which runs on one thread:
+# OpenBLAS splits long ddot and gemv sums by thread (at 51,000 coordinates,
+# the p = 101 blocks, gemv of 10 or more rows did), and their last bits then
+# follow the thread count.  Products that only sum over the basis, such as
+# h @ span, keep each output on one thread and stay on BLAS.
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.einsum("i,i", x, x))
+
+
+def _coefficients(span: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """span @ w: one sum over the coordinates per row of span."""
+    return np.einsum("ij,j->i", span, w)
+
+
+def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
+                 k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Top k eigenvalues, largest first, and their unit vectors (as columns)
+    of a symmetric operator on R^size, size > ``LANCZOS_BASIS`` > k, by
+    thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 2000).
+
+    Each step takes the three-term recurrence, then reorthogonalizes fully
+    by classical Gram-Schmidt against the whole basis; a pass that leaves
+    less than 0.717 of the vector's norm is repeated, as in ARPACK (a step
+    that starts a cycle has no recurrence, so its first pass is the whole
+    projection).  The Rayleigh quotient of the basis is kept whole, so a
+    restart keeps the top 2/3 of the Ritz vectors and goes on from the
+    residual direction.  The start vector is fixed; when the Krylov space
+    closes (the repeated pass also leaves less than 0.717), the next vector
+    is a normal sample from ``np.random.default_rng(0)``.  A pair has
+    converged when its Ritz estimate |beta s_i| <= eps max(1, |theta_i|);
+    the k pairs must all converge within
+    ``LANCZOS_APPLICATIONS_PER_COORDINATE * size`` applications, or the
+    solve raises ``InvariantFailure``.
+    """
+    m = min(LANCZOS_BASIS, size - 1)
+    basis = np.empty((m + 1, size))
+    quotient = np.zeros((m, m))  # basis^T M basis
+    v0 = np.cos(np.arange(size) * 1.7) + 0.1
+    basis[0] = v0 / _norm(v0)
+    eps = np.finfo(float).eps
+    cap = LANCZOS_APPLICATIONS_PER_COORDINATE * size
+    rng = None
+    kept = applications = 0
+    beta = 0.0
+    while True:
+        for j in range(kept, m):
+            w = matvec(basis[j])
+            applications += 1
+            span = basis[:j + 1]
+            if j > kept:  # A v_j lies along v_j and v_{j-1}, up to rounding
+                local = np.array([beta, np.einsum("i,i", basis[j], w)])
+                w -= local @ basis[j - 1:j + 1]
+            h = _coefficients(span, w)
+            w -= h @ span
+            beta = _norm(w)
+            # the pass took |h| off a vector of norm sqrt(beta^2 + |h|^2)
+            if beta * beta < 0.717 ** 2 * (beta * beta + h @ h):
+                again = _coefficients(span, w)
+                w -= again @ span
+                h += again
+                before, beta = beta, _norm(w)
+                if beta < 0.717 * before:  # w lies in the span
+                    if rng is None:
+                        rng = np.random.default_rng(0)
+                    w = rng.standard_normal(size)
+                    for _ in range(2):
+                        w -= _coefficients(span, w) @ span
+                    w /= _norm(w)
+                    beta = 0.0
+            if j > kept:
+                h[j - 1:] += local
+            quotient[:j + 1, j] = h  # eigh reads the upper triangle
+            basis[j + 1] = w / beta if beta else w
+        theta, s = np.linalg.eigh(quotient, UPLO="U")
+        theta, s = theta[::-1], s[:, ::-1]
+        estimates = np.abs(beta * s[-1, :k])
+        if np.all(estimates <= eps * np.maximum(1.0, np.abs(theta[:k]))):
+            return theta[:k], basis[:m].T @ s[:, :k]
+        if applications >= cap:
+            raise InvariantFailure(
+                "eigensolve-not-converged",
+                f"Lanczos Ritz estimates {estimates.tolist()} after {applications} applications")
+        kept = k + 2 * (m - k) // 3
+        basis[:kept] = s[:, :kept].T @ basis[:m]
+        basis[kept] = basis[m]
+        quotient[:] = 0.0
+        quotient[range(kept), range(kept)] = theta[:kept]
+
+
 def _euclidean_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
                    k: int = 1) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, unit vectors (as columns) and residuals |matvec(x_i) - theta_i x_i|
     of the top k eigenpairs of a symmetric operator on R^size, largest first:
-    by dense eigh up to ``DENSE_EIG_SIZE`` coordinates, else by Lanczos (eigsh,
-    fixed start vector, seeded restarts, tol=0), which raises
-    ArpackNoConvergence rather than return an unconverged value.  For k > 1
-    Lanczos may return a multiple eigenvalue once, so ``values`` need not
-    repeat it."""
+    by dense eigh up to ``DENSE_EIG_SIZE`` coordinates, else by
+    ``_lanczos_top``, which raises ``InvariantFailure`` rather than return an
+    unconverged value.  For k > 1 Lanczos may return a multiple eigenvalue
+    once, so ``values`` need not repeat it."""
     if size <= DENSE_EIG_SIZE:
         mat = np.column_stack([matvec(e) for e in np.eye(size)])
         vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+        vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]  # eigh is ascending
     else:
-        lin = LinearOperator((size, size), matvec=matvec, dtype=float)
-        v0 = np.cos(np.arange(size) * 1.7) + 0.1
-        # a restart vector that ARPACK asks for (a multiple eigenvalue can
-        # exhaust the Krylov space when k > 1) comes from a fixed seed
-        vals, vecs = eigsh(lin, k=k, which="LA", v0=v0, tol=0,
-                           rng=np.random.default_rng(0))
-    # both solvers return ascending eigenvalues
-    vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
-    residuals = np.array([np.linalg.norm(matvec(x) - theta * x)
-                          for theta, x in zip(vals, vecs.T)])
+        vals, vecs = _lanczos_top(matvec, size, k)
+    residuals = np.array([_norm(matvec(x) - theta * x) for theta, x in zip(vals, vecs.T)])
     return vals, vecs, residuals
 
 
@@ -437,8 +539,8 @@ def neumann_projection(op: MarkovOperator) -> np.ndarray:
         raise ValueError(f"restricted norm {lam} >= {NON_GAPPED}: no spectral gap")
     power = op.dense()
     for _ in range(NEUMANN_MAX_SQUARINGS + 1):
-        # the term through the sparse A: one CSR product instead of a GEMM
-        if np.linalg.norm(power - power @ op.matrix, "fro") < NEUMANN_TERM_TOL:
+        # the term through the fixed-degree A^T, power A, instead of a GEMM
+        if np.linalg.norm(power - op.transposed.apply_rows(power), "fro") < NEUMANN_TERM_TOL:
             return power
         power = power @ power
     raise RuntimeError(f"Neumann term above tolerance after {NEUMANN_MAX_SQUARINGS} squarings")
@@ -482,7 +584,7 @@ def defect_curve(op: MarkovOperator, k_max: int, seed: int = 0) -> np.ndarray:
     if rep.p == 2.0:
         if dec.complement_dim() == 0:
             return np.zeros(k_max + 1)
-        if (op.matrix != op._transpose).nnz:
+        if not op.self_adjoint:
             return np.array([_gram_defect(op, k) for k in range(k_max + 1)])
         f = _unit_complement(dec, op._gram_top.vector)
         pf = dec.mean(f)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .group_core import (
     GroupElement,
@@ -53,6 +51,20 @@ __all__ = [
 ]
 
 
+def _sparse():
+    """``scipy.sparse``, with ``csgraph`` loaded, imported on first use: the
+    warped-graph distances are gaplab's one use of scipy, so only the
+    warped and ghost kinds pay for the import."""
+    import scipy.sparse.csgraph
+
+    return scipy.sparse
+
+
+def _dijkstra(graph, **kwargs) -> np.ndarray:
+    """Shortest-path distances along the directed edges of a warped graph."""
+    return _sparse().csgraph.dijkstra(graph, directed=True, **kwargs)
+
+
 class WarpedLevel:
     """One level M x {t} of the discretized cone."""
 
@@ -79,7 +91,7 @@ class WarpedLevel:
     def weights(self) -> np.ndarray:
         return self.action.weights
 
-    def _build_graph(self) -> csr_matrix:
+    def _build_graph(self):
         m, n = self.m, self.n_points
         idx = np.arange(n)
         xs, ys = np.divmod(idx, m)
@@ -107,14 +119,14 @@ class WarpedLevel:
         r, c, w = r[order], c[order], w[order]
         first = np.ones(len(r), dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        return csr_matrix((w[first], (r[first], c[first])), shape=(n, n))
+        return _sparse().csr_matrix((w[first], (r[first], c[first])), shape=(n, n))
 
     def distances_from(self, center: int) -> np.ndarray:
-        return dijkstra(self.graph, directed=True, indices=center)
+        return _dijkstra(self.graph, indices=center)
 
     def all_distances(self) -> np.ndarray:
         if self._dist_cache is None:
-            self._dist_cache = dijkstra(self.graph, directed=True)
+            self._dist_cache = _dijkstra(self.graph)
         return self._dist_cache
 
     def cone_distances_from(self, center: int) -> np.ndarray:
@@ -161,8 +173,8 @@ def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
     # searches stop at R (farther points stay at inf, nearer ones are exact)
     # and run BALL_CHUNK sources at a time, so no n x n array is built
     measures = np.concatenate([
-        (dijkstra(level.graph, directed=True, limit=limit,
-                  indices=np.arange(start, min(start + BALL_CHUNK, n))) <= limit)
+        (_dijkstra(level.graph, limit=limit,
+                   indices=np.arange(start, min(start + BALL_CHUNK, n))) <= limit)
         @ level.weights
         for start in range(0, n, BALL_CHUNK)])
     arg = int(np.argmax(measures))
@@ -170,7 +182,7 @@ def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
     l_max = max(level.lipschitz.values())
     cover_radius = R * l_max ** math.floor(R)
     ball = np.flatnonzero(
-        dijkstra(level.graph, directed=True, indices=arg, limit=limit) <= limit)
+        _dijkstra(level.graph, indices=arg, limit=limit) <= limit)
     best = np.full(len(ball), np.inf)
     for el in word_ball(level.action, int(math.floor(R))):
         best = np.minimum(best, level.cone_distances_from(int(el.perm[arg]))[ball])

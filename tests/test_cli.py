@@ -428,15 +428,10 @@ def test_fixture_hash_present_and_stable(tmp_path):
 
 
 def test_run_unconverged_eigensolve_fails_invariant(tmp_path, monkeypatch):
-    from scipy.sparse.linalg import ArpackNoConvergence
-
     from gaplab import rep_markov
 
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence",
-                                  np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(rep_markov, "eigsh", no_convergence)
+    # the first restart cycle already spends more than 0.01 x 64 applications
+    monkeypatch.setattr(rep_markov, "LANCZOS_APPLICATIONS_PER_COORDINATE", 0.01)
     config = ExperimentConfig(
         kind="markov",
         fixture={"builder": "cyclic", "n": 64},  # above the dense cutoff
@@ -520,21 +515,54 @@ def test_modules_import_alone(module):
     assert out == b"True\n"
 
 
-def test_run_never_imports_scipy_optimize(tmp_path):
-    # a fresh process: the measures tests import linprog as their reference
-    path = _write_config(tmp_path, {"kind": "kazhdan",
-                                    "fixture": {"builder": "sl2", "m": 5, "variant": "a"},
-                                    "params": {"n_starts": 8}, "seed": 0})
+def test_run_never_imports_scipy(tmp_path):
+    # a fresh process: other tests import scipy as their reference
+    configs = {
+        "markov": {"kind": "markov", "fixture": {"builder": "sl2", "m": 8, "variant": "b"},
+                   "params": {"k_max": 3}},
+        "kazhdan": {"kind": "kazhdan", "fixture": {"builder": "sl2", "m": 5, "variant": "a"},
+                    "params": {"n_starts": 8}},
+        "expander": {"kind": "expander", "fixture": {"family": "sl2", "moduli": [5, 7, 31]}},
+    }
+    runs = []
+    for name, doc in configs.items():
+        path = _write_config(tmp_path, doc, name=f"{name}.json")
+        runs.append(f"cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path / name)!r}])")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys; import gaplab.cli as cli; "
-            f"assert cli.main(['run', {str(path)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0; "
-            "print('scipy.optimize' in sys.modules)")
+            f"print([{', '.join(runs)}], sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, timeout=120).stdout
-    assert out == b"False\n"
-    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert out == b"[0, 0, 0] []\n"
+    report = json.loads((tmp_path / "kazhdan" / "report.json").read_text())["report"]
     assert report["M_lp"]["value"] == 5.0  # the LP ran
+    # the warped kind still reaches scipy's shortest paths
+    path = _write_config(tmp_path, {"kind": "warped", "fixture": {"levels": [4, 8]}},
+                         name="warped.json")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "warped")]) == 0
+
+
+@pytest.mark.parametrize("kind, fixture", [
+    ("kazhdan", {"builder": "cyclic", "n": 3}),
+    ("expander", {"family": "cycles", "sizes": [3, 4]}),
+    ("warped", {"levels": [4]}),
+    ("ghost", {"levels": [4]}),
+])
+def test_kinds_with_their_own_measure_refuse_another(tmp_path, capsys, kind, fixture):
+    path = _write_config(tmp_path, {"kind": kind, "fixture": fixture,
+                                    "measure": {"kind": "uniform_gens"}})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.measure: ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+    # the default, given explicitly, is accepted
+    path = _write_config(tmp_path, {"kind": kind, "fixture": fixture,
+                                    "measure": {"kind": "lazy_uniform"}})
+    assert main(["run", str(path), "--out-dir", str(out)]) == 0
 
 
 def _refuse_sl2_builds(monkeypatch):

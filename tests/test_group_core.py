@@ -602,3 +602,30 @@ def test_lazy_uniform_on_sl2_101_stays_below_160_mb():
     finally:
         tracemalloc.stop()
     assert peak < 160e6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_match_connected_components(seed):
+    from scipy.sparse import csr_matrix  # reference only; gaplab never imports it here
+    from scipy.sparse.csgraph import connected_components
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    maps = []
+    for _ in range(int(rng.integers(0, 4))):
+        # a permutation that moves only a random subset, so that several
+        # components survive
+        perm = np.arange(n)
+        moved = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 0.6))
+        perm[moved] = rng.permutation(moved)
+        maps.append(perm)
+    heads = np.concatenate([np.arange(n)] + maps)
+    tails = np.tile(np.arange(n), len(maps) + 1)
+    graph = csr_matrix((np.ones(len(heads)), (tails, heads)), shape=(n, n))
+    want_count, want_labels = connected_components(graph, connection="weak")
+    count, labels = group_core._components(n, maps)
+    assert count == want_count
+    assert np.array_equal(labels, want_labels)
+    # numbered by smallest member
+    firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(count)]
+    assert firsts == sorted(firsts)

@@ -201,7 +201,7 @@ def _oracle_case(name):
 
 
 def _count_rng_calls(monkeypatch):
-    # only the oracle's own seeded starts: eigsh draws generators of its own
+    # only the oracle's own seeded starts: the kernel draws a generator of its own
     seeds = []
     real = np.random.default_rng
 

@@ -471,7 +471,7 @@ def test_defect_curve_self_adjoint_agrees_with_per_k_solves():
     # the lazy walk on the m = 8 torus, which is also the warped level m = 8
     act = build_sl2_quotient(8, variant="b")
     op = markov_operator(Representation(act), lazy_uniform(act))
-    assert (op.matrix != op.matrix.T).nnz == 0
+    assert op.self_adjoint and np.array_equal(op.dense(), op.dense().T)
     curve = defect_curve(op, 30)
     assert len(curve) == 31
     for k in range(31):
@@ -516,7 +516,7 @@ def _dense_shifted(op):
 
 
 def test_kernel_top_three_match_dense_eigh_on_torus():
-    act = build_sl2_quotient(8, "b")  # 64 points, 4 orbits: the eigsh branch
+    act = build_sl2_quotient(8, "b")  # 64 points, 4 orbits: the Lanczos branch
     assert act.n_points > rep_markov.DENSE_EIG_SIZE
     op = markov_operator(Representation(act), lazy_uniform(act))
     top = rep_markov._symmetrized_top(op, k=3)
@@ -632,3 +632,86 @@ def test_lp_ascent_reuses_the_accepted_candidate_bit_for_bit(build, d, p):
     ratio, accepted = _lp_ascent_reference(op, f0)
     assert accepted >= 2  # the carried-over values are used at least once
     assert rep_markov._lp_ascent(op, f0) == ratio
+
+
+def _csr_reference(op):
+    """The CSR matrix the operator was once stored as (scipy as a reference
+    only): row x holds mu(g) at column g^-1 x, repeats summed."""
+    from scipy.sparse import csr_matrix
+
+    atoms = list(op.measure.items())
+    cols = np.stack([el.inverse().perm for el, _ in atoms], axis=1)
+    vals = np.tile([float(w) for _, w in atoms], op.n_points)
+    indptr = np.arange(0, cols.size + 1, len(atoms))
+    matrix = csr_matrix((vals, cols.ravel(), indptr), shape=(op.n_points,) * 2)
+    matrix.sum_duplicates()
+    return matrix
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fixed_degree_operator_equals_the_csr_matrix(seed):
+    # the torus origin is fixed by every element, so all five atoms of the
+    # lazy measure land on one column of row 0; skewed weights make the sum
+    # depend on its order
+    rng = np.random.default_rng(seed)
+    act = build_sl2_quotient(6, "b")
+    support = lazy_uniform(act).support
+    weights = rng.random(len(support)) + 0.1
+    mu = DiscreteMeasure({el: float(w) for el, w in zip(support, weights / weights.sum())})
+    op = markov_operator(Representation(act, d=2), mu)
+    reference = _csr_reference(op)
+    rows, cols, vals = op.matrix.entries()
+    assert len(vals) < len(support) * act.n_points  # some atoms were merged
+    assert np.array_equal(op.dense(), reference.toarray())
+    assert np.array_equal(op.transposed.toarray(), reference.T.toarray())
+    coo = reference.tocoo()
+    assert op.to_coo() == sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    f = rng.standard_normal((act.n_points, 2))
+    assert np.array_equal(op.apply(f), reference @ f)
+    assert np.array_equal(op.apply_transpose(f), reference.T.tocsr() @ f)
+    rows_in = rng.standard_normal((3, act.n_points))
+    assert np.array_equal(op.transposed.apply_rows(rows_in), rows_in @ reference)
+    assert op.self_adjoint == ((reference != reference.T).nnz == 0)
+
+
+def _spectrum_case(rng, n, top):
+    """A seeded symmetric n x n matrix whose largest eigenvalues are ``top``
+    and whose others lie in [-1, 0.5)."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spectrum = np.concatenate([top, rng.uniform(-1.0, 0.5, n - len(top))])
+    return (q * spectrum) @ q.T, np.sort(spectrum)
+
+
+TOP_SPECTRA = {
+    "simple": [1.0, 0.9, 0.8],
+    "clustered": [1.0, 1.0 - 1e-3, 1.0 - 2e-3, 1.0 - 3e-3],
+    "repeated": [1.0, 1.0, 1.0, 0.9, 0.9],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", TOP_SPECTRA)
+@pytest.mark.parametrize("n", [33, 64, 200, 500])
+def test_lanczos_top_agrees_with_dense_eigh(n, kind, k):
+    rng = np.random.default_rng(1000 * n + k)
+    a, spectrum = _spectrum_case(rng, n, TOP_SPECTRA[kind])
+    values, vectors, residuals = rep_markov._euclidean_top(lambda x: a @ x, n, k)
+    assert n > rep_markov.DENSE_EIG_SIZE and len(values) == k
+    assert abs(values[0] - spectrum[-1]) <= 1e-12
+    assert np.all(np.diff(values) <= 1e-12)
+    for theta in values:  # an eigenvalue, though a copy of a multiple one may be skipped
+        assert np.min(np.abs(spectrum - theta)) <= 1e-12
+    if kind != "repeated":  # distinct values: exactly the top k
+        assert np.max(np.abs(values - spectrum[::-1][:k])) <= 1e-12
+    assert np.max(residuals) <= 1e-12
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(k))) <= 1e-12
+    for theta, x, r in zip(values, vectors.T, residuals):
+        assert abs(np.linalg.norm(a @ x - theta * x) - r) <= 1e-14
+
+
+def test_lanczos_cap_raises_invariant_failure(monkeypatch):
+    monkeypatch.setattr(rep_markov, "LANCZOS_APPLICATIONS_PER_COORDINATE", 0.1)
+    a, _spectrum = _spectrum_case(np.random.default_rng(3), 100, TOP_SPECTRA["clustered"])
+    with pytest.raises(rep_markov.InvariantFailure) as info:
+        rep_markov._euclidean_top(lambda x: a @ x, 100, 1)
+    assert info.value.name == "eigensolve-not-converged"
