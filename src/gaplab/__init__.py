@@ -72,7 +72,6 @@ from .warped_cone import (
     build_warped_level,
     ghost_defect,
     ghost_locality,
-    propagation_check,
 )
 
 __version__ = "0.1.0"

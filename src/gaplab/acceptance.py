@@ -501,9 +501,9 @@ def _floyd_warshall(level: wc.WarpedLevel) -> np.ndarray:
     n = level.n_points
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    g = level.graph.tocoo()
-    for i, j, w in zip(g.row, g.col, g.data):
-        dist[i, j] = min(dist[i, j], w)
+    for edge, w in zip(level.edges, level.edge_costs):
+        for i, j in enumerate(edge):
+            dist[i, j] = min(dist[i, j], w)
     for k in range(n):
         dist = np.minimum(dist, dist[:, k][:, None] + dist[k, :][None, :])
     return dist

@@ -2,11 +2,16 @@
 
 A level is the torus grid (Z/m)^2 at scale t, carrying the warped graph:
 grid-neighbor edges cost t/m (the scaled slice metric) and generator jumps
-cost 1.  Shortest paths realize the chain infimum of the warped metric
-restricted to grid-supported chains, which upper-bounds the continuum metric
-on grid points.  The ghost operator is the blockwise slice mean; its defect
-against iterated averaging operators and its locality on metric balls are
-measured per level.
+cost 1.  Its eight edge maps, four grid steps and four SL2 generators, are
+permutations of the grid (``WarpedLevel.edges``).  Shortest paths realize
+the chain infimum of the warped metric restricted to grid-supported chains,
+which upper-bounds the continuum metric on grid points.  A path from x is a
+word w in the edge maps, so the warped R-ball of x is {w(x) : cost(w) <= R}:
+``word_images`` lists the distinct maps of cost <= R, and column x of that
+list is the ball of x.  ``all_distances`` relaxes the whole distance matrix
+over the edge maps, for the small levels that need every pair.  The ghost
+operator is the blockwise slice mean; its defect against iterated averaging
+operators and its locality on metric balls are measured per level.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +44,6 @@ __all__ = [
     "build_cone",
     "BallProfile",
     "ball_measure_profile",
-    "PropagationReport",
-    "propagation_check",
     "propagation_exhaustive",
     "GhostProjection",
     "LevelDefect",
@@ -50,19 +53,8 @@ __all__ = [
     "ghost_locality",
 ]
 
-
-def _sparse():
-    """``scipy.sparse``, with ``csgraph`` loaded, imported on first use: the
-    warped-graph distances are gaplab's one use of scipy, so only the
-    warped and ghost kinds pay for the import."""
-    import scipy.sparse.csgraph
-
-    return scipy.sparse
-
-
-def _dijkstra(graph, **kwargs) -> np.ndarray:
-    """Shortest-path distances along the directed edges of a warped graph."""
-    return _sparse().csgraph.dijkstra(graph, directed=True, **kwargs)
+GRID_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # the first rows of ``edges``
+COST_TOL = 1e-12  # a word of cost R + COST_TOL still lies in the R-ball
 
 
 class WarpedLevel:
@@ -80,7 +72,14 @@ class WarpedLevel:
             lab: float(np.max(np.sum(np.abs(np.array(mat).reshape(2, 2)), axis=1)))
             for lab, mat in SL2_GENERATOR_MATRICES.items()
         }
-        self.graph = self._build_graph()
+        # row e maps x to its neighbor along edge e; point x = (i, j) is i m + j
+        xs, ys = np.divmod(np.arange(self.n_points), m)
+        labels = self.action.gens.labels
+        self.edges = np.stack(
+            [((xs + dx) % m) * m + (ys + dy) % m for dx, dy in GRID_STEPS]
+            + [self.action.perms[lab] for lab in labels])
+        # t times the flat-torus spacing 1/m per grid step, 1 per jump
+        self.edge_costs = np.array([self.t / m] * len(GRID_STEPS) + [1.0] * len(labels))
         self._dist_cache: Optional[np.ndarray] = None
 
     @property
@@ -91,42 +90,79 @@ class WarpedLevel:
     def weights(self) -> np.ndarray:
         return self.action.weights
 
-    def _build_graph(self):
-        m, n = self.m, self.n_points
-        idx = np.arange(n)
-        xs, ys = np.divmod(idx, m)
-        rows: List[np.ndarray] = []
-        cols: List[np.ndarray] = []
-        data: List[np.ndarray] = []
-        grid_w = self.t / m  # t times the flat-torus spacing 1/m
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            tgt = ((xs + dx) % m) * m + (ys + dy) % m
-            keep = tgt != idx  # m = 1 degenerates to self-loops
-            rows.append(idx[keep])
-            cols.append(tgt[keep])
-            data.append(np.full(int(keep.sum()), grid_w))
-        for lab in self.action.gens.labels:
-            tgt = self.action.perms[lab]
-            keep = tgt != idx
-            rows.append(idx[keep])
-            cols.append(tgt[keep])
-            data.append(np.ones(int(keep.sum())))
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        w = np.concatenate(data)
-        # parallel edges keep the cheaper weight
-        order = np.lexsort((w, c, r))
-        r, c, w = r[order], c[order], w[order]
-        first = np.ones(len(r), dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        return _sparse().csr_matrix((w[first], (r[first], c[first])), shape=(n, n))
+    def word_images(self, R: float) -> np.ndarray:
+        """The distinct maps of warped cost <= R, as an int32 (k, n) array.
 
-    def distances_from(self, center: int) -> np.ndarray:
-        return _dijkstra(self.graph, indices=center)
+        Row w holds w(x) in column x, so column x lists the warped R-ball of
+        x.  A word of i grid steps and j jumps costs i t/m + j.  The search
+        settles the labels (i, j) in order of cost, so each map is kept once,
+        at its least cost, and the identity comes first.  Every edge map is
+        affine on (Z/m)^2, so a map is fixed by its images of the points 0, 1
+        and m: the search runs on those three values and builds full rows
+        only for the maps it keeps.
+        """
+        if R < 0:
+            raise ValueError("radius must be nonnegative")
+        limit = R + COST_TOL
+        n, n_grid = self.n_points, len(GRID_STEPS)
+        grid_cost = self.t / self.m
+        labels = sorted(
+            (i * grid_cost + j, i, j)
+            for j in range(int(limit) + 1)
+            for i in range(int((limit - j) / grid_cost) + 2)
+            if i * grid_cost + j <= limit)
+        # label -> blocks of candidates: (images of the points 0, 1 and m,
+        # parent map, edge); kept map r is edges[via[r]] after map parents[r]
+        pending = {(0, 0): [(np.array([[0, 1 % n, self.m % n]]), [-1], [-1])]}
+        parents: List[int] = []
+        via: List[int] = []
+        seen = set()
+        for _, i, j in labels:
+            blocks = pending.pop((i, j), None)
+            if blocks is None:
+                continue
+            probes, par, edge = (np.concatenate(b) for b in zip(*blocks))
+            codes = ((probes[:, 0] * n + probes[:, 1]) * n + probes[:, 2]).tolist()
+            _, first = np.unique(codes, return_index=True)
+            kept = [c for c in np.sort(first).tolist() if codes[c] not in seen]
+            if not kept:
+                continue
+            seen.update(codes[c] for c in kept)
+            fresh = np.arange(len(parents), len(parents) + len(kept))
+            parents += par[kept].tolist()
+            via += edge[kept].tolist()
+            for nxt, sel in (((i + 1, j), np.arange(n_grid)),
+                             ((i, j + 1), np.arange(n_grid, len(self.edges)))):
+                if nxt[0] * grid_cost + nxt[1] <= limit:
+                    pending.setdefault(nxt, []).append((
+                        self.edges[sel][:, probes[kept]].reshape(-1, 3),
+                        np.tile(fresh, len(sel)), np.repeat(sel, len(fresh))))
+        maps = np.empty((len(parents), n), dtype=np.int32)
+        maps[0] = np.arange(n)
+        for r in range(1, len(parents)):
+            maps[r] = self.edges[via[r]][maps[parents[r]]]
+        return maps
 
     def all_distances(self) -> np.ndarray:
+        """Warped distances d[x, y] between all pairs (n x n floats).
+
+        Relaxes d[x, e(y)] <= d[x, y] + c_e over the edge maps e until
+        nothing changes, so each entry is the cost of a cheapest path.
+        """
         if self._dist_cache is None:
-            self._dist_cache = _dijkstra(self.graph)
+            n = self.n_points
+            d = np.full((n, n), np.inf)
+            np.fill_diagonal(d, 0.0)
+            changed = True
+            while changed:
+                changed = False
+                for edge, cost in zip(self.edges, self.edge_costs):
+                    old = d[:, edge]
+                    relaxed = np.minimum(old, d + cost)
+                    if np.any(relaxed != old):
+                        d[:, edge] = relaxed
+                        changed = True
+            self._dist_cache = d
         return self._dist_cache
 
     def cone_distances_from(self, center: int) -> np.ndarray:
@@ -145,7 +181,7 @@ def build_cone(ms: Sequence[int] = (8, 16, 32, 64)) -> List[WarpedLevel]:
 
 # -- ball profiles -------------------------------------------------------------
 
-BALL_CHUNK = 256  # sources per bounded search: 8 MB of distances at m = 64
+BALL_CHUNK = 256  # centers per slice of the ball measures
 
 
 @dataclass
@@ -166,23 +202,21 @@ def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
     radius T = R * L_max^R around the orbit points g x with word length
     |g| <= R.
     """
-    if R < 0:
-        raise ValueError("radius must be nonnegative")
-    limit = R + 1e-12
+    maps = level.word_images(R)
     n = level.n_points
-    # searches stop at R (farther points stay at inf, nearer ones are exact)
-    # and run BALL_CHUNK sources at a time, so no n x n array is built
-    measures = np.concatenate([
-        (_dijkstra(level.graph, limit=limit,
-                   indices=np.arange(start, min(start + BALL_CHUNK, n))) <= limit)
-        @ level.weights
-        for start in range(0, n, BALL_CHUNK)])
+    measures = np.empty(n)
+    # each column of a slice is one ball: sum the weights of its distinct values
+    for start in range(0, n, BALL_CHUNK):
+        balls = np.sort(maps[:, start:start + BALL_CHUNK], axis=0)
+        repeat = np.zeros(balls.shape, dtype=bool)
+        repeat[1:] = balls[1:] == balls[:-1]
+        measures[start:start + BALL_CHUNK] = np.where(
+            repeat, 0.0, level.weights[balls]).sum(axis=0)
     arg = int(np.argmax(measures))
     max_measure = float(measures[arg])
     l_max = max(level.lipschitz.values())
     cover_radius = R * l_max ** math.floor(R)
-    ball = np.flatnonzero(
-        _dijkstra(level.graph, indices=arg, limit=limit) <= limit)
+    ball = np.unique(maps[:, arg])
     best = np.full(len(ball), np.inf)
     for el in word_ball(level.action, int(math.floor(R))):
         best = np.minimum(best, level.cone_distances_from(int(el.perm[arg]))[ball])
@@ -200,67 +234,18 @@ def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
 # -- finite propagation ----------------------------------------------------------
 
 
-@dataclass
-class PropagationPair:
-    support_a: np.ndarray
-    support_b: np.ndarray
-    separation: float
-    separated: bool
-    product_zero: bool
-
-    @property
-    def consistent(self) -> bool:
-        # separation beyond |g| must force an exactly zero product
-        return (not self.separated) or self.product_zero
-
-
-@dataclass
-class PropagationReport:
-    word_length: int
-    pairs: List[PropagationPair]
-
-    @property
-    def ok(self) -> bool:
-        return all(p.consistent for p in self.pairs)
-
-
-def propagation_check(level: WarpedLevel, g: GroupElement,
-                      sample_pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
-                      word_length: Optional[int] = None) -> PropagationReport:
-    """phi pi_g psi = 0 whenever the supports are separated beyond |g|.
+def propagation_exhaustive(level: WarpedLevel, g: GroupElement) -> bool:
+    """phi pi_g psi = 0 whenever the supports are separated beyond |g|,
+    checked exactly over all singleton support pairs at once.
 
     The product of multiplication operators around pi_g is nonzero exactly
-    when supp(phi) meets g . supp(psi); that index-set check is exact, no
-    tolerance involved.
+    when supp(phi) meets g . supp(psi), so the claim is that no pair
+    (x, y) with x = g y lies farther apart than |g|.
     """
-    wl = word_length if word_length is not None else g.word_length
-    if wl is None:
-        raise ValueError("group element carries no word length")
-    pairs = []
-    for a_set, b_set in sample_pairs:
-        a = np.asarray(sorted(set(int(i) for i in a_set)), dtype=np.int64)
-        b = np.asarray(sorted(set(int(i) for i in b_set)), dtype=np.int64)
-        sep = math.inf
-        for i in a:
-            sep = min(sep, float(np.min(level.distances_from(int(i))[b])))
-        moved = set(int(g.perm[j]) for j in b)
-        product_zero = not (set(a.tolist()) & moved)
-        pairs.append(
-            PropagationPair(
-                support_a=a, support_b=b, separation=sep,
-                separated=sep > wl, product_zero=product_zero,
-            )
-        )
-    return PropagationReport(word_length=wl, pairs=pairs)
-
-
-def propagation_exhaustive(level: WarpedLevel, g: GroupElement) -> bool:
-    """Exact check over all singleton support pairs at once."""
     if g.word_length is None:
         raise ValueError("group element carries no word length")
     dists = level.all_distances()
-    # a pair (x, y) with x = g y must never be separated beyond |g|
-    return bool(np.all(dists[g.perm, np.arange(level.n_points)] <= g.word_length + 1e-12))
+    return bool(np.all(dists[g.perm, np.arange(level.n_points)] <= g.word_length + COST_TOL))
 
 
 # -- ghost projection --------------------------------------------------------------
@@ -411,8 +396,9 @@ def ghost_locality(levels: Sequence[WarpedLevel], R: float,
     for level in levels:
         centers = rng.choice(level.n_points, size=min(n_centers, level.n_points),
                              replace=False)
+        maps = level.word_images(R)
         for c in centers:
-            ball = np.flatnonzero(level.distances_from(int(c)) <= R + 1e-12)
+            ball = np.unique(maps[:, c])
             measure = float(level.weights[ball].sum())
             bound = math.sqrt(measure)
             w = level.weights

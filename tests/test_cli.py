@@ -523,6 +523,8 @@ def test_run_never_imports_scipy(tmp_path):
         "kazhdan": {"kind": "kazhdan", "fixture": {"builder": "sl2", "m": 5, "variant": "a"},
                     "params": {"n_starts": 8}},
         "expander": {"kind": "expander", "fixture": {"family": "sl2", "moduli": [5, 7, 31]}},
+        "warped": {"kind": "warped", "fixture": {"levels": [4, 8]}},
+        "ghost": {"kind": "ghost", "fixture": {"levels": [4, 8]}, "params": {"k_max": 3}},
     }
     runs = []
     for name, doc in configs.items():
@@ -535,13 +537,23 @@ def test_run_never_imports_scipy(tmp_path):
             "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, timeout=120).stdout
-    assert out == b"[0, 0, 0] []\n"
+    assert out == b"[0, 0, 0, 0, 0] []\n"
     report = json.loads((tmp_path / "kazhdan" / "report.json").read_text())["report"]
     assert report["M_lp"]["value"] == 5.0  # the LP ran
-    # the warped kind still reaches scipy's shortest paths
-    path = _write_config(tmp_path, {"kind": "warped", "fixture": {"levels": [4, 8]}},
-                         name="warped.json")
-    assert main(["run", str(path), "--out-dir", str(tmp_path / "warped")]) == 0
+    report = json.loads((tmp_path / "warped" / "report.json").read_text())["report"]
+    assert [lv["max_ball_measure"]["value"] for lv in report["levels"]] == [1.0, 0.9375]
+
+
+def test_criterion_10_never_imports_scipy():
+    # a fresh process: the warped-cone criterion builds no scipy graph
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from gaplab import acceptance; "
+            "print(acceptance.criterion_10(0).passed, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, timeout=120).stdout
+    assert out == b"True []\n"
 
 
 @pytest.mark.parametrize("kind, fixture", [

@@ -12,7 +12,6 @@ from gaplab.warped_cone import (
     build_warped_level,
     ghost_defect,
     ghost_locality,
-    propagation_check,
     propagation_exhaustive,
 )
 
@@ -50,6 +49,27 @@ def _floyd_warshall_oracle(level):
     return dist
 
 
+def _dijkstra_reference(level):
+    """scipy's all-pairs shortest paths on the warped graph, built from the
+    grid steps and generator maps afresh, cheaper parallel edge kept."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import dijkstra
+
+    m, n = level.m, level.n_points
+    idx = np.arange(n)
+    xs, ys = np.divmod(idx, m)
+    edges = {}
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        for i, j in zip(idx, ((xs + dx) % m) * m + (ys + dy) % m):
+            edges[i, j] = level.t / m
+    for lab in level.action.gens.labels:
+        for i, j in zip(idx, level.action.perms[lab]):
+            edges[i, j] = min(edges.get((i, j), np.inf), 1.0)
+    rows, cols, data = zip(*[(i, j, w) for (i, j), w in edges.items() if i != j])
+    graph = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return dijkstra(graph, directed=True)
+
+
 def _slice_distance(level, i, j):
     """Discretized cone-slice metric: t/m times the wrapped Manhattan steps."""
     m = level.m
@@ -63,6 +83,44 @@ def test_warped_distance_matches_floyd_warshall(level4):
     oracle = _floyd_warshall_oracle(level4)
     computed = level4.all_distances()
     assert np.max(np.abs(computed - oracle)) <= 1e-12
+
+
+def test_all_distances_match_references(level8):
+    assert np.array_equal(level8.all_distances(), _floyd_warshall_oracle(level8))
+    level16 = build_warped_level(16)
+    assert np.array_equal(level16.all_distances(), _dijkstra_reference(level16))
+
+
+@pytest.mark.parametrize("m, t", [(4, 8.0), (8, None), (16, None), (32, None), (5, 3.0), (6, 7.5)])
+def test_word_image_balls_match_dijkstra(m, t):
+    # column x of the word images is the warped R-ball of x, at every center
+    level = build_warped_level(m, t)
+    dists = _dijkstra_reference(level)
+    n = level.n_points
+    for R in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        maps = level.word_images(R)
+        assert maps.dtype == np.int32 and maps.shape[1] == n
+        assert np.array_equal(maps[0], np.arange(n))  # the empty word first
+        member = np.zeros((n, n), dtype=bool)
+        member[np.arange(n), maps] = True
+        assert np.array_equal(member, dists <= R + 1e-12)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_word_images_probe_key_matches_full_rows(m):
+    # deduplicating whole rows, one unit-cost layer at a time, keeps the
+    # same maps as the search keyed on the images of 0, 1 and m
+    level = build_warped_level(m)
+    layer = {np.arange(level.n_points, dtype=np.int32).tobytes()}
+    seen = set(layer)
+    for _ in range(4):
+        layer = {level.edges[e][np.frombuffer(row, dtype=np.int32)]
+                 .astype(np.int32).tobytes()
+                 for row in layer for e in range(len(level.edges))} - seen
+        seen |= layer
+    maps = level.word_images(4.0)
+    assert len(maps) == len(seen)
+    assert {row.tobytes() for row in maps} == seen
 
 
 def test_generator_jump_costs_at_most_one(level8):
@@ -139,14 +197,23 @@ def test_single_point_levels_degenerate():
     assert out[0][0] == 3.0 and out[1][0] == -1.0
     report = ghost_defect(levels, k_max=5)
     assert np.all(report.cone_defects() == 0.0)
+    # every edge map is the identity: one map, one-point balls of measure 1
+    level = levels[0]
+    assert level.edges.shape == (8, 1) and np.all(level.edges == 0)
+    assert np.array_equal(level.word_images(3.0), np.zeros((1, 1), dtype=np.int32))
+    assert np.array_equal(level.all_distances(), np.zeros((1, 1)))
+    prof = ball_measure_profile(level, 3.0)
+    assert prof.max_measure == 1.0 and prof.argmax_center == 0 and prof.coverage_ok
+    locality = ghost_locality([level], R=3.0, n_centers=1)
+    assert locality.ok and locality.rows[0].ball_measure == 1.0
 
 
 def test_grid_edge_weight_is_scaled_spacing(level4):
-    g = level4.graph
     # the edge from (0,0) to (1,0) is a pure grid edge
     i = 0
     j = level4.m  # (1, 0)
-    assert g[i, j] == pytest.approx(level4.t / level4.m)
+    costs = level4.edge_costs[level4.edges[:, i] == j]
+    assert costs.tolist() == [pytest.approx(level4.t / level4.m)]
 
 
 def test_ball_profile_zero_radius(level8):
@@ -181,33 +248,26 @@ def test_ball_profile_decreasing_across_levels():
 
 
 def test_propagation_identity_overlap_only(level8):
+    # phi pi_e psi != 0 exactly when the supports overlap; overlapping
+    # singletons sit at distance 0 = |e|, distinct ones are separated
     e = level8.action.identity_element()
-    report = propagation_check(
-        level8, e, [([0, 1], [0]), ([0], [5])], word_length=0
-    )
-    assert report.ok
-    overlapping, disjoint = report.pairs
-    assert not overlapping.product_zero
-    assert disjoint.product_zero
+    assert e.word_length == 0
+    assert propagation_exhaustive(level8, e)
+    dists = level8.all_distances()
+    distinct = ~np.eye(level8.n_points, dtype=bool)
+    assert np.all(np.diag(dists) == 0.0)
+    assert np.all(dists[distinct] > e.word_length)
 
 
 def test_propagation_generator_separated_supports(level8):
     g = level8.action.generator_element("e12")
+    assert g.word_length == 1
+    assert propagation_exhaustive(level8, g)
     dists = level8.all_distances()
-    # find singletons at warped distance 2 > 1 = |g|
-    found = None
-    for x in range(level8.n_points):
-        ys = np.flatnonzero(dists[x] > 2.0 - 1e-9)
-        ys = [y for y in ys if dists[x, y] <= 2.5]
-        if ys:
-            found = (x, ys[0])
-            break
-    assert found is not None
-    x, y = found
-    report = propagation_check(level8, g, [([x], [y])])
-    assert report.ok
-    assert report.pairs[0].separated
-    assert report.pairs[0].product_zero
+    # singletons {x}, {y} separated beyond |g| = 1 give a zero product: x != g y
+    xs, ys = np.nonzero(dists > g.word_length + 1e-12)
+    assert np.any(dists[xs, ys] == 2.0)  # some pairs sit just beyond |g|
+    assert not np.any(g.perm[ys] == xs)
 
 
 def test_propagation_exhaustive_small_words(level8):
@@ -234,8 +294,12 @@ def test_iterated_operator_propagation_bounded_by_k(level8):
 def test_propagation_contrapositive_not_claimed(level8):
     # close supports may or may not annihilate; no violation either way
     g = word_ball(level8.action, 3)[-1]
-    report = propagation_check(level8, g, [([0], [1])])
-    assert report.ok  # pair is not separated, so nothing is asserted
+    n = level8.n_points
+    close = level8.all_distances() <= g.word_length + 1e-12
+    overlapping = np.zeros((n, n), dtype=bool)
+    overlapping[g.perm, np.arange(n)] = True  # x = g y: nonzero product
+    assert np.any(close & overlapping) and np.any(close & ~overlapping)
+    assert propagation_exhaustive(level8, g)
 
 
 def test_ghost_projection_identity_on_single_points():
