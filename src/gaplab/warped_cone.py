@@ -6,12 +6,12 @@ cost 1.  Its eight edge maps, four grid steps and four SL2 generators, are
 permutations of the grid (``WarpedLevel.edges``).  Shortest paths realize
 the chain infimum of the warped metric restricted to grid-supported chains,
 which upper-bounds the continuum metric on grid points.  A path from x is a
-word w in the edge maps, so the warped R-ball of x is {w(x) : cost(w) <= R}:
-``word_images`` lists the distinct maps of cost <= R, and column x of that
-list is the ball of x.  ``all_distances`` relaxes the whole distance matrix
-over the edge maps, for the small levels that need every pair.  The ghost
-operator is the blockwise slice mean; its defect against iterated averaging
-operators and its locality on metric balls are measured per level.
+word w in the edge maps, so the warped R-ball of x is {w(x) : cost(w) <= R},
+which ``word_images`` lists; past a few maps per point, ``ball_masks``
+settles point sets per slice of centers instead.  ``all_distances``
+relaxes the whole matrix, for the small levels that need every pair.  The
+ghost operator is the blockwise slice mean; its defect against iterated
+averaging operators and its locality on metric balls are measured per level.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .group_core import (
     GroupElement,
     SL2_GENERATOR_MATRICES,
     build_sl2_quotient,
-    word_ball,
 )
 from .measures import lazy_uniform
 from .rep_markov import (
@@ -55,6 +54,8 @@ __all__ = [
 
 GRID_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))  # the first rows of ``edges``
 COST_TOL = 1e-12  # a word of cost R + COST_TOL still lies in the R-ball
+BALL_CHUNK = 256  # centers per slice of ball masks
+MAPS_PER_POINT = 1  # ball masks leave the word search past this many maps per point
 
 
 class WarpedLevel:
@@ -90,68 +91,89 @@ class WarpedLevel:
     def weights(self) -> np.ndarray:
         return self.action.weights
 
-    def word_images(self, R: float) -> np.ndarray:
-        """The distinct maps of warped cost <= R, as an int32 (k, n) array.
+    def word_images(self, R: float, max_maps: float = math.inf) -> Optional[np.ndarray]:
+        """Images w(x) of every point x under the distinct maps w of warped
+        cost <= R, int32 (k, n), the identity first: column x is the R-ball
+        of x.  None past ``max_maps`` maps."""
+        probes = self._word_search(R, max_maps)
+        return None if probes is None else self._affine_images(probes, np.arange(self.n_points))
 
-        Row w holds w(x) in column x, so column x lists the warped R-ball of
-        x.  A word of i grid steps and j jumps costs i t/m + j.  The search
-        settles the labels (i, j) in order of cost, so each map is kept once,
-        at its least cost, and the identity comes first.  Every edge map is
-        affine on (Z/m)^2, so a map is fixed by its images of the points 0, 1
-        and m: the search runs on those three values and builds full rows
-        only for the maps it keeps.
-        """
+    def _settle(self, R: float, start, fresh: Callable, move: Callable) -> None:
+        """Settle the labels (i grid steps, j jumps) of cost i t/m + j <= R in
+        cost order: ``fresh`` keeps what is new at a label (None if nothing,
+        as a cheaper label reached the rest) and ``move`` takes it along."""
+        n_grid, grid_cost = len(GRID_STEPS), self.t / self.m
+        pending = {(0, 0): [start]}  # the labels reached, a frontier of a few
+        while pending:
+            i, j = min(pending, key=lambda ij: (ij[0] * grid_cost + ij[1], ij))
+            new = fresh(pending.pop((i, j)))
+            if new is None:
+                continue
+            for nxt, edges in (((i + 1, j), self.edges[:n_grid]),
+                               ((i, j + 1), self.edges[n_grid:])):
+                if nxt[0] * grid_cost + nxt[1] <= R + COST_TOL:
+                    pending.setdefault(nxt, []).append(move(edges, new))
+
+    def _word_search(self, R: float, max_maps: float) -> Optional[np.ndarray]:
+        """The distinct maps of warped cost <= R as their images of the points
+        0, 1 and m, which fix a map, as every word in the edge maps is affine
+        on (Z/m)^2; None past ``max_maps`` maps."""
         if R < 0:
             raise ValueError("radius must be nonnegative")
-        limit = R + COST_TOL
-        n, n_grid = self.n_points, len(GRID_STEPS)
-        grid_cost = self.t / self.m
-        labels = sorted(
-            (i * grid_cost + j, i, j)
-            for j in range(int(limit) + 1)
-            for i in range(int((limit - j) / grid_cost) + 2)
-            if i * grid_cost + j <= limit)
-        # label -> blocks of candidates: (images of the points 0, 1 and m,
-        # parent map, edge); kept map r is edges[via[r]] after map parents[r]
-        pending = {(0, 0): [(np.array([[0, 1 % n, self.m % n]]), [-1], [-1])]}
-        parents: List[int] = []
-        via: List[int] = []
-        seen = set()
-        for _, i, j in labels:
-            blocks = pending.pop((i, j), None)
-            if blocks is None:
+        seen, kept = set(), []
+
+        def fresh(blocks):
+            new = {tuple(p) for p in np.concatenate(blocks).tolist()} - seen
+            seen.update(new)
+            if not new or len(seen) > max_maps:
+                return None
+            kept.append(np.array(sorted(new)))
+            return kept[-1]
+
+        self._settle(R, np.array([[0, 1 % self.n_points, self.m % self.n_points]]), fresh,
+                     lambda edges, maps: edges[:, maps].reshape(-1, 3))
+        return None if len(seen) > max_maps else np.concatenate(kept)
+
+    def _affine_images(self, probes: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+        """w(x) = w(0) + x1 (w(m) - w(0)) + x2 (w(1) - w(0)) for the maps w given
+        by their images of 0, 1 and m, in coordinates x = x1 m + x2 over Z/m."""
+        x1, x2 = np.divmod(np.asarray(cols, dtype=np.int32), self.m)
+        img = [(c[:, :1] + np.outer(c[:, 2] - c[:, 0], x1) + np.outer(c[:, 1] - c[:, 0], x2))
+               % self.m for c in np.divmod(probes.astype(np.int32), self.m)]
+        return img[0] * self.m + img[1]
+
+    def ball_masks(self, R: float, centers: Sequence[int]) -> Iterator[np.ndarray]:
+        """Warped R-balls of the centers as (B, n) bool masks, BALL_CHUNK at a
+        time: from the word search while it keeps at most MAPS_PER_POINT n
+        maps, so a slice of its images holds at most n B ints; past that, by
+        settling the point sets of each slice, bounded at any R.  The edge
+        maps come in inverse pairs, so the rows edges[:, y] neighbor y."""
+        probes = self._word_search(R, MAPS_PER_POINT * self.n_points)
+        centers = np.asarray(centers, dtype=np.int64)
+        for lo in range(0, len(centers), BALL_CHUNK):
+            cols = centers[lo:lo + BALL_CHUNK]
+            if probes is not None:
+                mask = np.zeros((len(cols), self.n_points), dtype=bool)
+                mask[np.arange(len(cols)), self._affine_images(probes, cols)] = True
+                yield mask
                 continue
-            probes, par, edge = (np.concatenate(b) for b in zip(*blocks))
-            codes = ((probes[:, 0] * n + probes[:, 1]) * n + probes[:, 2]).tolist()
-            _, first = np.unique(codes, return_index=True)
-            kept = [c for c in np.sort(first).tolist() if codes[c] not in seen]
-            if not kept:
-                continue
-            seen.update(codes[c] for c in kept)
-            fresh = np.arange(len(parents), len(parents) + len(kept))
-            parents += par[kept].tolist()
-            via += edge[kept].tolist()
-            for nxt, sel in (((i + 1, j), np.arange(n_grid)),
-                             ((i, j + 1), np.arange(n_grid, len(self.edges)))):
-                if nxt[0] * grid_cost + nxt[1] <= limit:
-                    pending.setdefault(nxt, []).append((
-                        self.edges[sel][:, probes[kept]].reshape(-1, 3),
-                        np.tile(fresh, len(sel)), np.repeat(sel, len(fresh))))
-        maps = np.empty((len(parents), n), dtype=np.int32)
-        maps[0] = np.arange(n)
-        for r in range(1, len(parents)):
-            maps[r] = self.edges[via[r]][maps[parents[r]]]
-        return maps
+            reached = np.zeros((self.n_points, len(cols)), dtype=bool)  # point, source
+            start = np.zeros_like(reached)
+            start[cols, np.arange(len(cols))] = True
+
+            def fresh(blocks, reached=reached):
+                new = np.logical_or.reduce(blocks) & ~reached
+                np.logical_or(reached, new, out=reached)
+                return new if new.any() else None
+
+            self._settle(R, start, fresh, lambda edges, points: points[edges].any(axis=0))
+            yield np.ascontiguousarray(reached.T)
 
     def all_distances(self) -> np.ndarray:
-        """Warped distances d[x, y] between all pairs (n x n floats).
-
-        Relaxes d[x, e(y)] <= d[x, y] + c_e over the edge maps e until
-        nothing changes, so each entry is the cost of a cheapest path.
-        """
+        """Warped distances d[x, y] between all pairs (n x n floats): relaxes
+        d[x, e(y)] <= d[x, y] + c_e over the edge maps e until nothing changes."""
         if self._dist_cache is None:
-            n = self.n_points
-            d = np.full((n, n), np.inf)
+            d = np.full((self.n_points, self.n_points), np.inf)
             np.fill_diagonal(d, 0.0)
             changed = True
             while changed:
@@ -181,8 +203,6 @@ def build_cone(ms: Sequence[int] = (8, 16, 32, 64)) -> List[WarpedLevel]:
 
 # -- ball profiles -------------------------------------------------------------
 
-BALL_CHUNK = 256  # centers per slice of the ball measures
-
 
 @dataclass
 class BallProfile:
@@ -202,33 +222,22 @@ def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
     radius T = R * L_max^R around the orbit points g x with word length
     |g| <= R.
     """
-    maps = level.word_images(R)
-    n = level.n_points
-    measures = np.empty(n)
-    # each column of a slice is one ball: sum the weights of its distinct values
-    for start in range(0, n, BALL_CHUNK):
-        balls = np.sort(maps[:, start:start + BALL_CHUNK], axis=0)
-        repeat = np.zeros(balls.shape, dtype=bool)
-        repeat[1:] = balls[1:] == balls[:-1]
-        measures[start:start + BALL_CHUNK] = np.where(
-            repeat, 0.0, level.weights[balls]).sum(axis=0)
+    measures = np.concatenate([
+        mask @ level.weights for mask in level.ball_masks(R, np.arange(level.n_points))])
     arg = int(np.argmax(measures))
-    max_measure = float(measures[arg])
-    l_max = max(level.lipschitz.values())
-    cover_radius = R * l_max ** math.floor(R)
-    ball = np.unique(maps[:, arg])
+    with np.errstate(over="ignore"):  # L_max^R is inf past the float range
+        cover_radius = R * float(np.float64(max(level.lipschitz.values())) ** math.floor(R))
+    ball = np.flatnonzero(next(level.ball_masks(R, [arg]))[0])
+    orbit = np.zeros(level.n_points, dtype=bool)  # the points g x, |g| <= R
+    orbit[arg] = True
+    for _ in range(min(math.floor(R), level.n_points)):
+        orbit[level.edges[len(GRID_STEPS):, orbit]] = True
     best = np.full(len(ball), np.inf)
-    for el in word_ball(level.action, int(math.floor(R))):
-        best = np.minimum(best, level.cone_distances_from(int(el.perm[arg]))[ball])
-    ok = not np.any(best > cover_radius + 1e-9)
-    return BallProfile(
-        radius=R,
-        max_measure=max_measure,
-        argmax_center=arg,
-        coverage_checked=True,
-        coverage_ok=ok,
-        cover_radius=cover_radius,
-    )
+    for point in np.flatnonzero(orbit):
+        best = np.minimum(best, level.cone_distances_from(int(point))[ball])
+    return BallProfile(radius=R, max_measure=float(measures[arg]), argmax_center=arg,
+                       coverage_checked=True, coverage_ok=not np.any(best > cover_radius + 1e-9),
+                       cover_radius=cover_radius)
 
 
 # -- finite propagation ----------------------------------------------------------
@@ -396,13 +405,12 @@ def ghost_locality(levels: Sequence[WarpedLevel], R: float,
     for level in levels:
         centers = rng.choice(level.n_points, size=min(n_centers, level.n_points),
                              replace=False)
-        maps = level.word_images(R)
-        for c in centers:
-            ball = np.unique(maps[:, c])
+        masks = (row for mask in level.ball_masks(R, centers) for row in mask)
+        for c, mask in zip(centers, masks):
+            ball = np.flatnonzero(mask)
             measure = float(level.weights[ball].sum())
             bound = math.sqrt(measure)
             w = level.weights
-            best = 0.0
             # the extremal field: constant on the ball
             flat = np.zeros(level.n_points)
             flat[ball] = 1.0

@@ -221,6 +221,19 @@ def test_run_ghost_kind(tmp_path):
     assert len(csv) == 3  # header + two levels
 
 
+def test_run_ghost_kind_at_a_large_radius(tmp_path):
+    # balls cover every level; past a few maps per point the search runs
+    # over point sets, whose memory does not grow with the radius
+    config = ExperimentConfig(
+        kind="ghost",
+        fixture={"levels": [8, 16, 32]},
+        params={"k_max": 3, "radius": 1e6},
+    )
+    assert run(config, tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert all(v["value"] == 1.0 for v in report["locality_max_norm_per_level"].values())
+
+
 def test_run_warped_kind(tmp_path):
     config = ExperimentConfig(
         kind="warped",

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gaplab import rep_markov
+from gaplab import warped_cone as wc
 from gaplab.group_core import word_ball
 from gaplab.warped_cone import (
     GhostProjection,
@@ -104,6 +106,45 @@ def test_word_image_balls_match_dijkstra(m, t):
         member = np.zeros((n, n), dtype=bool)
         member[np.arange(n), maps] = True
         assert np.array_equal(member, dists <= R + 1e-12)
+
+
+@pytest.mark.parametrize("m, t", [(4, 8.0), (8, None), (16, None), (5, 3.0), (6, 7.5)])
+@pytest.mark.parametrize("maps_per_point", [wc.MAPS_PER_POINT, 0])
+def test_ball_masks_match_dijkstra(monkeypatch, m, t, maps_per_point):
+    # both paths, word images and the point sets that take over past
+    # MAPS_PER_POINT maps per point, give the dijkstra balls
+    monkeypatch.setattr(wc, "MAPS_PER_POINT", maps_per_point)
+    monkeypatch.setattr(wc, "BALL_CHUNK", 7)
+    level = build_warped_level(m, t)
+    dists = _dijkstra_reference(level)
+    centers = np.arange(level.n_points)[::-1]
+    for R in (0.0, 1.0, 2.5, 4.0, 50.0):
+        masks = np.concatenate(list(level.ball_masks(R, centers)))
+        assert np.array_equal(masks, dists[centers] <= R + 1e-12)
+
+
+def test_word_search_gives_up_past_max_maps(level8):
+    assert level8.word_images(3.0, max_maps=231).shape == (231, 64)
+    assert level8.word_images(3.0, max_maps=230) is None
+    # the search over maps stays small at a radius that covers every level
+    assert level8.word_images(1e6, max_maps=4 * 64) is None
+
+
+@pytest.mark.parametrize("R", [10.0, 1e6])
+def test_large_radius_stays_bounded(R):
+    # every ball is the whole grid; the affine maps of m = 32 number about
+    # 25 million, so a search that kept them all would need gigabytes
+    level = build_warped_level(32)
+    tracemalloc.start()
+    try:
+        prof = ball_measure_profile(level, R)
+        locality = ghost_locality([level], R=R, n_centers=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.max_measure == 1.0 and prof.coverage_ok
+    assert locality.ok and all(r.ball_measure == 1.0 for r in locality.rows)
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("m", [8, 16])
