@@ -80,9 +80,7 @@ class ShrinkingTargetPlan:
 
     def indicator(self, n: int) -> np.ndarray:
         """Indicator field of the n-th target (1-based)."""
-        out = np.zeros(self.action.n_points)
-        out[self.targets[n - 1]] = 1.0
-        return out
+        return self.membership(n).astype(float)
 
     def membership(self, n: int) -> np.ndarray:
         out = np.zeros(self.action.n_points, dtype=bool)
@@ -389,7 +387,7 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
     quotients plateau near the diameter), which needs n_steps >= 2 and
     trials >= 1.  A trial drawing s_1, ..., s_n sits at s_n^-1 ... s_1^-1,
     the inverse of the walk's product, of the same word length, so all
-    trials step by one gather through the left products.
+    trials step through the left products, picking rows by ``np.choose``.
     """
     if n_steps < 2:
         raise ValueError(f"need n_steps >= 2 for a drift regression, got {n_steps}")
@@ -400,7 +398,7 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
     pos = np.full(trials, table.identity, dtype=np.int64)
     mean_lengths = np.zeros(n_steps)
     for n in range(n_steps):
-        pos = rows[gidx[:, n], pos]
+        pos = np.choose(gidx[:, n], [row[pos] for row in rows])
         mean_lengths[n] = float(table.word_length[pos].mean())
     window = (max(1, n_steps // 8), max(2, n_steps // 2))
     lo, hi = window
@@ -417,6 +415,14 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
 
 
 # -- conditioned series -----------------------------------------------------------
+
+
+def _walk_step(x: np.ndarray, steps: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] x[steps[i]], added up in place in the order given."""
+    out = weights[0] * x[steps[0]]
+    for step, w in zip(steps[1:], weights[1:]):
+        out += w * x[step]
+    return out
 
 
 @dataclass
@@ -437,18 +443,15 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
                        drift: DriftEstimate) -> ConditionedStatistics:
     """Joint probabilities P(walk in target, word length > a n), exactly.
 
-    a is drift_fraction times half the estimated drift.  The n-step group
-    distribution mu^n is maintained over the full quotient group, stepped by
-    mu^n(g) = sum_s mu(s) mu^(n-1)(s^-1 g) through the left products, so the
-    cut on word length is exact; the unconditioned column reproduces the
-    transfer series.  drift_fraction = 0 disables the conditioning.
-
-    The (starts x group) index of g^-1 x is filled one start row at a time
-    into one int64 array, so no full-size temporary is built.  The target
-    mask is built once per distinct target, as a float 0/1 array in one
-    buffer: consecutive plan steps with equal target sets reuse it, and the
-    gather writes into it directly (``mode="clip"`` on indices already
-    checked, which skips the copy that ``mode="raise"`` buffers through).
+    a is drift_fraction times half the estimated drift (0 cuts only the
+    identity).  Unconditioned hits are the start rows of the point walk, as
+    in ``shrinking_series_exact``; mu^n(g) = sum_s mu(s) mu^(n-1)(s^-1 g) is
+    stepped over all of G for the tail mass.  Elements are listed by word
+    length, so the short words (length <= a n) are a prefix; a conditioned hit
+    is the unconditioned one minus mu^n of the short g with g^-1 x in the target.
+    Each start's images under G are streamed twice: they must lie in the
+    fixture, the identity must fix the start, and the last step's group-route
+    hits must match the point walk's to 1e-12.
     """
     if not 0.0 <= drift_fraction <= 1.0:
         raise ValueError("drift_fraction must lie in [0, 1]")
@@ -461,34 +464,51 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
         raise ValueError("group table modulus does not match the action grid")
     index_of = np.full(m * m, -1, dtype=np.int64)
     index_of[points[:, 0] * m + points[:, 1]] = np.arange(action.n_points)
-    # for each start x and group element g = (ga gb; gc gd), the point index
-    # of g^-1 x = (gd x - gb y, ga y - gc x), filled one start at a time
     ga, gb, gc, gd = table.elements.T
-    act_inv = np.empty((len(starts), table.n_elements), dtype=np.int64)
-    for row, (x, y) in zip(act_inv, points[starts]):
-        np.take(index_of, ((gd * x - gb * y) % m) * m + (ga * y - gc * x) % m, out=row)
-    if np.any(act_inv < 0):
-        raise ValueError("group table maps a start outside the fixture")
-    if np.any(act_inv[:, table.identity] != starts):
-        raise ValueError("group table does not act compatibly on the fixture")
+    db, ac = (gd * m + gb).astype(np.int16), (ga * m + gc).astype(np.int16)  # m^2 <= 4096
+
+    def images(start: int) -> np.ndarray:
+        """Point index of g^-1 (x, y) = (d x - b y, a y - c x), g = (a b; c d), for all g."""
+        rx, ry = np.outer(points[start], np.arange(m))  # r x and r y for r in Z/m
+        first = (np.subtract.outer(rx, ry) % m).ravel() * m  # at d m + b
+        return index_of[first[db] + (np.subtract.outer(ry, rx) % m).ravel()[ac]]
+
     horizon = plan.horizon
+    # elements[:prefix[n - 1]] are the words of length <= a n
+    prefix = np.searchsorted(table.word_length, a * np.arange(1, horizon + 1), "right")
+    short = np.empty((len(starts), prefix.max(initial=0)), np.min_scalar_type(action.n_points))
+    for row, x in zip(short, starts):
+        image = images(x)
+        if image.min() < 0:
+            raise ValueError("group table maps a start outside the fixture")
+        if image[table.identity] != x:
+            raise ValueError("group table does not act compatibly on the fixture")
+        row[:] = image[:len(row)]
+    perms = [np.arange(action.n_points) if lab == "e" else action.perms[lab] for lab in mu_labels]
+    rows = [row.astype(np.intp) for row in rows]
     dist = np.zeros(table.n_elements)
     dist[table.identity] = 1.0
-    cond = np.zeros((len(starts), horizon))
-    uncond = np.zeros((len(starts), horizon))
+    walk = np.zeros((action.n_points, len(starts)))  # one column per start
+    walk[starts, np.arange(len(starts))] = 1.0
+    cond, uncond = np.zeros((2, len(starts), horizon))
     tail_mass = np.zeros(horizon)
-    in_target = np.empty(act_inv.shape)      # (n_starts, |G|) float 0/1 mask
-    target = None
     for n in range(1, horizon + 1):
-        dist = sum(w * dist[row] for row, w in zip(rows, weights))
-        cut = table.word_length > a * n
-        tail_mass[n - 1] = float(dist[cut].sum())
-        if target is None or not np.array_equal(plan.targets[n - 1], target):
-            target = plan.targets[n - 1]
-            # act_inv is checked above, so clipping never acts
-            np.take(plan.indicator(n), act_inv, out=in_target, mode="clip")
-        uncond[:, n - 1] = in_target @ dist
-        cond[:, n - 1] = in_target @ (dist * cut)
+        dist = _walk_step(dist, rows, weights)
+        c = prefix[n - 1]
+        tail_mass[n - 1] = float(dist[c:].sum())
+        walk = _walk_step(walk, perms, weights)
+        member = plan.membership(n)
+        uncond[:, n - 1] = walk[member].sum(axis=0)
+        if tail_mass[n - 1] == 0.0:
+            continue  # no long word carries mass, so no conditioned hit is left
+        cond[:, n - 1] = uncond[:, n - 1]
+        block = max(1, 65536 // max(c, 1))  # starts x short words summed at a time
+        for lo in range(0, len(starts), block):
+            hit = np.where(member.take(short[lo:lo + block, :c]), dist[:c], 0.0)
+            cond[lo:lo + block, n - 1] -= hit.sum(axis=1)
+    if horizon and any(abs(dist[member[images(x)]].sum() - value) > 1e-12
+                       for x, value in zip(starts, uncond[:, -1])):
+        raise ValueError("group table does not act compatibly on the fixture")
     return ConditionedStatistics(
         starts=starts,
         hit_probs=cond,

@@ -463,7 +463,7 @@ def _sl2_order(m: int) -> int:
     return order
 
 
-def _sl2_closure(m: int):
+def _sl2_closure(m: int, compact: bool = False):
     """SL2(Z/m) by breadth-first closure under left multiplication.
 
     Returns the elements as rows (a, b, c, d) -- the identity first, then in
@@ -471,7 +471,7 @@ def _sl2_closure(m: int):
     search meets them -- their word lengths and ``left_mult[label][i]``, the
     id of s * element i.  Candidates are looked up in an id table of m^3
     entries, the id of each element at its ``_sl2_key`` and -1 elsewhere,
-    which is dropped on return.
+    which is dropped on return.  ``compact`` makes ids int32 and lengths int8.
 
     The element, length and left-product arrays are allocated once at the
     group's order and filled level by level; each level is expanded
@@ -482,11 +482,11 @@ def _sl2_closure(m: int):
     gens = np.array(list(SL2_GENERATOR_MATRICES.values()), dtype=np.int64).reshape(-1, 2, 2) % m
     n = _sl2_order(m)
     elements = np.empty((n, 4), dtype=np.int64)
-    lengths = np.empty(n, dtype=np.int64)
-    left = np.empty((n, len(gens)), dtype=np.int64)
+    lengths = np.empty(n, dtype=np.int8 if compact else np.int64)
+    left = np.empty((n, len(gens)), dtype=np.int32 if compact else np.int64)
     elements[0] = (1 % m, 0, 0, 1 % m)
     lengths[0] = 0
-    table = np.full(m ** 3, -1, dtype=np.int64)
+    table = np.full(m ** 3, -1, dtype=left.dtype)
     table[_sl2_key(*elements[:1].T, m)] = 0
     start, count, depth = 0, 1, 0
     while start < count:
@@ -503,7 +503,7 @@ def _sl2_closure(m: int):
             # its first meeting: the table briefly holds that candidate's position
             fresh_keys = keys[fresh]
             table[fresh_keys] = len(keys)
-            np.minimum.at(table, fresh_keys, fresh)
+            np.minimum.at(table, fresh_keys, fresh.astype(table.dtype))
             first = fresh[table[fresh_keys] == fresh]
             table[keys[first]] = count + np.arange(len(first))
             ids[fresh] = table[fresh_keys]
@@ -530,8 +530,8 @@ class Sl2GroupTable:
     left walk of the same word length.
     """
 
-    # |SL2(Z/64)| = 196,608 elements: the table holds 14.2 MB, and its build
-    # peaks at 18.3 MB (tracemalloc) with the id table and one chunk's temporaries
+    # |SL2(Z/64)| = 196,608 elements: 9.6 MB of int64 elements, int32 left products
+    # and int8 word lengths; the build peaks at 12.7 MB (tracemalloc) with the id table
     MAX_MODULUS = 64
 
     def __init__(self, m: int) -> None:
@@ -539,22 +539,22 @@ class Sl2GroupTable:
             raise ValueError(f"need modulus in [2, {self.MAX_MODULUS}], got {m}")
         self.m = int(m)
         self.labels = tuple(SL2_GENERATOR_MATRICES)
-        self.elements, self.word_length, self.left_mult = _sl2_closure(self.m)
+        self.elements, self.word_length, self.left_mult = _sl2_closure(self.m, compact=True)
         self.identity = 0
         self.n_elements = len(self.elements)
 
-    def walk_steps(self, mu_labels: Dict[str, float]) -> Tuple[np.ndarray, np.ndarray]:
-        """The steps of the mu-walk, in the order of ``mu_labels``: row i of
-        ``rows`` holds the id of s_i^-1 g for every g ("e" gives the identity
-        row), and ``weights[i]`` is mu(s_i)."""
+    def walk_steps(self, mu_labels: Dict[str, float]) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The steps of the mu-walk, in the order of ``mu_labels``: ``rows[i]``
+        holds the int32 id of s_i^-1 g for every g ("e" gives the identity
+        row), a view of the left products, and ``weights[i]`` is mu(s_i)."""
         rows, weights = [], []
         total = 0.0
         for lab, w in mu_labels.items():
-            if w < 0:
-                raise ValueError("negative weight")
+            if not 0.0 <= w < np.inf:  # NaN fails this too
+                raise ValueError(f"negative weight or non-finite weight for {lab!r}")
             total += w
             if lab == "e":
-                rows.append(np.arange(self.n_elements))
+                rows.append(np.arange(self.n_elements, dtype=np.int32))
             elif lab in self.left_mult:
                 rows.append(self.left_mult[_SL2_GENS.inverse_label(lab)])
             else:
@@ -562,7 +562,7 @@ class Sl2GroupTable:
             weights.append(float(w))
         if abs(total - 1.0) > 1e-12:
             raise ValueError("label weights do not sum to 1")
-        return np.stack(rows), np.array(weights)
+        return rows, np.array(weights)
 
 
 # -- induced blocks of SL2(Z/p) ----------------------------------------------

@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gaplab.group_core import (
     SL2_GENERATOR_MATRICES,
+    FiniteAction,
     build_cyclic,
     build_sl2_quotient,
     orbit_restriction,
@@ -453,6 +455,14 @@ def test_drift_refuses_fewer_than_one_trial(trials):
         estimate_drift_mc(Sl2GroupTable(4), MU_LABELS, n_steps=8, trials=trials, seed=0)
 
 
+def test_drift_refuses_nan_weight():
+    # NaN passes both the sign and the sum check; it must not yield a
+    # "degenerate" drift of 0
+    with pytest.raises(ValueError, match="non-finite weight"):
+        estimate_drift_mc(Sl2GroupTable(4), {"e": np.nan, "e12": 0.5, "e12^-1": 0.5},
+                          n_steps=8, trials=10, seed=0)
+
+
 def test_drift_degenerate_for_lazy_identity_walk():
     table = Sl2GroupTable(4)
     with pytest.warns(RuntimeWarning):
@@ -511,6 +521,19 @@ def test_conditioned_rejects_image_outside_fixture():
         conditioned_series(act, MU_LABELS, plan, 0.0, table, [1], _fixed_drift(1.0))
 
 
+def test_conditioned_rejects_action_that_swaps_generators():
+    # the fixture's e12 and e21 maps trade places (inverses too), so the
+    # point walk and the matrices of the group table step different walks
+    sub, _ = _torus_fixture(8)
+    swap = {"e12": "e21", "e21": "e12", "e12^-1": "e21^-1", "e21^-1": "e12^-1"}
+    act = FiniteAction(sub.points, sub.weights, sub.gens,
+                       {lab: sub.perms[swap[lab]] for lab in sub.gens.labels})
+    plan = plan_from_sets(act, [[0], [1, 2], [3]])
+    with pytest.raises(ValueError, match="does not act compatibly"):
+        conditioned_series(act, {"e": 0.1, "e12": 0.6, "e21^-1": 0.3}, plan, 0.0,
+                           Sl2GroupTable(8), [0, 5], _fixed_drift(1.0))
+
+
 def test_conditioned_rejects_bad_fraction():
     sub, _ = _torus_fixture(4)
     table = Sl2GroupTable(4)
@@ -557,12 +580,76 @@ def _fixed_drift(two_a):
 
 
 def _assert_matches_reference(sub, plan, table, starts):
+    # the hits are summed in another order than the reference's mat-vecs
     cs = conditioned_series(sub, MU_LABELS, plan, 0.5, table, starts,
                             drift=_fixed_drift(1.2))
     cond, uncond, tail = _conditioned_reference(sub, MU_LABELS, plan, cs.a, table, starts)
-    assert np.array_equal(cs.hit_probs, cond)
-    assert np.array_equal(cs.unconditioned, uncond)
+    assert np.max(np.abs(cs.hit_probs - cond)) <= 1e-15
+    assert np.max(np.abs(cs.unconditioned - uncond)) <= 1e-15
     assert np.array_equal(cs.tail_mass, tail)
+
+
+def _conditioned_exact(action, mu_labels, plan, a, table, starts):
+    """The conditioned walk in exact rationals of the float weights: mu^n by
+    scatter steps through the left products, each hit summed over all of G."""
+    m = table.m
+    index = {tuple(p): i for i, p in enumerate(action.points.tolist())}
+    lengths = table.word_length.tolist()
+    dist = [Fraction(0)] * table.n_elements
+    dist[table.identity] = Fraction(1)
+    cond = np.zeros((len(starts), plan.horizon))
+    uncond = np.zeros((len(starts), plan.horizon))
+    tail = np.zeros(plan.horizon)
+    for n in range(1, plan.horizon + 1):
+        out = [Fraction(0)] * table.n_elements
+        for lab, w in mu_labels.items():
+            dest = range(table.n_elements) if lab == "e" else table.left_mult[lab].tolist()
+            for g, sg in enumerate(dest):
+                out[sg] += Fraction(w) * dist[g]
+        dist = out
+        long_word = [length > a * n for length in lengths]
+        tail[n - 1] = float(sum(p for p, cut in zip(dist, long_word) if cut))
+        target = set(plan.targets[n - 1].tolist())
+        for i, (x, y) in enumerate(action.points[starts].tolist()):
+            hits = [index[((gd * x - gb * y) % m, (ga * y - gc * x) % m)] in target
+                    for ga, gb, gc, gd in table.elements.tolist()]
+            uncond[i, n - 1] = float(sum(p for p, hit in zip(dist, hits) if hit))
+            cond[i, n - 1] = float(sum(p for p, hit, cut in zip(dist, hits, long_word)
+                                       if hit and cut))
+    return cond, uncond, tail
+
+
+def test_conditioned_series_matches_exact_fractions():
+    # SL2(Z/8) (384 elements) on its 48-point orbit; a n runs from 0.6 to 7.2,
+    # across the word lengths 0..8
+    sub, _ = _torus_fixture(8)
+    table = Sl2GroupTable(8)
+    a_set, b_set = [0, 5, 9, 30], [1, 5, 12, 40]
+    plan = plan_from_sets(sub, [a_set, a_set, b_set, a_set] * 3)
+    starts = [0, 7, 21]
+    cs = conditioned_series(sub, MU_LABELS, plan, 1.0, table, starts, drift=_fixed_drift(1.2))
+    cond, uncond, tail = _conditioned_exact(sub, MU_LABELS, plan, cs.a, table, starts)
+    assert np.max(np.abs(cs.hit_probs - cond)) <= 1e-15
+    assert np.max(np.abs(cs.unconditioned - uncond)) <= 1e-15
+    assert np.max(np.abs(cs.tail_mass - tail)) <= 1e-15
+    assert np.any(cond > 0) and np.any(cond < uncond - 1e-3)
+
+
+def test_conditioning_past_the_diameter_cuts_every_word():
+    # a = 1/2 on SL2(Z/32), whose words have length at most 18: from step 36
+    # on no word is long enough, so no mass is left
+    sub, _ = _torus_fixture(32)
+    table = Sl2GroupTable(32)
+    assert table.word_length.max() == 18
+    center = sub.point_index((1, 0))
+    plan = plan_from_radii(sub, center, [0.45 * n ** (-0.125) for n in range(1, 49)])
+    cs = conditioned_series(sub, MU_LABELS, plan, 1.0, table, [0, 100, 400],
+                            drift=_fixed_drift(1.0))
+    assert cs.a == 0.5
+    assert np.all(cs.tail_mass[:20] > 0)
+    assert np.all(cs.tail_mass[35:] == 0.0)
+    assert np.max(np.abs(cs.hit_probs[:, 35:])) <= 1e-15
+    assert np.all(cs.unconditioned[:, 35:] > 1e-3)
 
 
 def test_conditioned_series_reused_masks_match_reference_loop():
@@ -610,8 +697,41 @@ def test_conditioned_series_memory_on_criterion_9_fixture():
 
 
 def test_conditioned_series_builds_no_full_size_temporary():
-    # the index (7.9 MB) and the mask (7.9 MB) are the only arrays of that size
-    assert _criterion_9_walk_peak() < 19e6
+    # no (starts x group) array: under this drift the short words reach all
+    # of G by step 180, and their uint16 point indices take 2 MB
+    assert _criterion_9_walk_peak() < 6e6
+
+
+def test_conditioned_series_memory_at_the_largest_modulus():
+    # SL2(Z/64) on the 3,072-point orbit of (Z/64)^2: 40 starts, 50 steps
+    torus = build_sl2_quotient(64, variant="b")
+    sub = orbit_restriction(torus, torus.point_index((1, 0)))
+    assert sub.n_points == 3072
+    table = Sl2GroupTable(64)
+    center = sub.point_index((1, 0))
+    plan = plan_from_radii(sub, center, [0.45 * n ** (-0.125) for n in range(1, 51)])
+    starts = np.random.default_rng(7).choice(sub.n_points, size=40, replace=False)
+    tracemalloc.start()
+    try:
+        conditioned_series(sub, MU_LABELS, plan, 0.2, table, starts, drift=_fixed_drift(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_drift_walks_on_the_largest_table_stay_compact():
+    # criterion 9's first phase: int64 elements, int32 left products and int8
+    # word lengths (9.6 MB), and no stacked copy of the step rows
+    tracemalloc.start()
+    try:
+        table = Sl2GroupTable(Sl2GroupTable.MAX_MODULUS)
+        for seed in range(3):
+            estimate_drift_mc(table, MU_LABELS, n_steps=48, trials=2000, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
 
 
 # -- input checks --------------------------------------------------------------------

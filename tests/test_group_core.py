@@ -496,6 +496,8 @@ def test_walk_law_is_the_convolution_power(mu_labels):
     ({"e": 0.5, "e12": -0.5, "e21": 1.0}, "negative weight"),
     ({"e": 0.5, "f": 0.5}, "unknown label 'f'"),
     ({"e": 0.5, "e12": 0.4}, "do not sum to 1"),
+    ({"e": float("nan"), "e12": 0.5, "e12^-1": 0.5}, "non-finite weight for 'e'"),
+    ({"e12": float("inf"), "e21": 0.5}, "non-finite weight for 'e12'"),
 ])
 def test_walk_steps_reject_bad_measures(mu_labels, message):
     with pytest.raises(ValueError, match=message):
