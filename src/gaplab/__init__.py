@@ -10,7 +10,6 @@ from .group_core import (
     Sl2GroupTable,
     build_cyclic,
     build_sl2_quotient,
-    is_ergodic,
     orbit_restriction,
     word_ball,
 )
@@ -38,19 +37,16 @@ from .rep_markov import (
 )
 from .kazhdan import (
     boost_pair,
-    hecke_conversion,
     hilbert_improvement,
     kappa_from_decay,
     kazhdan_constant_oracle,
     modulus,
     norm_bound_from_kappa,
-    product_average_bound,
 )
 from .expanders import (
     PoincareReport,
     QuotientSequence,
     certify_sequence,
-    mirho_upper_bound,
     poincare_scalar,
     poincare_vector_lower,
 )

@@ -132,11 +132,14 @@ class ExperimentConfig:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("$.params", "must be an object")
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("$.seed", "must be a nonnegative integer")
         return ExperimentConfig(kind=kind, fixture=fixture, measure=measure,
-                                params=params, seed=seed)
+                                params=params, seed=_seed(doc.get("seed", 0), "$.seed"))
+
+
+def _seed(seed, path: str) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(path, "must be a nonnegative integer")
+    return seed
 
 
 # -- fixture and measure construction -------------------------------------------
@@ -647,19 +650,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     self_p.add_argument("--seed", type=int, default=0)
     self_p.add_argument("--out-dir", type=Path, default=None)
     args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return selftest(args.seed, args.out_dir)
     try:
-        config = ExperimentConfig.from_json_dict(
-            json.loads(args.config.read_text(encoding="utf-8")))
+        if args.command == "selftest":
+            seed = _seed(args.seed, "--seed")
+        else:
+            doc = json.loads(args.config.read_text(encoding="utf-8"))
+            if args.seed is not None and isinstance(doc, dict):
+                doc["seed"] = args.seed  # the override passes the config's seed check
+            config = ExperimentConfig.from_json_dict(doc)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error at $: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.seed = args.seed
+    if args.command == "selftest":
+        return selftest(seed, args.out_dir)
     return run(config, args.out_dir)
 
 

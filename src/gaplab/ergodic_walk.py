@@ -173,10 +173,6 @@ class WalkStatistics:
     target_measures: np.ndarray    # (N,)
     s_partial: np.ndarray          # (N,)
 
-    @property
-    def horizon(self) -> int:
-        return self.hit_probs.shape[1]
-
 
 def hit_fields_exact(action: FiniteAction, mu: DiscreteMeasure,
                      plan: ShrinkingTargetPlan) -> List[np.ndarray]:
@@ -448,7 +444,8 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     in ``shrinking_series_exact``; mu^n(g) = sum_s mu(s) mu^(n-1)(s^-1 g) is
     stepped over all of G for the tail mass.  Elements are listed by word
     length, so the short words (length <= a n) are a prefix; a conditioned hit
-    is the unconditioned one minus mu^n of the short g with g^-1 x in the target.
+    is the unconditioned one minus mu^n of the short g with g^-1 x in the
+    target, clipped at 0.
     Each start's images under G are streamed twice: they must lie in the
     fixture, the identity must fix the start, and the last step's group-route
     hits must match the point walk's to 1e-12.
@@ -506,6 +503,7 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
         for lo in range(0, len(starts), block):
             hit = np.where(member.take(short[lo:lo + block, :c]), dist[:c], 0.0)
             cond[lo:lo + block, n - 1] -= hit.sum(axis=1)
+    np.maximum(cond, 0.0, out=cond)  # the difference can round below 0
     if horizon and any(abs(dist[member[images(x)]].sum() - value) > 1e-12
                        for x, value in zip(starts, uncond[:, -1])):
         raise ValueError("group table does not act compatibly on the fixture")

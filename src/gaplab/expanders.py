@@ -41,7 +41,6 @@ from .group_core import (
     build_sl2_quotient,
     sl2_coset_coordinates,
     sl2_induced_blocks,
-    word_ball,
 )
 from .measures import DiscreteMeasure
 from .rep_markov import MarkovOperator, Representation, _euclidean_top, _symmetrized_top
@@ -51,8 +50,6 @@ __all__ = [
     "poincare_scalar",
     "poincare_ratio",
     "poincare_vector_lower",
-    "MirhoBound",
-    "mirho_upper_bound",
     "QuotientSequence",
     "Sl2Quotient",
     "QuotientRow",
@@ -352,38 +349,6 @@ def _ratio_gradient(graph: CayleyGraph, f: np.ndarray, p: float) -> np.ndarray:
     if denom == 0.0 or numerator == 0.0:
         return np.zeros_like(f)
     return grad_num / numerator - grad_den / denom
-
-
-@dataclass
-class MirhoBound:
-    bound: float
-    paper_form: float
-    k: int
-    defect: float
-    ball_size: int
-
-
-def mirho_upper_bound(graph: CayleyGraph, k: int, defect: float) -> MirhoBound:
-    """Poincare upper bound from a power with uniform defect <= 1/2.
-
-    When |pi(rho^k) - M| <= 1/2, centered functions obey
-    |f - Mf| <= 2 |f - pi(rho^k) f|; expanding the right side over words of
-    length <= k (triangle inequality, Jensen over the word distribution,
-    then Cauchy-Schwarz along each word) bounds the Poincare constant by
-    4 k^2.  The cruder #B(e,k)^3 k^3 form is reported for comparison.
-    """
-    if k < 1:
-        raise ValueError("power k must be >= 1")
-    if defect > 0.5:
-        raise ValueError(f"defect {defect} exceeds 1/2: hypothesis fails")
-    ball_size = len(word_ball(graph.action, k, labels=graph.labels))
-    return MirhoBound(
-        bound=4.0 * k * k,
-        paper_form=float(ball_size**3 * k**3),
-        k=k,
-        defect=defect,
-        ball_size=ball_size,
-    )
 
 
 # -- sequences ---------------------------------------------------------------

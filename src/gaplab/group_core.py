@@ -37,7 +37,6 @@ __all__ = [
     "word_ball",
     "element_ball",
     "orbit_restriction",
-    "is_ergodic",
     "action_to_json",
     "action_fingerprint",
     "SL2_GENERATOR_MATRICES",
@@ -300,13 +299,6 @@ def _components(n: int, maps: Sequence[np.ndarray]) -> Tuple[int, np.ndarray]:
         root = hooked
     is_root = root == np.arange(n)
     return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
-
-
-def is_ergodic(action: FiniteAction) -> bool:
-    """Transitivity of the generator group on the support of the weights."""
-    support = np.flatnonzero(action.weights > 0)
-    orbit_of = action.orbit_index()
-    return len(set(orbit_of[support].tolist())) <= 1
 
 
 # -- fixed-degree matrices -------------------------------------------------

@@ -4,23 +4,24 @@ Ties together four quantities attached to a representation and a finite set
 Q: the Kazhdan constant kappa (least maximal displacement of a unit
 mean-zero field), the restricted norm lambda of an admissible averaging
 operator, the normalizing factor M of the measure, and the summable decay
-total S.  The conversion formulas are one-sided bounds; the oracle computes
-kappa variationally and pairs the heuristic minimum with a rigorous
-quadratic lower bound.  ``gaplab run`` kind ``kazhdan`` (``cli``) puts all
-four together on one fixture, and acceptance criteria 3, 4 and 11 read that
-report.
+total S.  The conversions between them (``norm_bound_from_kappa``,
+``kappa_from_decay``, ``hilbert_improvement`` and the boost ``boost_pair``)
+are one-sided bounds; the oracle computes kappa variationally and pairs the
+heuristic minimum with a rigorous quadratic lower bound.  ``gaplab run``
+kind ``kazhdan`` (``cli``) puts all four together on one fixture, and
+acceptance criteria 3, 4 and 11 read that report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .group_core import GroupElement, element_ball
-from .measures import AdmissibilityCertificate, uniform_on
+from .measures import uniform_on
 from .rep_markov import (
     Decomposition,
     MarkovOperator,
@@ -39,8 +40,6 @@ __all__ = [
     "hilbert_improvement",
     "BoostResult",
     "boost_pair",
-    "product_average_bound",
-    "hecke_conversion",
 ]
 
 
@@ -263,45 +262,4 @@ def boost_pair(Q: Iterable[GroupElement], lam: float, eps: float) -> BoostResult
     kappa = 1.0 - lam**m
     ball = element_ball(q_set, m)
     return BoostResult(m=m, kappa=kappa, kazhdan_set=ball)
-
-
-def product_average_bound(certificates: Sequence[AdmissibilityCertificate],
-                          kappa: float, p: float = 2.0,
-                          variant: str = "a") -> float:
-    """Norm bound for a product of averaging operators of uniform measures.
-
-    Each factor contributes 1 - (2/M_n) delta_p(kappa_eff) with M_n the
-    certified normalizing factor; the conjugated variant (b) only guarantees
-    a third of the base Kazhdan constant, so kappa_eff = kappa / 3 there.
-    """
-    if variant not in ("a", "b"):
-        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    kappa_eff = kappa if variant == "a" else kappa / 3.0
-    kappa_eff = min(kappa_eff, 2.0)
-    bound = 1.0
-    for cert in certificates:
-        bound *= 1.0 - (2.0 / cert.M) * modulus(p, kappa_eff).value
-    return bound
-
-
-def hecke_conversion(direction: str, *, m: int, zeta: Optional[float] = None,
-                     kappa: Optional[float] = None) -> float:
-    """Convert between Hecke spectral gaps and Kazhdan constants.
-
-    "gap_to_pair": a Hecke operator on m symmetric pairs with gap zeta gives
-    the Kazhdan constant sqrt(zeta / m).  "pair_to_gap": a Kazhdan pair with
-    constant kappa gives a Hecke gap zeta = 2m - 2 + sqrt(4 - kappa^2).
-    The two directions are one-sided estimates, not mutual inverses.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if direction == "gap_to_pair":
-        if zeta is None or not 0.0 < zeta <= 2.0 * m:
-            raise ValueError(f"zeta must lie in (0, 2m], got {zeta}")
-        return math.sqrt(zeta / m)
-    if direction == "pair_to_gap":
-        if kappa is None or not 0.0 < kappa <= 2.0:
-            raise ValueError(f"kappa must lie in (0, 2], got {kappa}")
-        return 2.0 * m - 2.0 + math.sqrt(4.0 - kappa * kappa)
-    raise ValueError(f"unknown direction {direction!r}")
 

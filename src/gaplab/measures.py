@@ -35,8 +35,6 @@ __all__ = [
     "uniform_on",
     "lazy_uniform",
     "translate",
-    "reflect",
-    "measure_to_json",
 ]
 
 PROB_TOL = 1e-12
@@ -113,11 +111,6 @@ def lazy_uniform(action: FiniteAction) -> DiscreteMeasure:
 def translate(g: GroupElement, mu: DiscreteMeasure) -> DiscreteMeasure:
     """Pushforward of mu under left translation h -> g h."""
     return DiscreteMeasure({g.compose(h): w for h, w in mu.atoms.items()})
-
-
-def reflect(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Pushforward of mu under inversion h -> h^-1."""
-    return DiscreteMeasure({h.inverse(): w for h, w in mu.atoms.items()})
 
 
 def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -402,10 +395,3 @@ def certify_admissible(
     cert.verify(rho, tol=1e-12)
     return cert
 
-
-def measure_to_json(mu: DiscreteMeasure,
-                    certificate: Optional[AdmissibilityCertificate] = None) -> dict:
-    doc = {"atoms": [[el.key(), w] for el, w in mu.items()]}
-    if certificate is not None:
-        doc["certificate"] = certificate.to_json_dict()
-    return doc

@@ -10,8 +10,10 @@ word w in the edge maps, so the warped R-ball of x is {w(x) : cost(w) <= R},
 which ``word_images`` lists; past a few maps per point, ``ball_masks``
 settles point sets per slice of centers instead.  ``all_distances``
 relaxes the whole matrix, for the small levels that need every pair.  The
-ghost operator is the blockwise slice mean; its defect against iterated
-averaging operators and its locality on metric balls are measured per level.
+ghost operator G is the slice mean, one constant per level: ``ghost_defect``
+measures the defect curves |A^k - G| of the lazy averaging operator A per
+level, and ``ghost_locality`` the largest |G f| over unit fields supported in
+warped balls, which the constant field on the ball attains.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "BallProfile",
     "ball_measure_profile",
     "propagation_exhaustive",
-    "GhostProjection",
     "LevelDefect",
     "GhostReport",
     "ghost_defect",
@@ -209,7 +210,6 @@ class BallProfile:
     radius: float
     max_measure: float
     argmax_center: int
-    coverage_checked: bool
     coverage_ok: bool
     cover_radius: float
 
@@ -236,7 +236,7 @@ def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
     for point in np.flatnonzero(orbit):
         best = np.minimum(best, level.cone_distances_from(int(point))[ball])
     return BallProfile(radius=R, max_measure=float(measures[arg]), argmax_center=arg,
-                       coverage_checked=True, coverage_ok=not np.any(best > cover_radius + 1e-9),
+                       coverage_ok=not np.any(best > cover_radius + 1e-9),
                        cover_radius=cover_radius)
 
 
@@ -255,43 +255,6 @@ def propagation_exhaustive(level: WarpedLevel, g: GroupElement) -> bool:
         raise ValueError("group element carries no word length")
     dists = level.all_distances()
     return bool(np.all(dists[g.perm, np.arange(level.n_points)] <= g.word_length + COST_TOL))
-
-
-# -- ghost projection --------------------------------------------------------------
-
-
-class GhostProjection:
-    """Blockwise slice-mean projector on a list of levels.
-
-    The cone norm is the l_2 sum of per-level weighted norms (unit weight
-    per level); the range is one constant function per level, so the rank
-    equals the number of levels and grows with the cone.
-    """
-
-    def __init__(self, levels: Sequence[WarpedLevel]) -> None:
-        if not levels:
-            raise ValueError("need at least one level")
-        self.levels = list(levels)
-
-    @property
-    def rank(self) -> int:
-        return len(self.levels)
-
-    def apply(self, fields: Sequence[np.ndarray]) -> List[np.ndarray]:
-        if len(fields) != len(self.levels):
-            raise ValueError("one field per level required")
-        out = []
-        for level, f in zip(self.levels, fields):
-            f = np.asarray(f, dtype=float)
-            mean = float(np.sum(level.weights * f))
-            out.append(np.full(level.n_points, mean))
-        return out
-
-    def norm(self, fields: Sequence[np.ndarray]) -> float:
-        total = 0.0
-        for level, f in zip(self.levels, fields):
-            total += float(np.sum(level.weights * np.asarray(f) ** 2))
-        return math.sqrt(total)
 
 
 # -- ghost defect -------------------------------------------------------------------
@@ -386,17 +349,15 @@ class LocalityReport:
         return out
 
 
-GHOST_RANDOM_FIELDS = 8  # seeded random fields per ball, besides the constant one
-
-
 def ghost_locality(levels: Sequence[WarpedLevel], R: float,
                    n_centers: int = 8, seed: int = 0) -> LocalityReport:
-    """|G f| over unit fields supported in warped R-balls.
+    """max |G f| over unit fields f supported in warped R-balls, with G the
+    slice mean, at ``n_centers`` seeded centers per level.
 
     By Cauchy-Schwarz the slice mean of a unit field supported in a set S
-    is at most sqrt(nu(S)); the constant field on S attains it, so the
-    reported max equals the bound up to float error.  Single-point supports
-    give |G f| = 1/m exactly.
+    is at most sqrt(nu(S)), and the constant unit field on S attains it, so
+    each row reports |G f| of that field, equal to its bound sqrt(nu(S)) up
+    to float error.  Single-point supports give |G f| = 1/m exactly.
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
@@ -415,14 +376,6 @@ def ghost_locality(levels: Sequence[WarpedLevel], R: float,
             flat = np.zeros(level.n_points)
             flat[ball] = 1.0
             flat /= math.sqrt(float(np.sum(w * flat**2)))
-            best = abs(float(np.sum(w * flat)))
-            for _ in range(GHOST_RANDOM_FIELDS):
-                f = np.zeros(level.n_points)
-                f[ball] = rng.standard_normal(len(ball))
-                nrm = math.sqrt(float(np.sum(w * f**2)))
-                if nrm > 0:
-                    best = max(best, abs(float(np.sum(w * f))) / nrm)
-            rows.append(LocalityRow(m=level.m, center=int(c),
-                                    ball_measure=measure, max_norm=best,
-                                    bound=bound))
+            rows.append(LocalityRow(m=level.m, center=int(c), ball_measure=measure,
+                                    max_norm=abs(float(np.sum(w * flat))), bound=bound))
     return LocalityReport(radius=R, rows=rows)

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -148,6 +150,36 @@ def test_cli_malformed_json_is_schema_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["run", str(path)]) == 2
+
+
+MARKOV_Z4 = {"kind": "markov", "fixture": {"builder": "cyclic", "n": 4}}
+
+
+@pytest.mark.parametrize("doc, override", [
+    (MARKOV_Z4, ["--seed", "-1"]),
+    ({"kind": "ergodic", "fixture": {"builder": "sl2", "m": 8, "variant": "b"}},
+     ["--seed", "-1"]),
+    ({**MARKOV_Z4, "seed": True}, []),
+])
+def test_run_refuses_bad_seeds(tmp_path, capsys, doc, override):
+    out = tmp_path / "out"
+    assert main(["run", str(_write_config(tmp_path, doc)), "--out-dir", str(out),
+                 *override]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error at $.seed: must be a nonnegative integer\n"
+    assert not (out / "report.json").exists()
+
+
+def test_run_seed_override_lands_in_the_report(tmp_path):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {**MARKOV_Z4, "seed": True})
+    assert main(["run", str(path), "--out-dir", str(out), "--seed", "5"]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["seed"] == 5
+
+
+def test_selftest_refuses_a_negative_seed(capsys):
+    assert main(["selftest", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error at --seed: must be a nonnegative integer\n"
 
 
 def test_cli_corrupted_fixture_fails_invariant(tmp_path):
@@ -526,6 +558,30 @@ def test_modules_import_alone(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, timeout=120).stdout
     assert out == b"True\n"
+
+
+@pytest.mark.parametrize("module", ["group_core", "measures", "rep_markov", "kazhdan",
+                                    "expanders", "ergodic_walk", "warped_cone", "acceptance"])
+def test_every_all_name_resolves(module):
+    mod = importlib.import_module(f"gaplab.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_no_unused_imports():
+    # every imported name but those from __future__ is read in its module;
+    # __init__.py imports only to re-export
+    unused = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gaplab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                   for node in imports for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unused == []
 
 
 def test_run_never_imports_scipy(tmp_path):

@@ -673,6 +673,19 @@ def test_conditioned_series_radius_plan_matches_reference_loop():
     _assert_matches_reference(sub, plan, table, [0, 11, 30])
 
 
+@pytest.mark.parametrize("drift_fraction", [0.5, 1.0])
+def test_conditioned_hits_never_round_below_zero(drift_fraction):
+    # unclipped, the differences reached -5.55e-17 at 0.5 and -1.11e-16 at 1.0
+    sub, _ = _torus_fixture(8)
+    table = Sl2GroupTable(8)
+    center = sub.point_index((1, 0))
+    plan = plan_from_radii(sub, center, [0.5 * n ** (-0.2) for n in range(1, 41)])
+    cs = conditioned_series(sub, MU_LABELS, plan, drift_fraction, table, [0, 11, 30],
+                            drift=_fixed_drift(1.0))
+    assert cs.hit_probs.min() >= 0.0
+    assert np.all(cs.hit_probs <= cs.unconditioned + 1e-15)
+
+
 def _criterion_9_walk_peak():
     """tracemalloc peak of criterion 9's walk: 40 starts on the (1, 0) orbit
     of (Z/32)^2, 300 steps."""

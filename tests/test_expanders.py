@@ -14,17 +14,15 @@ from gaplab.group_core import (
     sl2_induced_blocks,
 )
 from gaplab.expanders import (
-    MirhoBound,
     PoincareReport,
     QuotientSequence,
     certify_sequence,
-    mirho_upper_bound,
     poincare_ratio,
     poincare_scalar,
     poincare_vector_lower,
 )
-from gaplab.measures import DiscreteMeasure, uniform_on
-from gaplab.rep_markov import Representation, _symmetrized_top, defect_curve, markov_operator
+from gaplab.measures import DiscreteMeasure
+from gaplab.rep_markov import Representation, _symmetrized_top, markov_operator
 
 
 def test_poincare_scalar_z3_complete_graph():
@@ -130,63 +128,6 @@ def test_vector_lower_p3_is_genuine_lower_bound():
     )
     assert lower >= sampled * 0.0  # sanity: finite and positive
     assert math.isfinite(lower)
-
-
-def test_mirho_bound_z2_defect_zero():
-    act = build_cyclic(2)
-    rep = Representation(act)
-    mu = uniform_on([act.identity_element(), act.generator_element("g")])
-    op = markov_operator(rep, mu)
-    defect = defect_curve(op, 1)[1]
-    assert defect == pytest.approx(0.0, abs=1e-14)
-    graph = CayleyGraph(act)
-    bound = mirho_upper_bound(graph, k=1, defect=defect)
-    assert bound.bound == 4.0
-    assert bound.bound >= poincare_scalar(graph).kappa
-
-
-def test_mirho_bound_rejects_large_defect():
-    graph = CayleyGraph(build_cyclic(4))
-    with pytest.raises(ValueError):
-        mirho_upper_bound(graph, k=2, defect=0.6)
-
-
-def test_mirho_bound_sl2_cross_method():
-    act = build_sl2_quotient(5, variant="a")
-    rep = Representation(act)
-    mu = uniform_on(
-        [act.identity_element()]
-        + [act.generator_element(lab) for lab in act.gens.labels]
-    )
-    op = markov_operator(rep, mu)
-    k = 1
-    defect = defect_curve(op, k)[k]
-    while defect > 0.5:
-        k += 1
-        defect = defect_curve(op, k)[k]
-    bound = mirho_upper_bound(CayleyGraph(act), k=k, defect=defect)
-    eig = poincare_scalar(CayleyGraph(act))
-    assert bound.bound >= eig.kappa
-    assert bound.paper_form >= bound.bound  # the crude form is never smaller
-
-
-def test_vector_lower_never_exceeds_mirho_bound():
-    for act in (build_cyclic(2), build_sl2_quotient(5, variant="a")):
-        graph = CayleyGraph(act)
-        rep = Representation(act)
-        mu = uniform_on(
-            [act.identity_element()]
-            + [act.generator_element(lab) for lab in act.gens.labels]
-        )
-        op = markov_operator(rep, mu)
-        k = 1
-        defect = defect_curve(op, k)[k]
-        while defect > 0.5:
-            k += 1
-            defect = defect_curve(op, k)[k]
-        upper = mirho_upper_bound(graph, k=k, defect=defect)
-        lower = poincare_vector_lower(graph, p=2.0, d=2, budget=200, seed=4)
-        assert lower <= upper.bound + 1e-9
 
 
 def test_certify_sequence_solves_each_quotient_once_for_the_vector_bound(monkeypatch):

@@ -11,15 +11,13 @@ from gaplab.group_core import build_cyclic, build_sl2_quotient, element_ball
 from gaplab.kazhdan import (
     BoostResult,
     boost_pair,
-    hecke_conversion,
     hilbert_improvement,
     kappa_from_decay,
     kazhdan_constant_oracle,
     modulus,
     norm_bound_from_kappa,
-    product_average_bound,
 )
-from gaplab.measures import certify_admissible, uniform_extended, uniform_on
+from gaplab.measures import uniform_extended, uniform_on
 from gaplab.rep_markov import (
     DENSE_LIMIT,
     Decomposition,
@@ -126,21 +124,6 @@ def test_oracle_z3_single_generator_asymmetric_q():
     res = kazhdan_constant_oracle(rep, [act.generator_element("g")], n_starts=16)
     assert res.best == pytest.approx(math.sqrt(3.0), abs=1e-6)
     assert res.lower_bound == pytest.approx(math.sqrt(3.0), abs=1e-8)
-
-
-def test_hecke_gap_to_pair_validated_by_oracle():
-    # the Hecke operator of one symmetric pair on Z/3 is 2 A; its measured
-    # gap converts to a valid (not tight) Kazhdan constant
-    act = build_cyclic(3)
-    rep = Representation(act)
-    q = [act.generator_element("g"), act.generator_element("g^-1")]
-    lam = restricted_norm(markov_operator(rep, uniform_on(q))).value
-    assert lam == pytest.approx(0.5, abs=1e-10)
-    zeta = 2.0 * 1 - 2.0 * 1 * lam
-    kappa = hecke_conversion("gap_to_pair", m=1, zeta=zeta)
-    oracle = kazhdan_constant_oracle(rep, q, n_starts=8)
-    assert kappa == pytest.approx(1.0, abs=1e-10)
-    assert kappa <= oracle.best + 1e-6  # oracle value is sqrt(3)
 
 
 def test_oracle_one_point_action_sentinel():
@@ -385,70 +368,6 @@ def test_boost_pair_verified_by_oracle():
     assert oracle.lower_bound >= res.kappa - 1e-6 or oracle.best >= res.kappa - 1e-6
 
 
-def test_product_average_bound_single_factor_reduces():
-    act = build_cyclic(4)
-    e = act.identity_element()
-    q = [act.generator_element("g"), act.generator_element("g^-1")]
-    _mu, cert = uniform_extended(q, e)
-    kappa = math.sqrt(2.0)
-    bound = product_average_bound([cert], kappa, p=2.0, variant="a")
-    assert bound == pytest.approx(norm_bound_from_kappa(cert.M, 2.0, kappa))
-
-
-def test_product_average_bound_empty_product():
-    assert product_average_bound([], 1.0) == 1.0
-
-
-def test_product_average_bound_variant_b_measured():
-    act = build_cyclic(4)
-    rep = Representation(act)
-    e = act.identity_element()
-    q = [act.generator_element("g"), act.generator_element("g^-1")]
-    mu, cert = uniform_extended(q, e)
-    kappa = math.sqrt(2.0)
-    n = 3
-    bound_b = product_average_bound([cert] * n, kappa, variant="b")
-    bound_a = product_average_bound([cert] * n, kappa, variant="a")
-    assert bound_a <= bound_b  # full kappa beats kappa / 3
-    op = markov_operator(rep, mu)
-    a = op.dense()
-    prod = np.linalg.matrix_power(a, n)
-    defect = np.linalg.norm(prod - op.decomposition.mean_matrix(), 2)
-    assert defect <= bound_b + 1e-12
-    assert defect <= bound_a + 1e-12
-
-
-def test_product_average_bound_rejects_bad_variant():
-    with pytest.raises(ValueError):
-        product_average_bound([], 1.0, variant="c")
-
-
-def test_hecke_gap_to_pair():
-    assert hecke_conversion("gap_to_pair", m=2, zeta=1.0) == pytest.approx(
-        math.sqrt(0.5)
-    )
-    with pytest.raises(ValueError):
-        hecke_conversion("gap_to_pair", m=2, zeta=5.0)
-
-
-def test_hecke_pair_to_gap():
-    assert hecke_conversion("pair_to_gap", m=3, kappa=2.0) == pytest.approx(4.0)
-    val = hecke_conversion("pair_to_gap", m=2, kappa=math.sqrt(0.5))
-    assert val == pytest.approx(2.0 + math.sqrt(3.5), abs=1e-12)
-
-
-def test_hecke_round_trip_is_one_sided():
-    kappa = hecke_conversion("gap_to_pair", m=2, zeta=1.0)
-    zeta_back = hecke_conversion("pair_to_gap", m=2, kappa=kappa)
-    assert zeta_back == pytest.approx(2.0 + math.sqrt(4.0 - 0.5))
-    assert zeta_back >= 1.0  # not an inverse, only a valid gap
-
-
-def test_hecke_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        hecke_conversion("sideways", m=2, zeta=1.0)
-
-
 # -- certificates -------------------------------------------------------------
 
 
@@ -473,12 +392,3 @@ def test_certificate_sandwich_catches_violation():
     assert not _sandwich_holds(2.0, 0.9, 2.0)  # kappa = 2 forces lambda = 0 at M = 2
 
 
-def test_lp_certified_M_improves_product_bound():
-    # optimal normalizing factors can only tighten the product bound
-    act = build_cyclic(4)
-    e = act.identity_element()
-    q = [act.generator_element("g"), act.generator_element("g^-1")]
-    mu, cert = uniform_extended(q, e)
-    opt = certify_admissible(mu, q)
-    kappa = math.sqrt(2.0)
-    assert product_average_bound([opt], kappa) <= product_average_bound([cert], kappa) + 1e-12

@@ -12,9 +12,7 @@ from gaplab.measures import (
     convolve,
     dirac,
     lazy_uniform,
-    measure_to_json,
     power,
-    reflect,
     translate,
     uniform_extended,
     uniform_on,
@@ -238,9 +236,6 @@ def test_translate_and_reflect(z4):
     tg = translate(g, mu)
     assert tg.weight(g) == pytest.approx(0.5)
     assert tg.weight(g.compose(g)) == pytest.approx(0.5)
-    refl = reflect(mu)
-    assert refl.weight(e) == pytest.approx(0.5)
-    assert refl.weight(g.inverse()) == pytest.approx(0.5)
 
 
 def test_mixed_realizations_rejected(z2, z4):
@@ -262,15 +257,6 @@ def test_certificate_reverification_catches_tampering(z4):
     )
     with pytest.raises(ValueError):
         bad.verify(mu)
-
-
-def test_measure_serialization(z4):
-    e = z4.identity_element()
-    q = [z4.generator_element("g"), z4.generator_element("g^-1")]
-    mu, cert = uniform_extended(q, e)
-    doc = measure_to_json(mu, cert)
-    assert len(doc["atoms"]) == 3
-    assert doc["certificate"]["M"] == pytest.approx(3.0)
 
 
 def test_certificate_json_is_pinned():

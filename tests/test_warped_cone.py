@@ -8,7 +8,6 @@ from gaplab import rep_markov
 from gaplab import warped_cone as wc
 from gaplab.group_core import word_ball
 from gaplab.warped_cone import (
-    GhostProjection,
     ball_measure_profile,
     build_cone,
     build_warped_level,
@@ -230,12 +229,8 @@ def test_level_validation():
 
 
 def test_single_point_levels_degenerate():
-    # one-point levels: the ghost is the identity and the defect vanishes
+    # one-point levels: the ghost is the identity, so the defect vanishes
     levels = [build_warped_level(1, t=2.0), build_warped_level(1, t=4.0)]
-    ghost = GhostProjection(levels)
-    fields = [np.array([3.0]), np.array([-1.0])]
-    out = ghost.apply(fields)
-    assert out[0][0] == 3.0 and out[1][0] == -1.0
     report = ghost_defect(levels, k_max=5)
     assert np.all(report.cone_defects() == 0.0)
     # every edge map is the identity: one map, one-point balls of measure 1
@@ -341,58 +336,6 @@ def test_propagation_contrapositive_not_claimed(level8):
     overlapping[g.perm, np.arange(n)] = True  # x = g y: nonzero product
     assert np.any(close & overlapping) and np.any(close & ~overlapping)
     assert propagation_exhaustive(level8, g)
-
-
-def test_ghost_projection_identity_on_single_points():
-    levels = [build_warped_level(2, t=2.0)]
-    ghost = GhostProjection(levels)
-    f = np.array([1.0, 2.0, 3.0, 4.0])
-    out = ghost.apply([f])[0]
-    assert np.allclose(out, 2.5)
-
-
-def test_ghost_single_point_indicator_norm():
-    for m in (4, 8):
-        level = build_warped_level(m)
-        ghost = GhostProjection([level])
-        f = np.zeros(level.n_points)
-        f[3] = m  # unit norm under weights 1/m^2
-        assert ghost.norm([f]) == pytest.approx(1.0)
-        gf = ghost.apply([f])[0]
-        assert np.allclose(gf, 1.0 / m)
-        assert ghost.norm([gf]) == pytest.approx(1.0 / m)
-
-
-def test_ghost_annihilates_mean_zero():
-    level = build_warped_level(4)
-    ghost = GhostProjection([level])
-    rng = np.random.default_rng(5)
-    f = rng.standard_normal(level.n_points)
-    f -= f.mean()
-    assert np.max(np.abs(ghost.apply([f])[0])) <= 1e-14
-
-
-def test_ghost_idempotent_and_rank():
-    levels = build_cone((4, 8))
-    ghost = GhostProjection(levels)
-    rng = np.random.default_rng(7)
-    fields = [rng.standard_normal(lv.n_points) for lv in levels]
-    once = ghost.apply(fields)
-    twice = ghost.apply(once)
-    assert max(float(np.max(np.abs(a - b))) for a, b in zip(once, twice)) <= 1e-14
-    assert ghost.rank == 2
-
-
-def test_ghost_commutes_with_generators():
-    level = build_warped_level(8)
-    ghost = GhostProjection([level])
-    rng = np.random.default_rng(9)
-    f = rng.standard_normal(level.n_points)
-    for lab in level.action.gens.labels:
-        inv = level.action.perms[level.action.gens.inverse_label(lab)]
-        lhs = ghost.apply([f[inv]])[0]
-        rhs = ghost.apply([f])[0][inv]
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_ghost_defect_curves():
