@@ -583,9 +583,10 @@ def execute(config: ExperimentConfig, action: Optional[FiniteAction] = None
     """Run one experiment in memory; returns its report and CSV series.
 
     Kinds in ``FIXTURE_RUNNERS`` run on ``action``, built from the config if
-    not given.  A measure given to a kind in ``OWN_MEASURE_KINDS`` and an
-    oversized dense build are ``ConfigError``s.
+    not given.  A bad seed, a measure given to a kind in ``OWN_MEASURE_KINDS``
+    and an oversized dense build are ``ConfigError``s.
     """
+    _seed(config.seed, "$.seed")  # configs built in Python skip from_json_dict
     if config.kind in OWN_MEASURE_KINDS and config.measure != DEFAULT_MEASURE:
         raise ConfigError("$.measure", f"the {config.kind} kind sets its own measure; "
                           f"leave it out or give {DEFAULT_MEASURE}, got {config.measure!r}")

@@ -11,10 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaplab import acceptance, cli
 from gaplab.acceptance import run_all
+from gaplab.measures import DiscreteMeasure, lazy_uniform
+from gaplab.rep_markov import Representation, _weighted_conjugate, markov_operator
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +211,70 @@ def test_ergodic_decay_bound_violation_fails_only_criterion_7(monkeypatch):
     assert [r.cid for r in results] == [7, 8]
     assert results[0].details == {"failed_invariant": "ergodic-decay-bound"}
     assert not results[0].passed and results[1].passed
+
+
+def _decay_by_dense_powers(action, k_max):
+    """|A^k - P| for k = 1..k_max from dense powers, the largest 2-norm of the
+    orbit blocks of each power's weighted conjugate (the route ``_decay_rate``
+    replaced); also the largest entry between orbits over all powers."""
+    rep = Representation(action)
+    op = markov_operator(rep, lazy_uniform(action))
+    a, p = op.dense(), op.decomposition.mean_matrix()
+    orbit_of = action.orbit_index()
+    between = orbit_of[:, None] != orbit_of[None, :]
+    power = np.eye(action.n_points)
+    defects, leak = [], 0.0
+    for _ in range(k_max):
+        power = power @ a
+        t = _weighted_conjugate(rep, power - p)
+        defects.append(max(float(np.linalg.norm(t[np.ix_(orb, orb)], 2))
+                           for orb in action.orbits()))
+        leak = max(leak, float(np.max(np.abs(t[between]), initial=0.0)))
+    return np.array(defects), leak
+
+
+@pytest.mark.parametrize("name", ["SL2(Z/5) regular", "(Z/16)^2 torus"])
+def test_decay_rate_matches_dense_powers(name):
+    action = cli.build_fixture(dict(acceptance.GAPPED_FIXTURES)[name])
+    rho = acceptance._decay_rate(action)
+    assert 0.0 < rho < 1.0
+    defects, leak = _decay_by_dense_powers(action, 50)
+    assert leak == 0.0
+    assert np.max(np.abs(defects - rho ** np.arange(1, 51))) <= 1e-13
+
+
+def _only_criterion_1(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [c for c in acceptance.CRITERIA if c[0] == 1])
+    [result] = acceptance.run_core(0)
+    return result
+
+
+def test_criterion_1_fails_on_a_lambda_below_the_decay_rate(monkeypatch):
+    true_execute = cli.execute
+
+    def lowered(config, action=None):
+        report, series = true_execute(config, action)
+        if config.kind == "markov":
+            report["lambda"]["value"] -= 1e-6
+        return report, series
+
+    monkeypatch.setattr(cli, "execute", lowered)
+    result = _only_criterion_1(monkeypatch)
+    assert not result.passed
+    for data in result.details.values():
+        assert data["worst_excess"] >= 1e-6 - 1e-12
+
+
+def test_criterion_1_fails_on_an_operator_that_is_not_self_adjoint(monkeypatch):
+    # mu on {e, s} for the first generator s: A is not self-adjoint once s^-1 != s
+    def one_sided(action):
+        s = action.generator_element(action.gens.labels[0])
+        return DiscreteMeasure({action.identity_element(): 0.5, s: 0.5})
+
+    monkeypatch.setattr(acceptance, "lazy_uniform", one_sided)
+    result = _only_criterion_1(monkeypatch)
+    assert not result.passed
+    assert result.details == {"failed_invariant": "decay-operator-self-adjoint"}
 
 
 CORE_REPORT = ("import sys; from gaplab import acceptance; "

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gaplab import cli
@@ -180,6 +179,21 @@ def test_run_seed_override_lands_in_the_report(tmp_path):
 def test_selftest_refuses_a_negative_seed(capsys):
     assert main(["selftest", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "config error at --seed: must be a nonnegative integer\n"
+
+
+@pytest.mark.parametrize("doc", [
+    MARKOV_Z4,
+    {"kind": "ergodic", "fixture": {"builder": "sl2", "m": 8, "variant": "b"}},
+])
+@pytest.mark.parametrize("seed", [-1, True])
+def test_configs_built_in_python_get_the_seed_check(tmp_path, capsys, doc, seed):
+    config = ExperimentConfig(kind=doc["kind"], fixture=doc["fixture"], seed=seed)
+    with pytest.raises(ConfigError, match=r"^\$\.seed: must be a nonnegative integer$"):
+        cli.execute(config)
+    out = tmp_path / "out"
+    assert run(config, out) == 2
+    assert capsys.readouterr().err == "config error at $.seed: must be a nonnegative integer\n"
+    assert not (out / "report.json").exists()
 
 
 def test_cli_corrupted_fixture_fails_invariant(tmp_path):
@@ -570,8 +584,9 @@ def test_every_all_name_resolves(module):
 def test_no_unused_imports():
     # every imported name but those from __future__ is read in its module;
     # __init__.py imports only to re-export
+    root = Path(__file__).resolve().parents[1]
     unused = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "gaplab").glob("*.py")):
+    for path in sorted([*(root / "src" / "gaplab").glob("*.py"), *(root / "tests").glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))

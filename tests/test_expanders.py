@@ -14,7 +14,6 @@ from gaplab.group_core import (
     sl2_induced_blocks,
 )
 from gaplab.expanders import (
-    PoincareReport,
     QuotientSequence,
     certify_sequence,
     poincare_ratio,

@@ -9,7 +9,6 @@ import pytest
 from gaplab import kazhdan
 from gaplab.group_core import build_cyclic, build_sl2_quotient, element_ball
 from gaplab.kazhdan import (
-    BoostResult,
     boost_pair,
     hilbert_improvement,
     kappa_from_decay,

@@ -13,7 +13,6 @@ from gaplab.rep_markov import (
     DENSE_LIMIT,
     Decomposition,
     DenseLimitError,
-    MarkovOperator,
     Representation,
     defect_curve,
     markov_operator,
