@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -148,15 +147,10 @@ def _seed(seed, path: str) -> int:
 def build_fixture(spec: dict) -> FiniteAction:
     builder = spec.get("builder")
     if builder == "cyclic":
-        n = spec.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError("$.fixture.n", "must be a positive integer")
-        return build_cyclic(n)
+        return build_cyclic(_number("$.fixture.n", spec.get("n"), int, AT_LEAST_1))
     if builder == "sl2":
-        m = spec.get("m")
+        m = _number("$.fixture.m", spec.get("m"), int, AT_LEAST_1)
         variant = spec.get("variant", "b")
-        if not isinstance(m, int):
-            raise ConfigError("$.fixture.m", "must be an integer")
         if variant not in ("a", "b"):
             raise ConfigError("$.fixture.variant", "must be 'a' or 'b'")
         try:
@@ -414,12 +408,9 @@ def _run_ergodic(config: ExperimentConfig, action: FiniteAction
     for p, p_value in zip(exponents, ps):  # the report keys keep the config's spelling
         op = markov_operator(Representation(action, p=p_value), mu)
         est = restricted_norm(op, seed=config.seed, n_starts=2)
-        # a non-ergodic fixture warns that errors are taken to orbitwise means
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            curve = ew.ergodic_error_curve(op, f, K=k_max, norm_estimate=est)
-            constant = ew.ergodic_error_curve(op, np.ones(action.n_points),
-                                              K=k_max, norm_estimate=est)
+        curve = ew.ergodic_error_curve(op, f, K=k_max, norm_estimate=est)
+        constant = ew.ergodic_error_curve(op, np.ones(action.n_points),
+                                          K=k_max, norm_estimate=est)
         if curve.slope is not None and curve.slope > math.log(est.value) + 0.01:
             raise InvariantFailure("ergodic-slope",
                                    f"slope {curve.slope} vs log lambda")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -120,18 +120,13 @@ def ergodic_error_curve(op: MarkovOperator, f: np.ndarray, K: int,
 
     With an exact-quality restricted norm the geometric bound
     e_k <= lam^k |f|_p is asserted (tolerance 1e-9): a violation is the
-    ``InvariantFailure`` "ergodic-decay-bound".  Non-ergodic actions
-    fall back to orbitwise means, with a warning.
+    ``InvariantFailure`` "ergodic-decay-bound".  The limit Mf is the
+    orbitwise mean, which on an ergodic action is the global mean.
     """
     if K < 1:
         raise ValueError("need K >= 1")
     rep = op.rep
     dec = op.decomposition
-    if dec.n_orbits > 1:
-        warnings.warn(
-            "action is not ergodic: errors measured against orbitwise means",
-            RuntimeWarning,
-        )
     est = norm_estimate or restricted_norm(op)
     f = rep._coerce(f)
     target = dec.mean(f)
@@ -167,31 +162,26 @@ def ergodic_error_curve(op: MarkovOperator, f: np.ndarray, K: int,
 
 @dataclass
 class WalkStatistics:
-    starts: np.ndarray
     hit_probs: np.ndarray          # (n_starts, N)
     sigma: np.ndarray              # (n_starts,) partial sums at the horizon
-    target_measures: np.ndarray    # (N,)
     s_partial: np.ndarray          # (N,)
 
 
 def hit_fields_exact(action: FiniteAction, mu: DiscreteMeasure,
                      plan: ShrinkingTargetPlan) -> List[np.ndarray]:
     """Full hit-probability fields f_n = A^n 1_target, one per plan step."""
-    rep = Representation(action, p=2.0, d=1)
-    op = markov_operator(rep, mu)
-    return [op.apply_power(plan.indicator(n), n)[:, 0]
-            for n in range(1, plan.horizon + 1)]
+    op = markov_operator(Representation(action), mu)
+    return [op.apply_power(plan.indicator(n), n) for n in range(1, plan.horizon + 1)]
 
 
 def sigma_field_exact(action: FiniteAction, mu: DiscreteMeasure,
                       plan: ShrinkingTargetPlan) -> np.ndarray:
     """sum_n A^n 1_target as one field, in a single backward sweep."""
-    rep = Representation(action, p=2.0, d=1)
-    op = markov_operator(rep, mu)
-    acc = np.zeros((action.n_points, 1))
+    op = markov_operator(Representation(action), mu)
+    acc = np.zeros(action.n_points)
     for n in range(plan.horizon, 0, -1):
-        acc = op.apply(plan.indicator(n)[:, None] + acc)
-    return acc[:, 0]
+        acc = op.apply(plan.indicator(n) + acc)
+    return acc
 
 
 def _walk_starts(action: FiniteAction, plan: ShrinkingTargetPlan,
@@ -217,8 +207,7 @@ def shrinking_series_exact(action: FiniteAction, mu: DiscreteMeasure,
     step regardless of how many targets there are.
     """
     starts = _walk_starts(action, plan, starts)
-    rep = Representation(action, p=2.0, d=1)
-    op = markov_operator(rep, mu)
+    op = markov_operator(Representation(action), mu)
     rows = np.zeros((len(starts), action.n_points))
     rows[np.arange(len(starts)), starts] = 1.0
     hit = np.zeros((len(starts), plan.horizon))
@@ -229,10 +218,8 @@ def shrinking_series_exact(action: FiniteAction, mu: DiscreteMeasure,
     if hit.size and (hit.min() < -1e-12 or hit.max() > 1.0 + 1e-12):
         raise RuntimeError("hit probabilities escaped [0, 1]")
     return WalkStatistics(
-        starts=starts,
         hit_probs=hit,
         sigma=hit.sum(axis=1),
-        target_measures=plan.measures.copy(),
         s_partial=plan.s_partial.copy(),
     )
 
@@ -368,7 +355,6 @@ def moment_inequality_check(action: FiniteAction, mu: DiscreteMeasure,
 class DriftEstimate:
     two_a: float
     mean_lengths: np.ndarray
-    window: Tuple[int, int]
     trials: int
     seed: int
     degenerate: bool = False
@@ -396,8 +382,7 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
     for n in range(n_steps):
         pos = np.choose(gidx[:, n], [row[pos] for row in rows])
         mean_lengths[n] = float(table.word_length[pos].mean())
-    window = (max(1, n_steps // 8), max(2, n_steps // 2))
-    lo, hi = window
+    lo, hi = max(1, n_steps // 8), max(2, n_steps // 2)
     ks = np.arange(lo, hi + 1)
     ys = mean_lengths[lo - 1 : hi]
     var = float(np.var(ks))
@@ -406,8 +391,8 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
     if degenerate:
         warnings.warn("degenerate drift: word length does not grow", RuntimeWarning)
         slope = 0.0
-    return DriftEstimate(two_a=slope, mean_lengths=mean_lengths, window=window,
-                         trials=trials, seed=seed, degenerate=degenerate)
+    return DriftEstimate(two_a=slope, mean_lengths=mean_lengths, trials=trials, seed=seed,
+                         degenerate=degenerate)
 
 
 # -- conditioned series -----------------------------------------------------------
@@ -423,14 +408,12 @@ def _walk_step(x: np.ndarray, steps: Sequence[np.ndarray], weights: np.ndarray) 
 
 @dataclass
 class ConditionedStatistics:
-    starts: np.ndarray
     hit_probs: np.ndarray            # conditioned joint probabilities, (n_starts, N)
     unconditioned: np.ndarray        # same walk without the word-length cut
     sigma: np.ndarray
     s_partial: np.ndarray
     tail_mass: np.ndarray            # mu^n(word length > a n) per step
     a: float
-    drift: DriftEstimate
 
 
 def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
@@ -508,12 +491,10 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
                        for x, value in zip(starts, uncond[:, -1])):
         raise ValueError("group table does not act compatibly on the fixture")
     return ConditionedStatistics(
-        starts=starts,
         hit_probs=cond,
         unconditioned=uncond,
         sigma=cond.sum(axis=1),
         s_partial=plan.s_partial.copy(),
         tail_mass=tail_mass,
         a=a,
-        drift=drift,
     )

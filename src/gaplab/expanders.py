@@ -210,8 +210,7 @@ def _averaging_eigensolve(graph: CayleyGraph) -> Tuple[float, np.ndarray]:
         atoms[el] = atoms.get(el, 0.0) + 1.0 / len(graph.labels)
     op = MarkovOperator(Representation(action), DiscreteMeasure(atoms))
     top = _symmetrized_top(op)
-    vec = top.vector[:, 0]
-    return top.value, vec - vec.mean()
+    return top.value, top.vector - top.vector.mean()
 
 
 def poincare_scalar(graph: CayleyGraph) -> ScalarPoincare:

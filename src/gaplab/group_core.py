@@ -348,10 +348,8 @@ class FixedDegreeMatrix:
         return self.cols.shape[1]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """M x for a vector x of shape (n,), or column by column for (n, k)."""
-        x = np.asarray(x)
-        vals = self.vals.reshape(self.vals.shape + (1,) * (x.ndim - 1))
-        terms = vals * x.take(self.cols, axis=0)
+        """M x for a vector x of shape (n,)."""
+        terms = self.vals * np.asarray(x).take(self.cols)
         out = terms[0]
         for j in range(1, len(terms)):
             out += terms[j]
@@ -455,7 +453,7 @@ def _sl2_order(m: int) -> int:
     return order
 
 
-def _sl2_closure(m: int, compact: bool = False):
+def _sl2_closure(m: int):
     """SL2(Z/m) by breadth-first closure under left multiplication.
 
     Returns the elements as rows (a, b, c, d) -- the identity first, then in
@@ -463,7 +461,7 @@ def _sl2_closure(m: int, compact: bool = False):
     search meets them -- their word lengths and ``left_mult[label][i]``, the
     id of s * element i.  Candidates are looked up in an id table of m^3
     entries, the id of each element at its ``_sl2_key`` and -1 elsewhere,
-    which is dropped on return.  ``compact`` makes ids int32 and lengths int8.
+    which is dropped on return.  Ids are int32 and lengths int8.
 
     The element, length and left-product arrays are allocated once at the
     group's order and filled level by level; each level is expanded
@@ -474,8 +472,8 @@ def _sl2_closure(m: int, compact: bool = False):
     gens = np.array(list(SL2_GENERATOR_MATRICES.values()), dtype=np.int64).reshape(-1, 2, 2) % m
     n = _sl2_order(m)
     elements = np.empty((n, 4), dtype=np.int64)
-    lengths = np.empty(n, dtype=np.int8 if compact else np.int64)
-    left = np.empty((n, len(gens)), dtype=np.int32 if compact else np.int64)
+    lengths = np.empty(n, dtype=np.int8)
+    left = np.empty((n, len(gens)), dtype=np.int32)
     elements[0] = (1 % m, 0, 0, 1 % m)
     lengths[0] = 0
     table = np.full(m ** 3, -1, dtype=left.dtype)
@@ -531,7 +529,7 @@ class Sl2GroupTable:
             raise ValueError(f"need modulus in [2, {self.MAX_MODULUS}], got {m}")
         self.m = int(m)
         self.labels = tuple(SL2_GENERATOR_MATRICES)
-        self.elements, self.word_length, self.left_mult = _sl2_closure(self.m, compact=True)
+        self.elements, self.word_length, self.left_mult = _sl2_closure(self.m)
         self.identity = 0
         self.n_elements = len(self.elements)
 

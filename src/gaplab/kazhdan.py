@@ -92,7 +92,6 @@ class KazhdanOracleResult:
     best: float
     lower_bound: Optional[float]
     minimizer: Optional[np.ndarray]
-    p: float
 
 
 def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
@@ -104,13 +103,13 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
     subgradients.  When the complement is trivial the constant is vacuously
     +inf.
 
-    One spectral solve, of the symmetrized uniform average S over Q on scalar
-    fields, gives the top three eigenpairs theta_i of S on the complement
+    One spectral solve, of the symmetrized uniform average S over Q at
+    p = 2, gives the top three eigenpairs theta_i of S on the complement
     (fewer when the complement has fewer dimensions).  Since at p = 2
-    sum_s |v - pi_s v|^2 = 2 |Q| (|v|^2 - <v, S v>), their vectors, repeated
-    across the fiber coordinates, are the eigen-starts, and theta_1 gives
-    ``lower_bound`` = sqrt(2 (1 - theta_1)).  The solve is matrix-free, so
-    the oracle holds O(|Q| n) floats and refuses no size.
+    sum_s |v - pi_s v|^2 = 2 |Q| (|v|^2 - <v, S v>), their vectors are the
+    eigen-starts, and theta_1 gives ``lower_bound`` = sqrt(2 (1 - theta_1)).
+    The solve is matrix-free, so the oracle holds O(|Q| n) floats and
+    refuses no size.
 
     The eigen-starts run first, then ``n_starts`` seeded random fields.  At
     p = 2 every start ends at or above kappa >= ``lower_bound``, so the
@@ -125,8 +124,7 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
         raise ValueError("empty Kazhdan set")
     dec = Decomposition(rep)
     if dec.complement_dim() == 0:
-        return KazhdanOracleResult(best=math.inf, lower_bound=math.inf,
-                                   minimizer=None, p=rep.p)
+        return KazhdanOracleResult(best=math.inf, lower_bound=math.inf, minimizer=None)
     q_inv = np.stack([el.inverse().perm for el in q_set])  # (|Q|, n)
     q_perm = [el.perm for el in q_set]
 
@@ -173,8 +171,8 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
                 break
         return val, v
 
-    scalar = MarkovOperator(Representation(rep.action, p=2.0, d=1), uniform_on(q_set))
-    top = _symmetrized_top(scalar, k=min(3, dec.complement_dim()))
+    hilbert = MarkovOperator(Representation(rep.action), uniform_on(q_set))
+    top = _symmetrized_top(hilbert, k=min(3, dec.complement_dim()))
     lower = None
     if rep.p == 2.0:
         lower = math.sqrt(max(0.0, 2.0 * (1.0 - top.value)))
@@ -185,17 +183,16 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
         # projected here and again in descend: where theta = -1 ties the
         # complement to the invariant fields, a start may be mostly invariant
         # and one projection would leave its rounding outside the complement
-        val, v = descend(dec.complement(np.repeat(x, rep.d, axis=1)))
+        val, v = descend(dec.complement(x))
         if val < best:
             best, best_v = val, v
     if lower is None or best > lower + ORACLE_TIE_TOL:
         for k in range(n_starts):
             srng = np.random.default_rng(seed + 1009 * (k + 1))
-            val, v = descend(srng.standard_normal((rep.n_points, rep.d)))
+            val, v = descend(srng.standard_normal(rep.n_points))
             if val < best:
                 best, best_v = val, v
-    return KazhdanOracleResult(best=float(best), lower_bound=lower,
-                               minimizer=best_v, p=rep.p)
+    return KazhdanOracleResult(best=float(best), lower_bound=lower, minimizer=best_v)
 
 
 # -- conversions --------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Isometric representations on weighted l_p spaces and their averaging operators.
 
-A ``Representation`` acts on fields X -> R^d by (pi_g f)(x) = f(g^-1 x); the
-``MarkovOperator`` of a measure mu averages these isometries.  The canonical
-splitting into invariant fields and their complement is realized concretely:
+A ``Representation`` acts on scalar fields X -> R, each a float array of
+shape (n_points,), by (pi_g f)(x) = f(g^-1 x); the ``MarkovOperator`` of a
+measure mu averages these isometries.  The canonical splitting into
+invariant fields and their complement is realized concretely:
 invariant fields are those constant on each orbit, the complement consists of
 fields with zero weighted mean on each orbit.  For transitive actions this is
 the usual constants / mean-zero splitting.
@@ -59,16 +60,13 @@ def require_dense(n: int, what: str) -> None:
 
 
 class Representation:
-    """Isometric action on l_p(X, nu; R^d) with the l_p fiber norm."""
+    """Isometric action on the weighted space l_p(X, nu)."""
 
-    def __init__(self, action: FiniteAction, p: float = 2.0, d: int = 1) -> None:
+    def __init__(self, action: FiniteAction, p: float = 2.0) -> None:
         if not 1.0 < p < np.inf:
             raise ValueError(f"exponent p must lie in (1, inf), got {p}")
-        if d < 1:
-            raise ValueError(f"fiber dimension must be >= 1, got {d}")
         self.action = action
         self.p = float(p)
-        self.d = int(d)
 
     @property
     def n_points(self) -> int:
@@ -76,31 +74,25 @@ class Representation:
 
     def _coerce(self, values: np.ndarray) -> np.ndarray:
         f = np.asarray(values, dtype=float)
-        if f.ndim == 1:
-            f = f[:, None]
-        if f.shape != (self.n_points, self.d):
-            raise ValueError(
-                f"field shape {f.shape} does not match ({self.n_points}, {self.d})"
-            )
+        if f.shape != (self.n_points,):
+            raise ValueError(f"field shape {f.shape} does not match ({self.n_points},)")
         return f
 
     def norm(self, values: np.ndarray) -> Union[float, np.ndarray]:
         """Weighted l_p norm of one field, or of every field of a stack.
 
-        One field, of shape (n_points, d) or (n_points,) when d = 1, gives a
-        float.  A stack of shape (k, n_points, d) gives its k norms as an array,
-        equal bit for bit to the norms of the fields taken one at a time.
+        One field, of shape (n_points,), gives a float.  A stack of shape
+        (k, n_points) gives its k norms as an array, equal bit for bit to the
+        norms of the fields taken one at a time.
         """
         f = np.asarray(values, dtype=float)
-        if f.ndim != 3:
+        if f.ndim != 2:
             f = self._coerce(f)
-        elif f.shape[1:] != (self.n_points, self.d):
-            raise ValueError(
-                f"stack shape {f.shape} does not match (k, {self.n_points}, {self.d})"
-            )
+        elif f.shape[1] != self.n_points:
+            raise ValueError(f"stack shape {f.shape} does not match (k, {self.n_points})")
         p = self.p
-        sums = np.sum(self.action.weights * np.sum(np.abs(f) ** p, axis=-1), axis=-1)
-        if f.ndim == 2:
+        sums = np.sum(self.action.weights * np.abs(f) ** p, axis=-1)
+        if f.ndim == 1:
             return float(sums ** (1.0 / p))
         # one scalar root per norm: numpy's array power differs from its scalar
         # power in the last bit on a few percent of inputs
@@ -121,13 +113,9 @@ class Decomposition:
     def mean(self, values: np.ndarray) -> np.ndarray:
         """Weighted mean on each orbit, broadcast back as an invariant field."""
         f = self.rep._coerce(values)
-        w = self.rep.action.weights
-        wf = w[:, None] * f
-        sums = np.column_stack([np.bincount(self.orbit_of, weights=wf[:, j],
-                                            minlength=self.n_orbits)
-                                for j in range(f.shape[1])])
-        means = sums / self.orbit_mass[:, None]
-        return means[self.orbit_of]
+        sums = np.bincount(self.orbit_of, weights=self.rep.action.weights * f,
+                           minlength=self.n_orbits)
+        return (sums / self.orbit_mass)[self.orbit_of]
 
     def complement(self, values: np.ndarray) -> np.ndarray:
         f = self.rep._coerce(values)
@@ -153,7 +141,6 @@ class NormEstimate:
 
     value: float
     quality: str  # "exact" (p = 2) or "lower_bound"
-    p: float
     # p = 2: sqrt(value^2 + residual), the residual enclosure of the computed
     # Ritz value; it bounds the nearest eigenvalue, not certainly the top one
     upper: float = 1.0
@@ -260,7 +247,7 @@ class _TopEigenpair:
     """The top k eigenpairs of the shifted operator, largest first."""
 
     values: np.ndarray  # theta_1 >= ... >= theta_k
-    vectors: np.ndarray  # their fields, of shape (k, n_points, d)
+    vectors: np.ndarray  # their fields, of shape (k, n_points)
     residuals: np.ndarray  # |M x_i - theta_i x_i| for the unit coordinate vectors
     applications: int  # calls of the operator, including the residual checks
 
@@ -400,18 +387,17 @@ def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
     k at most the complement's dimension, in the complement up to rounding.
     """
     rep = dec.rep
-    shape = (rep.n_points, rep.d)
-    sw = np.sqrt(rep.action.weights)[:, None]
+    sw = np.sqrt(rep.action.weights)
     applications = 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
         nonlocal applications
         applications += 1
-        f = np.reshape(x, shape) / sw
-        return (sw * (apply(f) - 2.0 * dec.mean(f))).ravel()
+        f = x / sw
+        return sw * (apply(f) - 2.0 * dec.mean(f))
 
-    vals, vecs, residuals = _euclidean_top(matvec, rep.n_points * rep.d, k)
-    return _TopEigenpair(vals, vecs.T.reshape((-1, *shape)) / sw, residuals, applications)
+    vals, vecs, residuals = _euclidean_top(matvec, rep.n_points, k)
+    return _TopEigenpair(vals, vecs.T / sw, residuals, applications)
 
 
 def _symmetrized_top(op: MarkovOperator, k: int = 1) -> _TopEigenpair:
@@ -426,8 +412,7 @@ def _symmetrized_top(op: MarkovOperator, k: int = 1) -> _TopEigenpair:
 def _lp_grad(rep: Representation, f: np.ndarray, nrm: float) -> np.ndarray:
     """Gradient of |f|_p at f, given nrm = |f|_p > 0."""
     p = rep.p
-    w = rep.action.weights[:, None]
-    return w * np.abs(f) ** (p - 1.0) * np.sign(f) * nrm ** (1.0 - p)
+    return rep.action.weights * np.abs(f) ** (p - 1.0) * np.sign(f) * nrm ** (1.0 - p)
 
 
 LP_ASCENT_MAX_ITER = 400
@@ -501,18 +486,18 @@ def restricted_norm(op: MarkovOperator, seed: int = 0, n_starts: int = 8) -> Nor
     """
     rep = op.rep
     if op.decomposition.complement_dim() == 0:
-        return NormEstimate(value=0.0, quality="exact", p=rep.p, upper=0.0)
+        return NormEstimate(value=0.0, quality="exact", upper=0.0)
     top = op._gram_top
     if rep.p == 2.0:
         sigma = rep.norm(op.apply(_unit_complement(op.decomposition, top.vector)))
-        return NormEstimate(value=sigma, quality="exact", p=2.0,
+        return NormEstimate(value=sigma, quality="exact",
                             upper=math.sqrt(sigma**2 + top.residual),
                             iterations=top.applications + 1)
     best = _lp_ascent(op, top.vector)
     for start in range(n_starts):
         srng = np.random.default_rng(seed + 7919 * (start + 1))
-        best = max(best, _lp_ascent(op, srng.standard_normal((rep.n_points, rep.d))))
-    return NormEstimate(value=best, quality="lower_bound", p=rep.p, upper=1.0,
+        best = max(best, _lp_ascent(op, srng.standard_normal(rep.n_points)))
+    return NormEstimate(value=best, quality="lower_bound", upper=1.0,
                         iterations=top.applications)
 
 
@@ -594,7 +579,7 @@ def defect_curve(op: MarkovOperator, k_max: int, seed: int = 0) -> np.ndarray:
             defects.append(rep.norm(f - pf))
         return np.array(defects)
     rng = np.random.default_rng(seed)
-    fields = [rng.standard_normal((rep.n_points, rep.d)) for _ in range(DEFECT_SAMPLES)]
+    fields = [rng.standard_normal(rep.n_points) for _ in range(DEFECT_SAMPLES)]
     starts = [(dec.mean(f), rep.norm(f)) for f in fields]
     defects = []
     for k in range(k_max + 1):
@@ -661,7 +646,7 @@ def operator_identities_check(rep: Representation, mu: DiscreteMeasure,
     inv_defect = 0.0
     comp_defect = 0.0
     for _ in range(8):
-        f = rng.standard_normal((rep.n_points, rep.d))
+        f = rng.standard_normal(rep.n_points)
         invariant = dec.mean(f)
         inv_defect = max(inv_defect, float(np.max(np.abs(op_mu.apply(invariant) - invariant))))
         mean_zero = dec.complement(f)

@@ -207,11 +207,9 @@ def build_cone(ms: Sequence[int] = (8, 16, 32, 64)) -> List[WarpedLevel]:
 
 @dataclass
 class BallProfile:
-    radius: float
     max_measure: float
     argmax_center: int
     coverage_ok: bool
-    cover_radius: float
 
 
 def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
@@ -235,9 +233,8 @@ def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
     best = np.full(len(ball), np.inf)
     for point in np.flatnonzero(orbit):
         best = np.minimum(best, level.cone_distances_from(int(point))[ball])
-    return BallProfile(radius=R, max_measure=float(measures[arg]), argmax_center=arg,
-                       coverage_ok=not np.any(best > cover_radius + 1e-9),
-                       cover_radius=cover_radius)
+    return BallProfile(max_measure=float(measures[arg]), argmax_center=arg,
+                       coverage_ok=not np.any(best > cover_radius + 1e-9))
 
 
 # -- finite propagation ----------------------------------------------------------
@@ -301,8 +298,7 @@ def ghost_defect(levels: Sequence[WarpedLevel], k_max: int) -> GhostReport:
         raise ValueError("k_max must be >= 1")
     rows = []
     for level in levels:
-        rep = Representation(level.action, p=2.0, d=1)
-        op = markov_operator(rep, lazy_uniform(level.action))
+        op = markov_operator(Representation(level.action), lazy_uniform(level.action))
         est = restricted_norm(op)
         gapped = est.value < NON_GAPPED
         if not gapped:
@@ -335,7 +331,6 @@ class LocalityRow:
 
 @dataclass
 class LocalityReport:
-    radius: float
     rows: List[LocalityRow]
 
     @property
@@ -378,4 +373,4 @@ def ghost_locality(levels: Sequence[WarpedLevel], R: float,
             flat /= math.sqrt(float(np.sum(w * flat**2)))
             rows.append(LocalityRow(m=level.m, center=int(c), ball_measure=measure,
                                     max_norm=abs(float(np.sum(w * flat))), bound=bound))
-    return LocalityReport(radius=R, rows=rows)
+    return LocalityReport(rows=rows)

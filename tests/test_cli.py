@@ -400,6 +400,21 @@ def test_run_rejects_bad_params(tmp_path, capsys, kind, fixture, name, value):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("value", [True, 0, 2.5], ids=["true", "0", "fraction"])
+@pytest.mark.parametrize("builder, size", [("cyclic", "n"), ("sl2", "m")])
+def test_run_rejects_bad_fixture_sizes(tmp_path, capsys, builder, size, value):
+    # JSON true passed the int check once: Z/true raised in numpy, and
+    # SL2 with m = true built the one-point torus
+    path = _write_config(tmp_path, {"kind": "markov",
+                                    "fixture": {"builder": builder, size: value}})
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at $.fixture.{size}: must be an integer >= 1, got ")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("fixture, path", [
     ({"family": "sl2", "moduli": ["abc", 5]}, "moduli[0]"),
     ({"family": "sl2", "moduli": [5, 7.5]}, "moduli[1]"),  # was truncated to 7

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -78,13 +79,21 @@ def test_error_curve_respects_geometric_bound():
     assert np.all(curve.errors <= curve.lam**ks * curve.field_norm + 1e-9)
 
 
-def test_error_curve_warns_on_non_ergodic():
+def test_error_curve_on_non_ergodic_action_measures_to_orbit_means():
     act = build_sl2_quotient(4, variant="b")  # full grid: several orbits
     mu = uniform_on([act.identity_element()]
                     + [act.generator_element(lab) for lab in act.gens.labels])
     op = markov_operator(Representation(act), mu)
-    with pytest.warns(RuntimeWarning):
-        ergodic_error_curve(op, np.arange(act.n_points, dtype=float), K=3)
+    f = np.arange(act.n_points, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = ergodic_error_curve(op, f, K=3)
+    target = op.decomposition.mean(f)
+    assert op.decomposition.n_orbits > 1
+    g = f
+    for k in range(3):
+        g = op.apply(g)
+        assert curve.errors[k] == op.rep.norm(g - target)
 
 
 def test_error_curve_lp_slopes():
@@ -575,8 +584,7 @@ def _conditioned_reference(action, mu_labels, plan, a, table, starts):
 
 
 def _fixed_drift(two_a):
-    return DriftEstimate(two_a=two_a, mean_lengths=np.zeros(0), window=(1, 2),
-                         trials=0, seed=0)
+    return DriftEstimate(two_a=two_a, mean_lengths=np.zeros(0), trials=0, seed=0)
 
 
 def _assert_matches_reference(sub, plan, table, starts):

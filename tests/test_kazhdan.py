@@ -140,16 +140,16 @@ def test_oracle_rejects_empty_q():
 
 @pytest.mark.parametrize("labels", [("g", "g^-1"), ("e", "g")])
 def test_oracle_lp_vector_fields_max_displacement(labels):
-    # p = 3, d = 2: best is the max over Q of the per-field displacement norms
-    # at the returned minimizer, which is a unit mean-zero field; the identity
-    # in Q displaces nothing, so a max over the wrong entries would show
+    # p = 3: best is the max over Q of the displacement norms at the returned
+    # minimizer, which is a unit mean-zero field; the identity in Q displaces
+    # nothing, so a max over the wrong entries would show
     act = build_cyclic(4)
-    rep = Representation(act, p=3.0, d=2)
+    rep = Representation(act, p=3.0)
     q = [act.identity_element() if lab == "e" else act.generator_element(lab)
          for lab in labels]
     res = kazhdan_constant_oracle(rep, q, n_starts=8, seed=2)
     v = res.minimizer
-    assert v.shape == (4, 2)
+    assert v.shape == (4,)
     disps = [rep.norm(v - v[s.inverse().perm]) for s in q]
     assert res.best == pytest.approx(max(disps), abs=1e-12)
     assert rep.norm(v) == pytest.approx(1.0, abs=1e-12)

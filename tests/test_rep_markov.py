@@ -28,9 +28,9 @@ def _translate(el, f):
     return f[el.inverse().perm]
 
 
-def _z4_setup(p=2.0, d=1):
+def _z4_setup(p=2.0):
     act = build_cyclic(4)
-    rep = Representation(act, p=p, d=d)
+    rep = Representation(act, p=p)
     mu = uniform_on(
         [act.identity_element(), act.generator_element("g"), act.generator_element("g^-1")]
     )
@@ -100,12 +100,6 @@ def test_restricted_norm_z4_fourier_oracle():
     assert est.value == pytest.approx(oracle, abs=1e-10)
 
 
-def test_restricted_norm_z4_fiber_dimension_invariant():
-    _act, _rep, op = _z4_setup(d=3)
-    est = restricted_norm(op)
-    assert est.value == pytest.approx(1 / 3, abs=1e-9)
-
-
 def test_restricted_norm_identity_operator():
     act = build_cyclic(4)
     rep = Representation(act)
@@ -129,8 +123,8 @@ def test_isometry_of_generators():
     act = build_sl2_quotient(3, variant="b")
     rng = np.random.default_rng(3)
     for p in (1.5, 2.0, 3.0):
-        rep = Representation(act, p=p, d=2)
-        f = rng.standard_normal((act.n_points, 2))
+        rep = Representation(act, p=p)
+        f = rng.standard_normal(act.n_points)
         for lab in act.gens.labels:
             g = act.generator_element(lab)
             assert rep.norm(_translate(g, f)) == pytest.approx(
@@ -142,7 +136,7 @@ def test_markov_contraction_on_random_fields():
     _act, rep, op = _z4_setup(p=1.5)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        f = rng.standard_normal((4, 1))
+        f = rng.standard_normal(4)
         assert rep.norm(op.apply(f)) <= rep.norm(f) + 1e-12
 
 
@@ -153,7 +147,7 @@ def test_mean_preservation():
     op = markov_operator(rep, mu)
     dec = op.decomposition
     rng = np.random.default_rng(5)
-    f = rng.standard_normal((act.n_points, 1))
+    f = rng.standard_normal(act.n_points)
     assert np.allclose(dec.mean(op.apply(f)), dec.mean(f), atol=1e-12)
 
 
@@ -272,7 +266,7 @@ def test_projectors_commute_with_generators():
     rep = Representation(act)
     dec = Decomposition(rep)
     rng = np.random.default_rng(17)
-    f = rng.standard_normal((act.n_points, 1))
+    f = rng.standard_normal(act.n_points)
     for lab in act.gens.labels:
         g = act.generator_element(lab)
         lhs = dec.mean(_translate(g, f))
@@ -345,8 +339,8 @@ def test_csr_apply_matches_atom_gathers():
     idx = rng.choice(len(ball), size=5, replace=False)
     w = rng.random(5) + 0.1
     mu = DiscreteMeasure({ball[i]: float(x) for i, x in zip(idx, w / w.sum())})
-    op = markov_operator(Representation(act, d=2), mu)
-    f = rng.standard_normal((act.n_points, 2))
+    op = markov_operator(Representation(act), mu)
+    f = rng.standard_normal(act.n_points)
     gather = sum(x * f[el.inverse().perm] for el, x in mu.items())
     scatter = sum(x * f[el.perm] for el, x in mu.items())
     assert np.allclose(op.apply(f), gather, rtol=0, atol=1e-15)
@@ -372,7 +366,7 @@ def test_torus_action_per_orbit_decomposition():
     dec = Decomposition(rep)
     assert dec.n_orbits == len(act.orbits()) > 1
     rng = np.random.default_rng(23)
-    f = rng.standard_normal((act.n_points, 1))
+    f = rng.standard_normal(act.n_points)
     m = dec.mean(f)
     # invariant under every generator
     for lab in act.gens.labels:
@@ -387,24 +381,36 @@ def test_torus_action_per_orbit_decomposition():
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("d", [1, 2])
-def test_stacked_norm_matches_per_field(p, d):
+@pytest.mark.parametrize("k", [1, 2])  # fields in the stack: one still gives an array
+def test_stacked_norm_matches_per_field(p, k):
     act = build_sl2_quotient(4, "b")
-    rep = Representation(act, p=p, d=d)
-    stack = np.random.default_rng(3).standard_normal((5, act.n_points, d))
+    rep = Representation(act, p=p)
+    stack = np.random.default_rng(3).standard_normal((k, act.n_points))
     norms = rep.norm(stack)
-    assert isinstance(norms, np.ndarray) and norms.shape == (5,)
+    assert isinstance(norms, np.ndarray) and norms.shape == (k,)
     per_field = np.array([rep.norm(f) for f in stack])
-    assert np.allclose(norms, per_field, rtol=1e-15, atol=0.0)
+    assert np.array_equal(norms, per_field)  # bit for bit, as the docstring says
     single = rep.norm(stack[0])
     assert type(single) is float
     assert single == norms[0]
     with pytest.raises(ValueError):
-        rep.norm(np.zeros((5, act.n_points, d + 1)))
+        rep.norm(np.zeros((k, act.n_points, 1)))
     with pytest.raises(ValueError):
-        rep.norm(np.zeros((5, act.n_points + 1, d)))
+        rep.norm(np.zeros((k, act.n_points + 1)))
     with pytest.raises(ValueError):
         Decomposition(rep).mean(stack)
+
+
+def test_column_fields_are_refused():
+    # fields are (n_points,) arrays; an (n_points, 1) column is not one
+    _act, rep, op = _z4_setup()
+    column = np.ones((4, 1))
+    with pytest.raises(ValueError, match=r"shape \(4, 1\) does not match"):
+        rep.norm(column)
+    with pytest.raises(ValueError, match=r"shape \(4, 1\) does not match"):
+        op.decomposition.mean(column)
+    with pytest.raises(ValueError, match=r"shape \(4, 1\) does not match"):
+        op.apply(column)
 
 
 def test_operator_coo_export():
@@ -489,7 +495,7 @@ def test_defect_curve_lp_matches_per_k_sampling_bit_for_bit(act):
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(16):
-            f = rng.standard_normal((act.n_points, 1))
+            f = rng.standard_normal(act.n_points)
             residual = op.apply_power(f, k) - op.decomposition.mean(f)
             worst = max(worst, op.rep.norm(residual) / op.rep.norm(f))
         assert curve[k] == worst
@@ -522,7 +528,7 @@ def test_kernel_top_three_match_dense_eigh_on_torus():
     m = _dense_shifted(op)
     want = np.linalg.eigvalsh(m)[::-1][:3]
     assert np.max(np.abs(top.values - want)) <= 1e-12
-    x = top.vectors[:, :, 0] * np.sqrt(act.weights)  # unit coordinate vectors
+    x = top.vectors * np.sqrt(act.weights)  # unit coordinate vectors
     for theta, xi in zip(top.values, x):
         assert np.linalg.norm(m @ xi - theta * xi) <= 1e-10
     assert np.max(np.abs(x @ x.T - np.eye(3))) <= 1e-10
@@ -615,19 +621,18 @@ def _lp_ascent_reference(op, f0):
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
-@pytest.mark.parametrize("build, d", [(lambda: build_cyclic(4), 1),
-                                      (lambda: build_sl2_quotient(5, variant="a"), 1),
-                                      (lambda: build_sl2_quotient(8, variant="b"), 2)],
-                         ids=["z4", "sl2-5", "torus-8-d2"])
-def test_lp_ascent_reuses_the_accepted_candidate_bit_for_bit(build, d, p):
+@pytest.mark.parametrize("build", [lambda: build_cyclic(4),
+                                   lambda: build_sl2_quotient(5, variant="a")],
+                         ids=["z4", "sl2-5"])
+def test_lp_ascent_reuses_the_accepted_candidate_bit_for_bit(build, p):
     # unequal weights: on Z/4 the lazy walk's ratio is flat, and no step is taken
     act = build()
     labels = act.gens.labels
     atoms = {act.identity_element(): 0.4}
     for k, lab in enumerate(labels):
         atoms[act.generator_element(lab)] = 0.6 * (k + 1) / (len(labels) * (len(labels) + 1) / 2)
-    op = markov_operator(Representation(act, p=p, d=d), DiscreteMeasure(atoms))
-    f0 = np.random.default_rng(11).standard_normal((act.n_points, d))
+    op = markov_operator(Representation(act, p=p), DiscreteMeasure(atoms))
+    f0 = np.random.default_rng(11).standard_normal(act.n_points)
     ratio, accepted = _lp_ascent_reference(op, f0)
     assert accepted >= 2  # the carried-over values are used at least once
     assert rep_markov._lp_ascent(op, f0) == ratio
@@ -657,7 +662,7 @@ def test_fixed_degree_operator_equals_the_csr_matrix(seed):
     support = lazy_uniform(act).support
     weights = rng.random(len(support)) + 0.1
     mu = DiscreteMeasure({el: float(w) for el, w in zip(support, weights / weights.sum())})
-    op = markov_operator(Representation(act, d=2), mu)
+    op = markov_operator(Representation(act), mu)
     reference = _csr_reference(op)
     rows, cols, vals = op.matrix.entries()
     assert len(vals) < len(support) * act.n_points  # some atoms were merged
@@ -665,7 +670,7 @@ def test_fixed_degree_operator_equals_the_csr_matrix(seed):
     assert np.array_equal(op.transposed.toarray(), reference.T.toarray())
     coo = reference.tocoo()
     assert op.to_coo() == sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-    f = rng.standard_normal((act.n_points, 2))
+    f = rng.standard_normal(act.n_points)
     assert np.array_equal(op.apply(f), reference @ f)
     assert np.array_equal(op.apply_transpose(f), reference.T.tocsr() @ f)
     rows_in = rng.standard_normal((3, act.n_points))
