@@ -95,11 +95,12 @@ def plan_from_sets(action: FiniteAction, targets: Sequence[Sequence[int]]
 
 def plan_from_radii(action: FiniteAction, center: int, radii: Sequence[float]
                     ) -> ShrinkingTargetPlan:
-    """Metric-ball targets; measures are exact counting measures of the balls."""
+    """Closed metric-ball targets around one center, from its distance field;
+    measures are exact counting measures of the balls."""
     if action.metric is None:
         raise ValueError("action carries no metric; use plan_from_sets")
-    targets = [action.metric.ball(center, float(r)) for r in radii]
-    return ShrinkingTargetPlan(action, targets)
+    dist = action.metric.distances_from(center)
+    return ShrinkingTargetPlan(action, [np.flatnonzero(dist <= float(r) + 1e-15) for r in radii])
 
 
 # -- quantitative ergodic decay ------------------------------------------------
@@ -180,7 +181,8 @@ def sigma_field_exact(action: FiniteAction, mu: DiscreteMeasure,
     op = markov_operator(Representation(action), mu)
     acc = np.zeros(action.n_points)
     for n in range(plan.horizon, 0, -1):
-        acc = op.apply(plan.indicator(n) + acc)
+        acc[plan.targets[n - 1]] += 1.0
+        acc = op.apply(acc)
     return acc
 
 
@@ -250,12 +252,12 @@ def _draw_indices(weights: Sequence[float], trials: int, n_steps: int,
     key = state["state"]["key"]
     key[1] = 0
     keys = (np.uint64(seed) << np.uint64(32)) + np.arange(trials, dtype=np.uint64)
-    gidx = np.empty((trials, n_steps), dtype=np.int64)
+    u = np.empty((trials, n_steps))
     for t in range(trials):
         key[0] = keys[t]
         bits.state = state
-        gidx[t] = np.searchsorted(cum, stream.random(n_steps))
-    return gidx
+        stream.random(out=u[t])
+    return np.searchsorted(cum, u)
 
 
 def shrinking_series_mc(action: FiniteAction, mu: DiscreteMeasure,
@@ -369,18 +371,20 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
     quotients plateau near the diameter), which needs n_steps >= 2 and
     trials >= 1.  A trial drawing s_1, ..., s_n sits at s_n^-1 ... s_1^-1,
     the inverse of the walk's product, of the same word length, so all
-    trials step through the left products, picking rows by ``np.choose``.
+    trials step through the left products, one gather from ``table.left``
+    per step.
     """
     if n_steps < 2:
         raise ValueError(f"need n_steps >= 2 for a drift regression, got {n_steps}")
     if trials < 1:
         raise ValueError(f"need trials >= 1 for a drift regression, got {trials}")
-    rows, weights = table.walk_steps(mu_labels)
-    gidx = _draw_indices(weights, trials, n_steps, seed)
+    columns, weights = table.walk_steps(mu_labels)
+    choice = columns[_draw_indices(weights, trials, n_steps, seed)]
     pos = np.full(trials, table.identity, dtype=np.int64)
     mean_lengths = np.zeros(n_steps)
     for n in range(n_steps):
-        pos = np.choose(gidx[:, n], [row[pos] for row in rows])
+        col = choice[:, n]
+        pos = np.where(col < 0, pos, table.left[pos, col])  # column -1 is "e"
         mean_lengths[n] = float(table.word_length[pos].mean())
     lo, hi = max(1, n_steps // 8), max(2, n_steps // 2)
     ks = np.arange(lo, hi + 1)
@@ -436,7 +440,7 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     if not 0.0 <= drift_fraction <= 1.0:
         raise ValueError("drift_fraction must lie in [0, 1]")
     starts = _walk_starts(action, plan, starts)
-    rows, weights = table.walk_steps(mu_labels)
+    columns, weights = table.walk_steps(mu_labels)
     a = drift_fraction * drift.two_a / 2.0
     m = table.m
     points = action.points
@@ -465,7 +469,8 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
             raise ValueError("group table does not act compatibly on the fixture")
         row[:] = image[:len(row)]
     perms = [np.arange(action.n_points) if lab == "e" else action.perms[lab] for lab in mu_labels]
-    rows = [row.astype(np.intp) for row in rows]
+    rows = [np.arange(table.n_elements) if j < 0 else table.left[:, j].astype(np.intp)
+            for j in columns]
     dist = np.zeros(table.n_elements)
     dist[table.identity] = 1.0
     walk = np.zeros((action.n_points, len(starts)))  # one column per start

@@ -150,10 +150,6 @@ class TorusGridMetric:
         ay = np.minimum(ay, m - ay)
         return np.sqrt(ax[:, None] ** 2 + ay[None, :] ** 2).ravel() / m
 
-    def ball(self, center: int, radius: float) -> np.ndarray:
-        """Indices within `radius` of `center` (closed ball)."""
-        return np.flatnonzero(self.distances_from(center) <= radius + 1e-15)
-
 
 class SubsetMetricView:
     """A parent metric restricted to a subset of points, without copying."""
@@ -164,9 +160,6 @@ class SubsetMetricView:
 
     def distances_from(self, center: int) -> np.ndarray:
         return self.parent.distances_from(int(self.members[center]))[self.members]
-
-    def ball(self, center: int, radius: float) -> np.ndarray:
-        return np.flatnonzero(self.distances_from(center) <= radius + 1e-15)
 
 
 class FiniteAction:
@@ -458,10 +451,11 @@ def _sl2_closure(m: int):
 
     Returns the elements as rows (a, b, c, d) -- the identity first, then in
     order of first discovery by (parent, generator label), as a queue-driven
-    search meets them -- their word lengths and ``left_mult[label][i]``, the
-    id of s * element i.  Candidates are looked up in an id table of m^3
-    entries, the id of each element at its ``_sl2_key`` and -1 elsewhere,
-    which is dropped on return.  Ids are int32 and lengths int8.
+    search meets them -- their word lengths and ``left[i, j]``, the id of
+    s * element i for the j-th label s of ``SL2_GENERATOR_MATRICES``.
+    Candidates are looked up in an id table of m^3 entries, the id of each
+    element at its ``_sl2_key`` and -1 elsewhere, which is dropped on
+    return.  Ids are int32 and lengths int8.
 
     The element, length and left-product arrays are allocated once at the
     group's order and filled level by level; each level is expanded
@@ -504,8 +498,7 @@ def _sl2_closure(m: int):
         start = stop
     if count != n:
         raise RuntimeError(f"closure reached {count} of the {n} elements of SL2(Z/{m})")
-    left_mult = {lab: left[:, j] for j, lab in enumerate(SL2_GENERATOR_MATRICES)}
-    return elements, lengths, left_mult
+    return elements, lengths, left
 
 
 class Sl2GroupTable:
@@ -514,10 +507,10 @@ class Sl2GroupTable:
     Elements are the reachable products of the elementary generators (all of
     SL2(Z/m)) in the order of ``build_sl2_quotient(m, "a")``'s points; word
     lengths are breadth-first distances for the symmetric generating set, and
-    ``left_mult[label][i]`` is the id of s * element i.  Walks run on these
-    left products: the law of s_1 ... s_n is that of s_n ... s_1, so
-    mu^n(g) = sum_s mu(s) mu^(n-1)(s^-1 g), and the inverse of a walk is a
-    left walk of the same word length.
+    ``left_mult[label][i]`` is the id of s * element i, a column of
+    ``left``.  Walks run on these left products: the law of s_1 ... s_n is
+    that of s_n ... s_1, so mu^n(g) = sum_s mu(s) mu^(n-1)(s^-1 g), and the
+    inverse of a walk is a left walk of the same word length.
     """
 
     # |SL2(Z/64)| = 196,608 elements: 9.6 MB of int64 elements, int32 left products
@@ -529,30 +522,31 @@ class Sl2GroupTable:
             raise ValueError(f"need modulus in [2, {self.MAX_MODULUS}], got {m}")
         self.m = int(m)
         self.labels = tuple(SL2_GENERATOR_MATRICES)
-        self.elements, self.word_length, self.left_mult = _sl2_closure(self.m)
+        self.elements, self.word_length, self.left = _sl2_closure(self.m)
+        self.left_mult = dict(zip(self.labels, self.left.T))
         self.identity = 0
         self.n_elements = len(self.elements)
 
-    def walk_steps(self, mu_labels: Dict[str, float]) -> Tuple[List[np.ndarray], np.ndarray]:
-        """The steps of the mu-walk, in the order of ``mu_labels``: ``rows[i]``
-        holds the int32 id of s_i^-1 g for every g ("e" gives the identity
-        row), a view of the left products, and ``weights[i]`` is mu(s_i)."""
-        rows, weights = [], []
+    def walk_steps(self, mu_labels: Dict[str, float]) -> Tuple[np.ndarray, np.ndarray]:
+        """The steps of the mu-walk, in the order of ``mu_labels``:
+        ``left[g, columns[i]]`` is the id of s_i^-1 g, ``columns[i]`` is -1
+        for "e", and ``weights[i]`` is mu(s_i)."""
+        columns, weights = [], []
         total = 0.0
         for lab, w in mu_labels.items():
             if not 0.0 <= w < np.inf:  # NaN fails this too
                 raise ValueError(f"negative weight or non-finite weight for {lab!r}")
             total += w
             if lab == "e":
-                rows.append(np.arange(self.n_elements, dtype=np.int32))
+                columns.append(-1)
             elif lab in self.left_mult:
-                rows.append(self.left_mult[_SL2_GENS.inverse_label(lab)])
+                columns.append(self.labels.index(_SL2_GENS.inverse_label(lab)))
             else:
                 raise ValueError(f"unknown label {lab!r}")
             weights.append(float(w))
         if abs(total - 1.0) > 1e-12:
             raise ValueError("label weights do not sum to 1")
-        return rows, np.array(weights)
+        return np.array(columns), np.array(weights)
 
 
 # -- induced blocks of SL2(Z/p) ----------------------------------------------
@@ -646,10 +640,11 @@ def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
     if variant == "a":
         if m < 2:
             raise ValueError(f"variant 'a' requires modulus >= 2, got {m}")
-        elements, _lengths, left_mult = _sl2_closure(m)
+        elements, _lengths, left = _sl2_closure(m)
         n = len(elements)
         weights = np.full(n, 1.0 / n)
-        return FiniteAction(elements, weights, _SL2_GENS, left_mult, name=f"SL2(Z/{m})")
+        return FiniteAction(elements, weights, _SL2_GENS,
+                            dict(zip(SL2_GENERATOR_MATRICES, left.T)), name=f"SL2(Z/{m})")
     if m < 1:
         raise ValueError(f"variant 'b' requires modulus >= 1, got {m}")
     n = m * m

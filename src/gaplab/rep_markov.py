@@ -224,12 +224,6 @@ def markov_operator(rep: Representation, mu: DiscreteMeasure) -> MarkovOperator:
 
 # -- the spectral kernel -----------------------------------------------------
 
-# Operators of at most this many coordinates are formed and solved by dense
-# eigh.  On the tiniest ones ARPACK's last bits changed between calls in one
-# process (lambda_2 of Z/3 and Z/4 did), which broke byte-identical reports;
-# test_small_spectra_replay_bit_identical failed for any cutoff below 4.  The
-# margin up to 32 costs nothing: a 32 x 32 eigh takes microseconds.
-DENSE_EIG_SIZE = 32
 # Lanczos basis size, and each restart keeps the top 2/3 of the Ritz vectors.
 # Measured against 20, 28, 32 and 40 vectors and against keeping 1/2 or 3/4:
 # on the nine certify-sl2 SL2(Z/p) block sums, p = 5..31, this takes 832
@@ -237,6 +231,14 @@ DENSE_EIG_SIZE = 32
 # (71) and on the n = 512 cycle 296 (371); more vectors save applications on
 # the cycle but cost more per step on the blocks.
 LANCZOS_BASIS = 24
+# Operators of at most this many coordinates are formed and solved by dense
+# eigh, every larger one by Lanczos.  On the tiniest ones ARPACK's last bits
+# changed between calls in one process (lambda_2 of Z/3 and Z/4 did), which
+# broke byte-identical reports; test_small_spectra_replay_bit_identical failed
+# for any cutoff below 4.  A dense eigh of 32 coordinates still takes only
+# microseconds of wall time, but from 26 coordinates it wakes OpenBLAS's
+# thread pool (see BLAS_ONE_THREAD_MADDS), so the cutoff stops at the basis.
+DENSE_EIG_SIZE = LANCZOS_BASIS
 # A solve that has not converged after this many applications per coordinate
 # raises InvariantFailure("eigensolve-not-converged").
 LANCZOS_APPLICATIONS_PER_COORDINATE = 10
@@ -268,7 +270,15 @@ class _TopEigenpair:
 # OpenBLAS splits long ddot and gemv sums by thread (at 51,000 coordinates,
 # the p = 101 blocks, gemv of 10 or more rows did), and their last bits then
 # follow the thread count.  Products that only sum over the basis, such as
-# h @ span, keep each output on one thread and stay on BLAS.
+# h @ span, keep each output on one thread and stay on BLAS, through
+# ``_basis_product``.
+
+# OpenBLAS runs a GEMM of at most SMP_THRESHOLD_MIN x GEMM_MULTITHREAD_THRESHOLD
+# = 65,536 x 4 multiply-adds on the calling thread (interface/gemm.c; its gemv
+# threshold is higher).  A larger product wakes the thread pool, whose idle
+# threads then spin for about 0.13 s of CPU after each wake: on a 2-vCPU
+# machine that was a third of certify-sl2's CPU time.
+BLAS_ONE_THREAD_MADDS = 2 ** 18
 
 
 def _norm(x: np.ndarray) -> float:
@@ -278,6 +288,27 @@ def _norm(x: np.ndarray) -> float:
 def _coefficients(span: np.ndarray, w: np.ndarray) -> np.ndarray:
     """span @ w: one sum over the coordinates per row of span."""
     return np.einsum("ij,j->i", span, w)
+
+
+def _basis_product(c: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """c @ span, for c of shape (r,) or (q, r) and span of shape (r, size),
+    in blocks of columns of at most ``BLAS_ONE_THREAD_MADDS`` multiply-adds,
+    so that OpenBLAS computes each block on the calling thread.
+
+    Blocks start at multiples of 64 columns, where OpenBLAS's kernels start
+    a panel, so each entry is the sum over r that a one-call product
+    computes.  The exception: OpenBLAS's SkylakeX kernels compute the
+    columns past the last multiple of 8 of a product above 10^6
+    multiply-adds by another kernel than smaller products use, and there
+    the last bits may differ.  No entry depends on the BLAS thread count."""
+    width = BLAS_ONE_THREAD_MADDS // max(1, c.size) // 64 * 64
+    size = span.shape[1]
+    if not 0 < width < size:
+        return c @ span
+    out = np.empty(c.shape[:-1] + (size,))
+    for lo in range(0, size, width):
+        np.matmul(c, span[:, lo:lo + width], out=out[..., lo:lo + width])
+    return out
 
 
 def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
@@ -317,14 +348,14 @@ def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
             span = basis[:j + 1]
             if j > kept:  # A v_j lies along v_j and v_{j-1}, up to rounding
                 local = np.array([beta, np.einsum("i,i", basis[j], w)])
-                w -= local @ basis[j - 1:j + 1]
+                w -= _basis_product(local, basis[j - 1:j + 1])
             h = _coefficients(span, w)
-            w -= h @ span
+            w -= _basis_product(h, span)
             beta = _norm(w)
             # the pass took |h| off a vector of norm sqrt(beta^2 + |h|^2)
             if beta * beta < 0.717 ** 2 * (beta * beta + h @ h):
                 again = _coefficients(span, w)
-                w -= again @ span
+                w -= _basis_product(again, span)
                 h += again
                 before, beta = beta, _norm(w)
                 if beta < 0.717 * before:  # w lies in the span
@@ -332,7 +363,7 @@ def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
                         rng = np.random.default_rng(0)
                     w = rng.standard_normal(size)
                     for _ in range(2):
-                        w -= _coefficients(span, w) @ span
+                        w -= _basis_product(_coefficients(span, w), span)
                     w /= _norm(w)
                     beta = 0.0
             if j > kept:
@@ -343,13 +374,13 @@ def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
         theta, s = theta[::-1], s[:, ::-1]
         estimates = np.abs(beta * s[-1, :k])
         if np.all(estimates <= eps * np.maximum(1.0, np.abs(theta[:k]))):
-            return theta[:k], basis[:m].T @ s[:, :k]
+            return theta[:k], _basis_product(s[:, :k].T, basis[:m]).T
         if applications >= cap:
             raise InvariantFailure(
                 "eigensolve-not-converged",
                 f"Lanczos Ritz estimates {estimates.tolist()} after {applications} applications")
         kept = k + 2 * (m - k) // 3
-        basis[:kept] = s[:, :kept].T @ basis[:m]
+        basis[:kept] = _basis_product(s[:, :kept].T, basis[:m])
         basis[kept] = basis[m]
         quotient[:] = 0.0
         quotient[range(kept), range(kept)] = theta[:kept]

@@ -220,8 +220,11 @@ def ball_measure_profile(level: WarpedLevel, R: float) -> BallProfile:
     radius T = R * L_max^R around the orbit points g x with word length
     |g| <= R.
     """
-    measures = np.concatenate([
-        mask @ level.weights for mask in level.ball_masks(R, np.arange(level.n_points))])
+    # einsum sums each row on the calling thread, where mask @ weights would
+    # cast the mask to float and run a gemv that wakes OpenBLAS's thread pool
+    # from m = 64 on
+    measures = np.concatenate([np.einsum("ij,j->i", mask, level.weights)
+                               for mask in level.ball_masks(R, np.arange(level.n_points))])
     arg = int(np.argmax(measures))
     with np.errstate(over="ignore"):  # L_max^R is inf past the float range
         cover_radius = R * float(np.float64(max(level.lipschitz.values())) ** math.floor(R))

@@ -196,8 +196,7 @@ def test_sl2_closure_chunks_do_not_move_the_numbering(m, monkeypatch):
     elements, lengths, left = _sl2_closure(m)
     assert np.array_equal(elements, default[0])
     assert np.array_equal(lengths, default[1])
-    for lab in SL2_GENERATOR_MATRICES:
-        assert np.array_equal(left[lab], default[2][lab])
+    assert np.array_equal(left, default[2])
 
 
 def test_sl2_closure_refuses_generators_that_miss_the_group(monkeypatch):
@@ -434,7 +433,8 @@ def test_sl2_generator_matrices_are_unimodular():
 
 def _walk_law(table, mu_labels, n):
     """mu^n by gathers through ``walk_steps``, as the conditioned walk steps it."""
-    rows, weights = table.walk_steps(mu_labels)
+    columns, weights = table.walk_steps(mu_labels)
+    rows = [np.arange(table.n_elements) if j < 0 else table.left[:, j] for j in columns]
     dist = np.zeros(table.n_elements)
     dist[table.identity] = 1.0
     for _ in range(n):

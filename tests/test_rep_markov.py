@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -719,3 +724,97 @@ def test_lanczos_cap_raises_invariant_failure(monkeypatch):
     with pytest.raises(rep_markov.InvariantFailure) as info:
         rep_markov._euclidean_top(lambda x: a @ x, 100, 1)
     assert info.value.name == "eigensolve-not-converged"
+
+
+def _recorded_basis_product(c, span, monkeypatch):
+    """``_basis_product(c, span)`` and (multiply-adds, columns) of each block."""
+    blocks = []
+    matmul = np.matmul
+
+    def recording(a, b, **kwargs):
+        blocks.append((a.size * b.shape[1], b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", recording)
+        got = rep_markov._basis_product(c, span)
+    assert len(blocks) > 1 and sum(cols for _, cols in blocks) == span.shape[1]
+    assert max(madds for madds, _ in blocks) <= rep_markov.BLAS_ONE_THREAD_MADDS == 2 ** 18
+    return got, blocks
+
+
+# (c shape, columns): a restart's 16 Ritz combinations at 4,800 coordinates,
+# one row and one vector at 51,000 and 30,000, and 7 rows in six blocks of
+# 1,536 columns and one of 784
+@pytest.mark.parametrize("shape", [((16, 24), 4800), ((1, 24), 51000), ((24,), 30000),
+                                   ((7, 24), 10000)],
+                         ids=["restart", "one-row", "vector", "uneven"])
+def test_basis_product_matches_one_call_in_small_blocks(shape, monkeypatch):
+    c_shape, size = shape
+    rng = np.random.default_rng(size)
+    c = rng.standard_normal(c_shape)
+    span = rng.standard_normal((c_shape[-1], size))
+    got, _blocks = _recorded_basis_product(c, span, monkeypatch)
+    assert np.array_equal(got, c @ span)
+
+
+def test_basis_product_past_the_last_multiple_of_8_columns(monkeypatch):
+    # a one-call product above 10^6 multiply-adds computes its ragged last
+    # columns by another OpenBLAS kernel than the blocks do, so only those may
+    # differ, and only in the last bits
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((7, 24))
+    span = rng.standard_normal((24, 10001))
+    got, _blocks = _recorded_basis_product(c, span, monkeypatch)
+    want = c @ span
+    assert np.array_equal(got[:, :10000], want[:, :10000])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(c) @ np.abs(span))
+
+
+def _numpy_blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+POOL_PROBE = """
+import json, os, sys, time
+from pathlib import Path
+from gaplab import cli, warped_cone as wc
+
+def pool_cpu():
+    ticks = 0  # utime + stime of every thread but the main one
+    for task in os.listdir("/proc/self/task"):
+        if int(task) != os.getpid():
+            with open(f"/proc/self/task/{task}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+out = Path(sys.argv[1])
+config = out / "config.json"
+config.write_text(json.dumps({"kind": "expander",
+                              "fixture": {"family": "sl2", "moduli": [17, 31]}}))
+level = wc.build_warped_level(64)
+time.sleep(0.3)
+before = pool_cpu()
+code = cli.main(["run", str(config), "--out-dir", str(out / "out")])
+wc.ball_measure_profile(level, 3.0)
+time.sleep(0.3)
+print(code, pool_cpu() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2
+                    or not _numpy_blas_is_openblas(),
+                    reason="reads Linux per-thread CPU times of a 2-thread OpenBLAS pool")
+def test_kernel_and_ball_profile_leave_the_blas_pool_asleep(tmp_path):
+    # a woken OpenBLAS pool thread spins for about 0.13 s of CPU; the Lanczos
+    # products of the SL2(Z/17) and SL2(Z/31) expander blocks and the m = 64
+    # ball measures all stay below its one-thread size
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", POOL_PROBE, str(tmp_path)], env=env,
+                         check=True, stdout=subprocess.PIPE, text=True, timeout=120).stdout
+    code, pool_s = out.split()[-2:]
+    assert int(code) == 0
+    assert float(pool_s) < 0.03
