@@ -57,6 +57,7 @@ from .measures import (
     uniform_on,
 )
 from .rep_markov import (
+    DENSE_LIMIT,
     NEUMANN_TERM_TOL,
     NON_GAPPED,
     DenseLimitError,
@@ -344,7 +345,9 @@ def certify_family(config: ExperimentConfig) -> PoincareReport:
 
     An SL2 member that ``certify_sequence`` would build (a composite modulus,
     or any modulus when a vector bound is asked for) is refused above
-    ``SL2_GROUP_LIMIT`` elements, before any solve."""
+    ``SL2_GROUP_LIMIT`` elements, and one it would certify from its blocks
+    when their Lanczos basis takes more bytes than a dense ``DENSE_LIMIT``
+    matrix, both before any block or solve."""
     p = _param(config, "p", 2.0, float, EXPONENT)
     d = _param(config, "d", 1, int, AT_LEAST_1)
     budget = _param(config, "vector_budget", 0, int, AT_LEAST_0)
@@ -357,10 +360,17 @@ def certify_family(config: ExperimentConfig) -> PoincareReport:
         members = [Sl2Quotient(_number(f"$.fixture.moduli[{j}]", m, int, AT_LEAST_2))
                    for j, m in enumerate(moduli)]
         for j, member in enumerate(members):
-            if member.needs_group(budget) and member.n_points > SL2_GROUP_LIMIT:
+            if member.needs_group(budget):
+                if member.n_points > SL2_GROUP_LIMIT:
+                    raise ConfigError(f"$.fixture.moduli[{j}]",
+                                      f"refusing to build {member.name}: {member.n_points} "
+                                      f"elements, above the limit {SL2_GROUP_LIMIT}")
+            elif member.block_basis_bytes() > DENSE_LIMIT ** 2 * 8:
                 raise ConfigError(f"$.fixture.moduli[{j}]",
-                                  f"refusing to build {member.name}: {member.n_points} "
-                                  f"elements, above the limit {SL2_GROUP_LIMIT}")
+                                  f"refusing the blocks of {member.name}: a Lanczos basis of "
+                                  f"{member.block_basis_bytes()} B, above the "
+                                  f"{DENSE_LIMIT ** 2 * 8} B of a dense {DENSE_LIMIT} x "
+                                  f"{DENSE_LIMIT} matrix")
     elif family == "cycles":
         sizes = spec.get("sizes")
         if not isinstance(sizes, list) or len(sizes) < 2:

@@ -6,9 +6,9 @@ symmetrized uniform neighbor-averaging operator on mean-zero functions.
 ``poincare_scalar`` takes it from the spectral kernel of ``rep_markov`` on
 the whole space, for every action.  On SL2(Z/p) acting on itself, p prime,
 the operator commutes with right translations by the unipotent subgroup U,
-so it splits into induced blocks of p^2 - 1 points, and only three of those
-are distinct up to unitary equivalence: lambda_2 is the largest top
-eigenvalue among them.  A sequence member given as an ``Sl2Quotient`` of
+so it splits into induced blocks of p^2 - 1 points, and lambda_2 is the
+largest top eigenvalue of block 1 and, for p = 1 mod 4, of the block of the
+least non-square.  A sequence member given as an ``Sl2Quotient`` of
 prime modulus is certified from those blocks alone: connectivity from the
 pattern of block 0 (the linear action on the nonzero vectors of F_p^2), the
 relation residual from the twisted Dirichlet form of the blocks'
@@ -43,7 +43,8 @@ from .group_core import (
     sl2_induced_blocks,
 )
 from .measures import DiscreteMeasure
-from .rep_markov import MarkovOperator, Representation, _euclidean_top, _symmetrized_top
+from .rep_markov import (LANCZOS_BASIS, MarkovOperator, Representation, _euclidean_top,
+                         _symmetrized_top)
 
 __all__ = [
     "ScalarPoincare",
@@ -75,11 +76,20 @@ def _is_prime(m: int) -> bool:
 
 
 def _character_classes(p: int) -> List[int]:
-    """One a per class of blocks: a and a c^2 give unitarily equivalent ones
-    (conjugation by diag(c, 1 / c)), so 0, 1 and, for odd p, the least
-    non-square."""
-    squares = {x * x % p for x in range(1, p)}
-    return [0, 1] + [a for a in range(2, p) if a not in squares][:1]
+    """The a whose blocks carry lambda_2: [1], and the least non-square n0
+    too when p = 1 mod 4.
+
+    A nontrivial irreducible pi of G = SL2(F_p) is not trivial on U, whose
+    conjugates generate G, so pi|U holds some chi_a, a != 0.  Conjugation
+    by diag(c, 1 / c) moves chi_a to chi_{a c^2}, one of chi_1 and
+    chi_{n0}, and by Frobenius reciprocity pi lies in Ind chi_1 or
+    Ind chi_{n0}: block 0 adds nothing but the constants' eigenvalue 1.
+    When -1 is a non-square (p = 2 or p = 3 mod 4), block n0 is equivalent
+    to block -1, the entrywise conjugate of block 1, which has its
+    spectrum."""
+    if p % 4 != 1:
+        return [1]
+    return [1, next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)]
 
 
 def _label_weights(labels: Sequence[str]) -> Dict[str, float]:
@@ -92,30 +102,22 @@ def _label_weights(labels: Sequence[str]) -> Dict[str, float]:
 
 def _block_solve(p: int, weights: Dict[str, float]) -> Tuple[float, np.ndarray, List[int]]:
     """lambda_2 of SL2(Z/p), p prime: the top eigenvalue of the direct sum of
-    the induced blocks, one per character class, which is the largest of
-    their top eigenvalues.  Returns it with its unit eigenvector x on the
-    direct sum and the classes a: block 0 holds x[:n], n = p^2 - 1, and the
-    complex blocks follow, each F as n (Re F(v), Im F(v)) pairs, so that
-    x[n:] viewed as complex numbers is their F, one after the other."""
+    the blocks of ``_character_classes``, which is the largest of their top
+    eigenvalues.  Returns it with its unit eigenvector x on the direct sum
+    and the classes a: each block's F as n = p^2 - 1 (Re F(v), Im F(v))
+    pairs, so that x viewed as complex numbers is their F, one after the
+    other."""
     classes = _character_classes(p)
-    n = p * p - 1
     total = _direct_sum(sl2_induced_blocks(p, classes, weights))
-    field = np.empty(total.n, dtype=complex)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        # Block 0 is real, and a complex block X + iY acts on the pairs
-        # (Re F, Im F) as [[X, -Y], [Y, X]], which has each of its
-        # eigenvalues twice and (Re F, Im F) for an eigenvector F.  One real
-        # Lanczos solve on the sum takes about 2/3 of the time of one solve
-        # per block.  M - 2P, P the projector on block 0's constants.
-        field[:n], field[n:] = x[:n], np.ascontiguousarray(x[n:]).view(complex)
-        image = total @ field
-        y = np.empty_like(x)
-        y[:n] = image[:n].real - (2.0 / n) * x[:n].sum()
-        y[n:].view(complex)[:] = image[n:]
-        return y
+        # a complex block X + iY acts on the pairs (Re F, Im F) as
+        # [[X, -Y], [Y, X]], which has each of its eigenvalues twice and
+        # (Re F, Im F) for an eigenvector F.  No block holds an invariant
+        # vector, so lambda_2 is the top of the sum, with no shift.
+        return (total @ np.ascontiguousarray(x).view(complex)).view(float)
 
-    values, vectors, _residuals = _euclidean_top(matvec, (2 * len(classes) - 1) * n)
+    values, vectors, _residuals = _euclidean_top(matvec, 2 * total.n)
     return float(values[0]), vectors[:, 0], classes
 
 
@@ -126,22 +128,19 @@ def _direct_sum(blocks: List[FixedDegreeMatrix]) -> FixedDegreeMatrix:
                              np.concatenate([b.vals for b in blocks], axis=1))
 
 
-def _block_fields(x: np.ndarray, p: int, classes: List[int]) -> List[np.ndarray]:
+def _block_fields(x: np.ndarray, classes: List[int]) -> List[np.ndarray]:
     """The direct-sum vector x of ``_block_solve`` as one complex F per class."""
-    n = p * p - 1
-    return [x[:n].astype(complex)] + np.split(np.ascontiguousarray(x[n:]).view(complex),
-                                             len(classes) - 1)
+    return np.split(np.ascontiguousarray(x).view(complex), len(classes))
 
 
 def _lift(action: FiniteAction, p: int, x: np.ndarray, classes: List[int]) -> np.ndarray:
     """The field on G = SL2(Z/p), p prime, acting on itself (``action``, its
-    points the matrices (a, b, c, d)) of the direct-sum vector x, blockwise by
-    f(sigma(v) u_t) = chi_a(t) F(v): its real or imaginary part, centred."""
+    points the matrices (a, b, c, d)) of the direct-sum vector x, summed
+    over the classes by f(sigma(v) u_t) = chi_a(t) F(v): its real or
+    imaginary part, centred."""
     v, t = sl2_coset_coordinates(action.points, p)
-    fields = _block_fields(x, p, classes)
-    lifted = fields[0][v]  # chi_0 = 1
-    for a, field in zip(classes[1:], fields[1:]):
-        lifted += np.exp(2j * np.pi * ((a * t) % p) / p) * field[v]
+    lifted = sum(np.exp(2j * np.pi * ((a * t) % p) / p) * field[v]
+                 for a, field in zip(classes, _block_fields(x, classes)))
     # A is real, so the real and the imaginary part of the lift are both
     # eigenvectors unless zero, and the larger one is not
     real, imag = lifted.real, lifted.imag
@@ -182,13 +181,12 @@ def _blocks_connected(p: int, labels: Sequence[str],
 
 def _twisted_ratio(p: int, x: np.ndarray, classes: List[int],
                    translates: List[Tuple[np.ndarray, np.ndarray]]) -> float:
-    """The Poincare ratio of the direct-sum vector x: sum |F|^2, block 0
-    centred, over the twisted Dirichlet form
-    sum_s sum_v |F(v) - chi_a(t(s, v)) F(s^-1 v)|^2 of every block.  This is
-    ``poincare_ratio`` of the field that x lifts to on G, whose sums are p
-    times these."""
-    fields = _block_fields(x, p, classes)
-    fields[0] = fields[0] - fields[0].mean()  # block 0 holds the constants
+    """The Poincare ratio of the direct-sum vector x: sum |F|^2 over the
+    twisted Dirichlet form sum_s sum_v |F(v) - chi_a(t(s, v)) F(s^-1 v)|^2
+    of every block.  This is ``poincare_ratio`` of the field that x lifts
+    to on G, whose sums are p times these; a nontrivial chi_a makes that
+    field mean-zero."""
+    fields = _block_fields(x, classes)
     numerator = float(sum(np.vdot(f, f).real for f in fields))
     roots = np.exp(2j * np.pi * np.arange(p) / p)
     denom = 0.0
@@ -384,6 +382,10 @@ class Sl2Quotient:
 
     def needs_group(self, vector_budget: int) -> bool:
         return vector_budget > 0 or not _is_prime(self.m)
+
+    def block_basis_bytes(self) -> int:
+        """Bytes of the Lanczos basis of a prime m's block solve."""
+        return (LANCZOS_BASIS + 1) * 2 * len(_character_classes(self.m)) * (self.m ** 2 - 1) * 8
 
 
 def _member_labels(member) -> Tuple[str, ...]:

@@ -226,7 +226,7 @@ def markov_operator(rep: Representation, mu: DiscreteMeasure) -> MarkovOperator:
 
 # Lanczos basis size, and each restart keeps the top 2/3 of the Ritz vectors.
 # Measured against 20, 28, 32 and 40 vectors and against keeping 1/2 or 3/4:
-# on the nine certify-sl2 SL2(Z/p) block sums, p = 5..31, this takes 832
+# on the nine certify-sl2 SL2(Z/p) sums of three blocks, p = 5..31, this took 832
 # applications in all (ARPACK took 859 with its 20), on the m = 32 torus 72
 # (71) and on the n = 512 cycle 296 (371); more vectors save applications on
 # the cycle but cost more per step on the blocks.

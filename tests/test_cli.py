@@ -569,10 +569,11 @@ def test_markov_curve_identical_across_processes_and_blas_threads(tmp_path):
 
 
 def test_expander_quotients_identical_across_processes_and_blas_threads(tmp_path):
-    # p = 7, 13 and 31 solve their induced blocks by Lanczos
+    # every modulus solves its induced blocks by Lanczos: one block for
+    # p = 3 mod 4 (7, 11, 31), two for p = 1 mod 4 (5, 13)
     blobs = _outputs_under_blas_threads(tmp_path, {
         "kind": "expander",
-        "fixture": {"family": "sl2", "moduli": [5, 7, 13, 31]},
+        "fixture": {"family": "sl2", "moduli": [5, 7, 11, 13, 31]},
         "seed": 3,
     }, ["report.json", "quotients.csv"])
     assert blobs[0] == blobs[1]
@@ -699,6 +700,33 @@ def test_run_refuses_sl2_builds_above_the_limit(tmp_path, capsys, monkeypatch,
     assert main(["run", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error at $.fixture.moduli[1]: refusing to build {name}")
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.json").exists()
+
+
+def test_run_refuses_a_prime_whose_block_basis_exceeds_a_dense_matrix(tmp_path, capsys,
+                                                                      monkeypatch):
+    import time
+
+    from gaplab import expanders
+    from gaplab.rep_markov import DENSE_LIMIT
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an induced block")
+
+    monkeypatch.setattr(expanders, "sl2_induced_blocks", refuse)
+    monkeypatch.setattr(expanders, "_block_translates", refuse)
+    # 25 x 4 x (409^2 - 1) float64 = 133,824,000 B fit in 4096^2 x 8 B
+    assert expanders.Sl2Quotient(409).block_basis_bytes() <= DENSE_LIMIT ** 2 * 8
+    path = _write_config(tmp_path, {"kind": "expander",
+                                    "fixture": {"family": "sl2", "moduli": [5, 1009]}})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error at $.fixture.moduli[1]: refusing the blocks of "
+                          "SL2(Z/1009): a Lanczos basis of 814464000 B")
     assert len(err.splitlines()) == 1
     assert not (out / "report.json").exists()
 

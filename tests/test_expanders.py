@@ -21,7 +21,8 @@ from gaplab.expanders import (
     poincare_vector_lower,
 )
 from gaplab.measures import DiscreteMeasure
-from gaplab.rep_markov import Representation, _symmetrized_top, markov_operator
+from gaplab.rep_markov import (Representation, _euclidean_top, _symmetrized_top,
+                               markov_operator)
 
 
 def test_poincare_scalar_z3_complete_graph():
@@ -142,9 +143,11 @@ def test_certify_sequence_solves_each_quotient_once_for_the_vector_bound(monkeyp
     seq = QuotientSequence([expanders.Sl2Quotient(5), expanders.Sl2Quotient(7)])
     report = certify_sequence(seq, vector_budget=10)
     assert solved == [5, 7]
-    # the values of the two-solve route
-    assert [r.vector_lower.hex() for r in report.rows] == [
-        "0x1.4f1bbcdcbfa53p-1", "0x1.b504f333f9de6p-1"]
+    values = [r.vector_lower.hex() for r in report.rows]
+    assert values == ["0x1.4f1bbcdcbfa54p-1", "0x1.b504f333f9de6p-1"]
+    # the values of the two-solve route and of the three-block solve
+    for got, old in zip(values, ["0x1.4f1bbcdcbfa53p-1", "0x1.b504f333f9de6p-1"]):
+        assert abs(float.fromhex(got) - float.fromhex(old)) <= 1e-12 * float.fromhex(old)
     # the ascent from the kernel's eigenvector on the built group reaches the same
     for member, row in zip(seq.members, report.rows):
         graph = CayleyGraph(build_sl2_quotient(member.m, "a"))
@@ -258,6 +261,65 @@ def test_induced_eigensolve_lifts_an_eigenvector_of_the_full_operator(weights):
     assert np.linalg.norm(image - value * vec) <= 1e-12 * np.linalg.norm(vec)
 
 
+def _least_non_square(p):
+    squares = {x * x % p for x in range(1, p)}
+    return next(a for a in range(2, p) if a not in squares)
+
+
+@pytest.mark.parametrize("weights", [UNIFORM, SKEWED], ids=["uniform", "skewed"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_kept_blocks_hold_block_0s_spectrum_but_the_constants(p, weights):
+    kept = expanders._character_classes(p)
+    assert kept == ([1, _least_non_square(p)] if p % 4 == 1 else [1])
+    extra = [_least_non_square(p)] if p % 4 == 3 else []
+    zero, *blocks = [np.linalg.eigvalsh(block.toarray())
+                     for block in sl2_induced_blocks(p, [0] + kept + extra, weights)]
+    assert abs(zero[-1] - 1.0) <= 1e-12  # the constants; eigvalsh is ascending
+    spectrum = np.concatenate(blocks[:len(kept)])
+    assert np.max(np.min(np.abs(zero[:-1, None] - spectrum), axis=1)) <= 1e-12
+    if extra:  # block n0 is block -1, the conjugate of block 1
+        assert np.max(np.abs(blocks[-1] - blocks[0])) <= 1e-12
+    elif len(kept) == 2:  # for p = 1 mod 4 it has eigenvalues block 1 lacks
+        assert np.max(np.min(np.abs(blocks[1][:, None] - blocks[0]), axis=1)) > 1e-3
+
+
+@pytest.mark.parametrize("labels", [("e12", "e21"), ("e12", "e21^-1", "e21"),
+                                    ("e12^-1", "e21")])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_block_lambda2_of_a_non_symmetric_measure_is_the_whole_groups(p, labels):
+    row, _solve = expanders._block_row(p, labels)
+    a = _generator_operator(build_sl2_quotient(p, "a"), expanders._label_weights(labels)).dense()
+    full = np.linalg.eigvalsh((a + a.T) / 2.0)  # uniform weights: A* = A^T
+    assert abs(full[-1] - 1.0) <= 1e-12 and full[-2] < 1.0 - 1e-6  # connected
+    assert abs(row.lambda2 - full[-2]) <= 1e-13
+
+
+def _three_block_lambda2(p, weights):
+    """lambda_2 by one real Lanczos solve on blocks 0, 1 and the least
+    non-square, block 0's constants shifted to -1 (M - 2P)."""
+    classes = [0, 1, _least_non_square(p)]
+    n = p * p - 1
+    total = expanders._direct_sum(sl2_induced_blocks(p, classes, weights))
+    field = np.empty(total.n, dtype=complex)
+
+    def matvec(x):
+        field[:n], field[n:] = x[:n], np.ascontiguousarray(x[n:]).view(complex)
+        image = total @ field
+        y = np.empty_like(x)
+        y[:n] = image[:n].real - (2.0 / n) * x[:n].sum()
+        y[n:].view(complex)[:] = image[n:]
+        return y
+
+    return float(_euclidean_top(matvec, 5 * n)[0][0])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_block_lambda2_matches_the_three_block_solve(p):
+    for weights in (UNIFORM, SKEWED):
+        value, _x, _classes = expanders._block_solve(p, weights)
+        assert abs(value - _three_block_lambda2(p, weights)) <= 1e-13
+
+
 def _no_blocks(*args):
     raise AssertionError("solved by the induced blocks")
 
@@ -306,27 +368,39 @@ def test_certify_family_builds_no_prime_quotient(monkeypatch):
     _refuse_builds(monkeypatch)
     report = cli.certify_family(cli.ExperimentConfig(
         "expander", {"family": "sl2", "moduli": [5, 7, 31]}))
-    # the rows of the in-house Lanczos kernel; the route that built each
-    # group, lifted its eigenvector and solved by ARPACK gave the rows below
-    # them, which these match to 1e-12
+    # the rows of the in-house Lanczos kernel on the blocks of
+    # _character_classes; the three-block solve (block 0 shifted) and the
+    # route that built each group, lifted its eigenvector and solved by
+    # ARPACK gave the rows below them, which these match to 1e-12
     rows = [(r.name, r.n_vertices, r.lambda2.hex(), r.kappa_p.hex(), r.connected,
              r.vector_lower) for r in report.rows]
     assert rows == [
-        ("SL2(Z/5)", 120, "0x1.9e3779b97f4aep-1", "0x1.4f1bbcdcbfa69p-1", True, None),
-        ("SL2(Z/7)", 336, "0x1.b504f333f9de8p-1", "0x1.b504f333f9df0p-1", True, None),
-        ("SL2(Z/31)", 29760, "0x1.e2e96f5ce49e0p-1", "0x1.19a073996592fp+1", True, None)]
+        ("SL2(Z/5)", 120, "0x1.9e3779b97f4a1p-1", "0x1.4f1bbcdcbfa3dp-1", True, None),
+        ("SL2(Z/7)", 336, "0x1.b504f333f9de5p-1", "0x1.b504f333f9ddfp-1", True, None),
+        ("SL2(Z/31)", 29760, "0x1.e2e96f5ce49bep-1", "0x1.19a07399657e6p+1", True, None)]
+    three_blocks = [("0x1.9e3779b97f4aep-1", "0x1.4f1bbcdcbfa69p-1"),
+                    ("0x1.b504f333f9de8p-1", "0x1.b504f333f9df0p-1"),
+                    ("0x1.e2e96f5ce49e0p-1", "0x1.19a073996592fp+1")]
     arpack = [("0x1.9e3779b97f4a7p-1", "0x1.4f1bbcdcbfa51p-1"),
               ("0x1.b504f333f9de6p-1", "0x1.b504f333f9de5p-1"),
               ("0x1.e2e96f5ce4a09p-1", "0x1.19a0739965abcp+1")]
-    for row, old in zip(rows, arpack):
-        for got, want in zip(row[2:4], map(float.fromhex, old)):
-            assert abs(float.fromhex(got) - want) <= 1e-12 * want
-    # ARPACK's vectors gave residuals 4.4e-16, 2.2e-16 and 7.4e-14
-    for row, residual in zip(report.rows, [3.6637359812630166e-15, 1.3322676295501878e-15,
-                                           6.8833827526759706e-15]):
+    for row, *olds in zip(rows, three_blocks, arpack):
+        for old in olds:
+            for got, want in zip(row[2:4], map(float.fromhex, old)):
+                assert abs(float.fromhex(got) - want) <= 1e-12 * want
+    # the three-block solve gave residuals 3.7e-15, 1.3e-15 and 6.9e-15, and
+    # ARPACK's vectors 4.4e-16, 2.2e-16 and 7.4e-14
+    for row, residual in zip(report.rows, [3.552713678800501e-15, 8.881784197001252e-16,
+                                           7.30526750203353e-14]):
         assert abs(row.relation_residual - residual) <= 1e-15
-    assert report.epsilon0.hex() == "0x1.d1690a31b6200p-5"  # ARPACK: 0x1.d1690a31b5f70p-5
-    assert report.growth_slope.hex() == "0x1.bcff572ab2950p-3"  # ARPACK: 0x1.bcff572ab2b96p-3
+    # three blocks: 0x1.d1690a31b6200p-5 and 0x1.bcff572ab2950p-3;
+    # ARPACK: 0x1.d1690a31b5f70p-5 and 0x1.bcff572ab2b96p-3
+    assert report.epsilon0.hex() == "0x1.d1690a31b6420p-5"
+    assert report.growth_slope.hex() == "0x1.bcff572ab27a7p-3"
+    for got, olds in [(report.epsilon0, ("0x1.d1690a31b6200p-5", "0x1.d1690a31b5f70p-5")),
+                      (report.growth_slope, ("0x1.bcff572ab2950p-3", "0x1.bcff572ab2b96p-3"))]:
+        for old in map(float.fromhex, olds):
+            assert abs(got - old) <= 1e-12 * old
     assert report.uniform
 
 
@@ -387,7 +461,12 @@ def test_a_wrong_block_eigenvalue_fails_the_relation(tmp_path, monkeypatch):
 
 def test_block_lambda2_at_31_and_61():
     report = certify_sequence(QuotientSequence([expanders.Sl2Quotient(p) for p in (31, 61)]))
-    # ARPACK gave 0.9431872177977435 and 0.9536370794533505
-    assert [r.lambda2 for r in report.rows] == [0.943187217797739, 0.9536370794533443]
+    lambdas = [r.lambda2 for r in report.rows]
+    assert lambdas == [0.9431872177977352, 0.9536370794533435]
+    # the three-block solve gave 0.943187217797739 and 0.9536370794533443,
+    # ARPACK 0.9431872177977435 and 0.9536370794533505
+    for olds in [(0.943187217797739, 0.9536370794533443),
+                 (0.9431872177977435, 0.9536370794533505)]:
+        assert all(abs(got - old) <= 1e-12 for got, old in zip(lambdas, olds))
     assert [r.n_vertices for r in report.rows] == [29760, 226920]
     assert all(r.relation_residual <= 1e-12 for r in report.rows)
