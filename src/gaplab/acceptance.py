@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -37,6 +37,8 @@ from .group_core import (
 from .kazhdan import boost_pair, kazhdan_constant_oracle
 from .measures import DiscreteMeasure, lazy_uniform, uniform_on
 from .rep_markov import (
+    DECAY_TOL,
+    IDENTITY_TOL,
     Representation,
     markov_operator,
     operator_identities_check,
@@ -150,7 +152,7 @@ def _decay_rate(action: FiniteAction) -> float:
 
 
 def criterion_1(seed: int) -> CriterionResult:
-    """Certified decay: |A^k - P| <= lambda^k + 1e-9 for k <= 50.
+    """Certified decay: |A^k - P| <= lambda^k + DECAY_TOL for k <= 50.
 
     The markov run checks its defect curve against lambda^k; one symmetric
     eigensolve per orbit block (``_decay_rate``) checks the run's lambda
@@ -165,7 +167,7 @@ def criterion_1(seed: int) -> CriterionResult:
         rho = _decay_rate(action)
         worst = max(rho**k - lam**k for k in range(1, 51))
         details[name] = {"lambda": lam, "worst_excess": worst}
-        passed = passed and worst <= 1e-9
+        passed = passed and worst <= DECAY_TOL
     return CriterionResult(1, "certified decay", passed, details)
 
 
@@ -303,10 +305,8 @@ def criterion_5(seed: int) -> CriterionResult:
         w2 /= w2.sum()
         nu = DiscreteMeasure({ball[i]: float(x) for i, x in zip(idx2, w2)})
         report = operator_identities_check(rep, mu, nu)
-        worst = max(worst, report.convolution_defect, report.translation_defect,
-                    report.identity_on_invariants_defect,
-                    report.complement_invariance_defect)
-    return CriterionResult(5, "operator identities", worst <= 1e-12,
+        worst = max(worst, *astuple(report))
+    return CriterionResult(5, "operator identities", worst <= IDENTITY_TOL,
                            {"fixtures": 100, "worst_defect": worst})
 
 
@@ -495,13 +495,13 @@ def criterion_10(seed: int) -> CriterionResult:
     coverage = all(lv["coverage_ok"] for lv in warped["levels"])
     passed = passed and decreasing and coverage
 
-    # the run raises on a defect above sup(lambda)^k + 1e-9 or a localized
+    # the run raises on a defect above sup(lambda)^k + DECAY_TOL or a localized
     # norm above sqrt(ball measure) at R = 3
     ghost, series = cli.execute(cli.ExperimentConfig(
         "ghost", {"levels": [lv.m for lv in levels]},
         params={"k_max": 30, "radius": 3.0, "n_centers": 4}, seed=seed))
     sup_lambda = ghost["sup_lambda"]["value"]
-    bound_ok = all(d <= sup_lambda**k + 1e-9  # rows: m, t, lambda, defects k >= 1
+    bound_ok = all(d <= sup_lambda**k + DECAY_TOL  # rows: m, t, lambda, defects k >= 1
                    for row in series["defects"][1:]
                    for k, d in enumerate(row[3:], start=1))
     details["ghost"] = {"sup_lambda": sup_lambda, "gapped": ghost["gapped"],

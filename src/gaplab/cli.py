@@ -57,6 +57,7 @@ from .measures import (
     uniform_on,
 )
 from .rep_markov import (
+    DECAY_TOL,
     DENSE_LIMIT,
     NEUMANN_TERM_TOL,
     NON_GAPPED,
@@ -251,7 +252,7 @@ def _run_markov(config: ExperimentConfig, action: FiniteAction
     est = restricted_norm(op, seed=config.seed)
     rows = []
     for k, defect in enumerate(defect_curve(op, k_max, seed=config.seed).tolist()):
-        if est.quality == "exact" and k >= 1 and defect > est.value**k + 1e-9:
+        if est.quality == "exact" and k >= 1 and defect > est.value**k + DECAY_TOL:
             raise InvariantFailure(f"decay-bound k={k}",
                                    "markov experiment invariant failed")
         rows.append([k, defect, est.value**k if k else ""])
@@ -361,9 +362,12 @@ def certify_family(config: ExperimentConfig) -> PoincareReport:
                    for j, m in enumerate(moduli)]
         for j, member in enumerate(members):
             if member.needs_group(budget):
-                if member.n_points > SL2_GROUP_LIMIT:
+                # |SL2(Z/m)| > 6 m^3 / pi^2: m >= 75 is refused before it is factored
+                floor = 6 * member.m ** 3 / math.pi ** 2
+                size = f"more than {floor:.4g}" if floor > SL2_GROUP_LIMIT else member.n_points
+                if floor > SL2_GROUP_LIMIT or member.n_points > SL2_GROUP_LIMIT:
                     raise ConfigError(f"$.fixture.moduli[{j}]",
-                                      f"refusing to build {member.name}: {member.n_points} "
+                                      f"refusing to build {member.name}: {size} "
                                       f"elements, above the limit {SL2_GROUP_LIMIT}")
             elif member.block_basis_bytes() > DENSE_LIMIT ** 2 * 8:
                 raise ConfigError(f"$.fixture.moduli[{j}]",

@@ -20,6 +20,7 @@ import numpy as np
 from .group_core import FiniteAction, Sl2GroupTable
 from .measures import DiscreteMeasure
 from .rep_markov import (
+    DECAY_TOL,
     InvariantFailure,
     MarkovOperator,
     NormEstimate,
@@ -120,7 +121,7 @@ def ergodic_error_curve(op: MarkovOperator, f: np.ndarray, K: int,
     """Errors e_k = |A^k f - Mf|_p for k = 1..K by iterated application.
 
     With an exact-quality restricted norm the geometric bound
-    e_k <= lam^k |f|_p is asserted (tolerance 1e-9): a violation is the
+    e_k <= lam^k |f|_p is asserted (tolerance ``DECAY_TOL``): a violation is the
     ``InvariantFailure`` "ergodic-decay-bound".  The limit Mf is the
     orbitwise mean, which on an ergodic action is the global mean.
     """
@@ -140,7 +141,7 @@ def ergodic_error_curve(op: MarkovOperator, f: np.ndarray, K: int,
     if est.quality == "exact":
         bound = est.value ** np.arange(1, K + 1) * fnorm
         worst = float(np.max(errors - bound))
-        if worst > 1e-9:
+        if worst > DECAY_TOL:
             raise InvariantFailure(
                 "ergodic-decay-bound",
                 f"geometric decay bound violated by {worst:.3e}; "

@@ -72,7 +72,14 @@ class ScalarPoincare:
 
 
 def _is_prime(m: int) -> bool:
-    return m >= 2 and all(m % q for q in range(2, math.isqrt(m) + 1))
+    """Whether m is prime, by Miller-Rabin with the prime bases up to 41, exact
+    below 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if m < 2 or any(m % q == 0 for q in bases):
+        return m in bases
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = 2^s d, d odd
+    return all(x == 1 or any(pow(x, 2 ** r, m) == m - 1 for r in range(s))
+               for x in (pow(a, (m - 1) >> s, m) for a in bases))
 
 
 def _character_classes(p: int) -> List[int]:
@@ -249,21 +256,15 @@ def poincare_ratio(graph: CayleyGraph, f: np.ndarray, p: float = 2.0) -> float:
     return numerator / denom
 
 
-def poincare_vector_lower(graph: CayleyGraph, p: float, d: int, budget: int,
-                          seed: int = 0) -> float:
+def poincare_vector_lower(graph: CayleyGraph, scalar: ScalarPoincare, p: float, d: int,
+                          budget: int, seed: int) -> float:
     """Certified lower bound on the E-valued Poincare constant.
 
     Maximizes the Poincare ratio over R^d-valued mean-zero functions by
     multi-start projected gradient ascent, spending at most `budget` ratio
-    evaluations.  The scalar eigenvector (embedded in the first coordinate)
-    is always one of the starts, so at p = 2 the scalar optimum is attained.
+    evaluations.  The eigenvector of ``scalar``, the graph's scalar solve, is
+    always a start (in the first coordinate): at p = 2 it attains the optimum.
     """
-    return _vector_lower(graph, poincare_scalar(graph), p, d, budget, seed)
-
-
-def _vector_lower(graph: CayleyGraph, scalar: ScalarPoincare, p: float, d: int,
-                  budget: int, seed: int) -> float:
-    """``poincare_vector_lower`` from the graph's scalar solve ``scalar``."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     if d < 1:
@@ -483,7 +484,7 @@ def _member_row(member: Union[FiniteAction, Sl2Quotient], p: float, d: int,
                                   row.n_vertices, len(member.labels))
             if solve is not None:
                 scal.eigenvector = _lift(graph.action, member.m, solve[1], solve[2])
-            row.vector_lower = _vector_lower(graph, scal, p, d, vector_budget, seed)
+            row.vector_lower = poincare_vector_lower(graph, scal, p, d, vector_budget, seed)
             return row
     else:
         graph = CayleyGraph(member)
@@ -493,9 +494,8 @@ def _member_row(member: Union[FiniteAction, Sl2Quotient], p: float, d: int,
     if scal.connected and scal.eigenvector is not None:
         ratio = poincare_ratio(graph, scal.eigenvector, p=2.0)
         residual = _relation_residual(ratio, scal.n_labels, scal.lambda2)
-    vec_lower = None
-    if vector_budget > 0:
-        vec_lower = _vector_lower(graph, scal, p, d, vector_budget, seed)
+    vec_lower = (poincare_vector_lower(graph, scal, p, d, vector_budget, seed)
+                 if vector_budget > 0 else None)
     return QuotientRow(name=act.name, n_vertices=act.n_points, lambda2=scal.lambda2,
                        kappa_p=scal.kappa, relation_residual=residual,
                        connected=scal.connected, vector_lower=vec_lower)

@@ -438,6 +438,8 @@ def _sl2_order(m: int) -> int:
     """|SL2(Z/m)| = m^3 prod over the primes q dividing m of (1 - q^-2)."""
     order, rest, q = m ** 3, m, 2
     while rest > 1:
+        if q * q > rest:
+            q = rest  # the cofactor is prime
         if rest % q == 0:
             order = order // (q * q) * (q * q - 1)
             while rest % q == 0:
@@ -741,8 +743,7 @@ class CayleyGraph:
     """Directed edges (v, s.v) per generator label over the action space.
 
     For actions of a group on itself this is the Cayley graph proper; in
-    general it is the Schreier graph of the action.  Symmetric generator
-    systems yield symmetric adjacency.
+    general it is the Schreier graph of the action.
     """
 
     def __init__(self, action: FiniteAction, labels: Optional[Sequence[str]] = None):
@@ -750,20 +751,6 @@ class CayleyGraph:
         self.labels: Tuple[str, ...] = tuple(labels or action.gens.labels)
         self.n_vertices = action.n_points
         self.edge_targets = {lab: action.perms[lab] for lab in self.labels}
-
-    def edges(self) -> List[Tuple[int, int]]:
-        out = []
-        for lab in self.labels:
-            tgt = self.edge_targets[lab]
-            out.extend((v, int(tgt[v])) for v in range(self.n_vertices))
-        return out
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n_vertices, self.n_vertices))
-        for lab in self.labels:
-            tgt = self.edge_targets[lab]
-            np.add.at(a, (np.arange(self.n_vertices), tgt), 1.0)
-        return a
 
     def is_connected(self) -> bool:
         """Connectivity under this graph's labels, which may be fewer than the

@@ -117,7 +117,7 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
     ``ORACLE_TIE_TOL`` above that bound; at other exponents they always run.
     The exit leans on ``lower_bound`` being valid, which is still open:
     theta_1 is a Ritz value without a certified enclosure (ROADMAP
-    direction 1).
+    direction 2).
     """
     q_set = list(dict.fromkeys(Q))
     if not q_set:

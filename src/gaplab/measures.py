@@ -212,19 +212,6 @@ class AdmissibilityCertificate:
             if abs(combined.get(el, 0.0) / self.M - measure.weight(el)) > REPRO_TOL:
                 raise ValueError("decomposition does not reproduce the measure")
 
-    def to_json_dict(self) -> dict:
-        def by_perm(part: Dict[GroupElement, float]) -> list:
-            return [[el.key(), part[el]] for el in sorted(part, key=GroupElement.sort_key)]
-
-        return {
-            "M": self.M,
-            "M_lower": self.M_lower,
-            "optimal": self.optimal,
-            "alpha": by_perm(self.alpha),
-            "beta": by_perm(self.beta),
-            "kazhdan_set": sorted(el.key() for el in self.kazhdan_set),
-        }
-
 
 def uniform_extended(
     Q: Iterable[GroupElement], g: GroupElement

@@ -9,11 +9,11 @@ which upper-bounds the continuum metric on grid points.  A path from x is a
 word w in the edge maps, so the warped R-ball of x is {w(x) : cost(w) <= R},
 which ``word_images`` lists; past a few maps per point, ``ball_masks``
 settles point sets per slice of centers instead.  ``all_distances``
-relaxes the whole matrix, for the small levels that need every pair.  The
-ghost operator G is the slice mean, one constant per level: ``ghost_defect``
-measures the defect curves |A^k - G| of the lazy averaging operator A per
-level, and ``ghost_locality`` the largest |G f| over unit fields supported in
-warped balls, which the constant field on the ball attains.
+relaxes the whole matrix, for the small levels that need every pair.
+``ghost_defect`` measures the defect curves |A^k - P| of the lazy averaging
+operator A per level, P the orbitwise mean, and ``ghost_locality`` the
+largest |G f|, G the slice mean, over unit fields supported in warped balls,
+which the constant field on the ball attains.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .group_core import (
 )
 from .measures import lazy_uniform
 from .rep_markov import (
+    DECAY_TOL,
     NON_GAPPED,
     Representation,
     defect_curve,
@@ -268,10 +269,6 @@ class LevelDefect:
     defects: np.ndarray  # |A^k - P| for k = 1..k_max
     gapped: bool
 
-    def bound_ok(self, tol: float = 1e-9) -> bool:
-        ks = np.arange(1, len(self.defects) + 1)
-        return bool(np.all(self.defects <= self.lam**ks + tol))
-
 
 @dataclass
 class GhostReport:
@@ -282,9 +279,9 @@ class GhostReport:
     def cone_defects(self) -> np.ndarray:
         return np.max(np.stack([lv.defects for lv in self.levels]), axis=0)
 
-    def bound_ok(self, tol: float = 1e-9) -> bool:
+    def bound_ok(self) -> bool:
         ks = np.arange(1, len(self.levels[0].defects) + 1)
-        return bool(np.all(self.cone_defects() <= self.sup_lambda**ks + tol))
+        return bool(np.all(self.cone_defects() <= self.sup_lambda**ks + DECAY_TOL))
 
 
 def ghost_defect(levels: Sequence[WarpedLevel], k_max: int) -> GhostReport:

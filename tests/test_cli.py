@@ -218,6 +218,42 @@ def test_cli_corrupted_fixture_fails_invariant(tmp_path):
     assert "preserve" in report["message"]
 
 
+# a fixture of every builder and route a config can take, among them non-uniform
+# weights with an involutive label, and two labels that act by one permutation
+SELF_ADJOINT_FIXTURES = {
+    "cyclic": {"builder": "cyclic", "n": 5},
+    "sl2-a": {"builder": "sl2", "m": 5, "variant": "a"},
+    "sl2-b": {"builder": "sl2", "m": 4, "variant": "b"},
+    "orbit-of": {"builder": "sl2", "m": 6, "variant": "b", "orbit_of": [1, 0]},
+    "weighted-involution": {"builder": "explicit", "points": [0, 1, 2, 3, 4, 5],
+                            "weights": [0.1, 0.1, 0.1, 0.2, 0.2, 0.3],
+                            "inverses": {"s": "s", "t": "u", "u": "t"},
+                            "generators": {"s": [1, 0, 2, 4, 3, 5], "t": [1, 2, 0, 3, 4, 5],
+                                           "u": [2, 0, 1, 3, 4, 5]}},
+    "shared-permutation": {"builder": "explicit", "points": [0, 1, 2, 3],
+                           "weights": [0.25] * 4,
+                           "inverses": {"a": "A", "A": "a", "b": "B", "B": "b"},
+                           "generators": {"a": [1, 2, 3, 0], "A": [3, 0, 1, 2],
+                                          "b": [1, 2, 3, 0], "B": [3, 0, 1, 2]}},
+}
+
+
+@pytest.mark.parametrize("fixture", SELF_ADJOINT_FIXTURES.values(), ids=SELF_ADJOINT_FIXTURES)
+def test_no_config_builds_an_operator_that_is_not_self_adjoint(fixture):
+    # defect_curve refuses such an operator at p = 2, so no run kind may reach one
+    from gaplab.measures import uniform_extended
+    from gaplab.rep_markov import MarkovOperator, Representation
+
+    action = build_fixture(fixture)
+    q = [action.generator_element(lab) for lab in action.gens.labels]
+    assert not any(el.is_identity() for el in q)
+    measures = [build_measure(action, {"kind": kind})
+                for kind in ("lazy_uniform", "uniform_gens", "dirac_e")]
+    measures.append(uniform_extended(q, action.identity_element())[0])  # the kazhdan kind's
+    for mu in measures:
+        assert MarkovOperator(Representation(action), mu).self_adjoint
+
+
 @pytest.mark.parametrize("points", [["a", "b", "c"], [[0, 1], [2], [3, 4]], [0, True, 2],
                                     [0.5, 1, 2], [2**63, 1, 2]],
                          ids=["strings", "ragged", "bool", "float", "beyond-int64"])
@@ -602,7 +638,8 @@ def test_no_unused_imports():
     # __init__.py imports only to re-export
     root = Path(__file__).resolve().parents[1]
     unused = []
-    for path in sorted([*(root / "src" / "gaplab").glob("*.py"), *(root / "tests").glob("*.py")]):
+    for path in sorted([*(root / "src" / "gaplab").glob("*.py"), *(root / "tests").glob("*.py"),
+                        *(root / "perfbench").glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -702,6 +739,26 @@ def test_run_refuses_sl2_builds_above_the_limit(tmp_path, capsys, monkeypatch,
     assert err.startswith(f"config error at $.fixture.moduli[1]: refusing to build {name}")
     assert len(err.splitlines()) == 1
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("modulus", [
+    2_000_000_014,  # 2 x 1,000,000,007: one large prime factor
+    2 ** 61 - 1,  # a prime with no small divisor to stop trial division
+    1_000_000_007 * 1_000_000_009,  # a semiprime near 1e18: two large prime factors
+], ids=["2p", "mersenne-61", "semiprime"])
+def test_run_refuses_huge_sl2_moduli_in_bounded_time(tmp_path, modulus):
+    # a fresh process with a timeout, so that a regression fails rather than hangs
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = _write_config(tmp_path, {"kind": "expander",
+                                    "fixture": {"family": "sl2", "moduli": [5, modulus]}})
+    done = subprocess.run([sys.executable, "-m", "gaplab", "run", str(path),
+                           "--out-dir", str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=10)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("config error at $.fixture.moduli[1]: refusing ")
+    assert f"SL2(Z/{modulus})" in done.stderr
 
 
 def test_run_refuses_a_prime_whose_block_basis_exceeds_a_dense_matrix(tmp_path, capsys,

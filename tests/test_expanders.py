@@ -96,11 +96,29 @@ def test_adding_generators_never_increases_kappa():
     assert bigger.kappa == pytest.approx(1.0 / 8.0, abs=1e-12)
 
 
+def test_sl2_order_and_primality_agree_with_trial_division():
+    from gaplab.group_core import _sl2_order
+
+    def order(m):
+        primes = [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]
+        return m ** 3 * math.prod(q * q - 1 for q in primes) // math.prod(q * q for q in primes)
+
+    for m in range(1, 400):
+        assert expanders._is_prime(m) == (m >= 2 and all(m % q for q in range(2, m)))
+        assert _sl2_order(m) == order(m)
+    # the least strong pseudoprimes to the prime bases up to 31 and up to 37
+    assert not expanders._is_prime(3_825_123_056_546_413_051)
+    assert not expanders._is_prime(318_665_857_834_031_151_167_461)
+    assert expanders._is_prime(2 ** 61 - 1) and expanders._is_prime(2 ** 89 - 1)
+    q = 1_000_000_007  # |SL2(Z/2q)| = 8 q^3 (3 / 4) (1 - q^-2)
+    assert _sl2_order(2 * q) == 6 * q * (q - 1) * (q + 1)
+
+
 def test_vector_lower_matches_scalar_p2_d1():
     for act in (build_cyclic(3), build_cyclic(4), build_sl2_quotient(2, variant="a")):
         graph = CayleyGraph(act)
         scal = poincare_scalar(graph)
-        lower = poincare_vector_lower(graph, p=2.0, d=1, budget=300, seed=1)
+        lower = poincare_vector_lower(graph, scal, p=2.0, d=1, budget=300, seed=1)
         assert lower == pytest.approx(scal.kappa, abs=1e-6)
         assert lower <= scal.kappa + 1e-9
 
@@ -109,18 +127,19 @@ def test_vector_lower_p2_decouples_over_coordinates():
     graph = CayleyGraph(build_cyclic(4))
     scal = poincare_scalar(graph)
     for d in (2, 3):
-        lower = poincare_vector_lower(graph, p=2.0, d=d, budget=400, seed=2)
+        lower = poincare_vector_lower(graph, scal, p=2.0, d=d, budget=400, seed=2)
         assert lower == pytest.approx(scal.kappa, abs=1e-6)
 
 
 def test_vector_lower_rejects_zero_budget():
+    graph = CayleyGraph(build_cyclic(4))
     with pytest.raises(ValueError):
-        poincare_vector_lower(CayleyGraph(build_cyclic(4)), 2.0, 1, 0)
+        poincare_vector_lower(graph, poincare_scalar(graph), 2.0, 1, 0, 0)
 
 
 def test_vector_lower_p3_is_genuine_lower_bound():
     graph = CayleyGraph(build_cyclic(4))
-    lower = poincare_vector_lower(graph, p=3.0, d=2, budget=500, seed=3)
+    lower = poincare_vector_lower(graph, poincare_scalar(graph), p=3.0, d=2, budget=500, seed=3)
     assert lower > 0.0
     rng = np.random.default_rng(9)
     sampled = max(
@@ -151,7 +170,8 @@ def test_certify_sequence_solves_each_quotient_once_for_the_vector_bound(monkeyp
     # the ascent from the kernel's eigenvector on the built group reaches the same
     for member, row in zip(seq.members, report.rows):
         graph = CayleyGraph(build_sl2_quotient(member.m, "a"))
-        assert abs(row.vector_lower - poincare_vector_lower(graph, 2.0, 1, 10)) <= 1e-12
+        lower = poincare_vector_lower(graph, poincare_scalar(graph), 2.0, 1, 10, 0)
+        assert abs(row.vector_lower - lower) <= 1e-12
 
 
 def test_certify_sequence_requires_two():

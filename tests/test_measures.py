@@ -257,24 +257,22 @@ def test_certificate_reverification_catches_tampering(z4):
         bad.verify(mu)
 
 
-def test_certificate_json_is_pinned():
-    # alpha and beta are listed in the lexicographic order of the permutations
+def test_certificate_is_pinned():
     act = build_cyclic(7)
     q = [act.generator_element(lab) for lab in act.gens.labels]
     cert = certify_admissible(power(lazy_uniform(act), 2), q)
-    assert cert.to_json_dict() == {
-        "M": 3.0, "M_lower": 3.0, "optimal": True,
-        "alpha": [["0,1,2,3,4,5,6", 0.3333333333333333],
-                  ["1,2,3,4,5,6,0", 0.3333333333333333],
-                  ["6,0,1,2,3,4,5", 0.3333333333333333]],
-        "beta": [["0,1,2,3,4,5,6", 0.6666666666666667],
-                 ["1,2,3,4,5,6,0", 0.3333333333333333],
-                 ["2,3,4,5,6,0,1", 0.3333333333333333],
-                 ["5,6,0,1,2,3,4", 0.3333333333333333],
-                 ["6,0,1,2,3,4,5", 0.3333333333333333]],
-        "kazhdan_set": ["1,2,3,4,5,6,0", "6,0,1,2,3,4,5"]}
-    assert list(cert.to_json_dict()) == ["M", "M_lower", "optimal", "alpha", "beta",
-                                         "kazhdan_set"]
+    assert (cert.M, cert.M_lower, cert.optimal) == (3.0, 3.0, True)
+    assert {el.key(): w for el, w in cert.alpha.items()} == {
+        "0,1,2,3,4,5,6": 0.3333333333333333,
+        "1,2,3,4,5,6,0": 0.3333333333333333,
+        "6,0,1,2,3,4,5": 0.3333333333333333}
+    assert {el.key(): w for el, w in cert.beta.items()} == {
+        "0,1,2,3,4,5,6": 0.6666666666666667,
+        "1,2,3,4,5,6,0": 0.3333333333333333,
+        "2,3,4,5,6,0,1": 0.3333333333333333,
+        "5,6,0,1,2,3,4": 0.3333333333333333,
+        "6,0,1,2,3,4,5": 0.3333333333333333}
+    assert sorted(el.key() for el in cert.kazhdan_set) == ["1,2,3,4,5,6,0", "6,0,1,2,3,4,5"]
 
 
 def test_support_is_sorted_once(monkeypatch):
@@ -399,7 +397,6 @@ def test_verify_rejects_an_unbacked_optimality_claim(z4):
     q = [z4.generator_element("g"), z4.generator_element("g^-1")]
     mu, cert = uniform_extended(q, e)
     assert cert.M_lower is None and not cert.optimal
-    assert cert.to_json_dict()["M_lower"] is None
     for lower in (None, cert.M - 0.5):
         cert.optimal, cert.M_lower = True, lower
         with pytest.raises(ValueError, match="claimed optimal"):

@@ -295,7 +295,7 @@ def test_identities_z4():
                      act.generator_element("g^-1")])
     nu = dirac(act.generator_element("g"))
     report = operator_identities_check(rep, mu, nu)
-    assert report.ok, report.violations()
+    assert report.ok, report
 
 
 def _random_action(rng, n=8, n_gens=3):
@@ -333,7 +333,7 @@ def test_identities_random_actions_seeded():
         w2 /= w2.sum()
         nu = DiscreteMeasure({ball[i]: float(x) for i, x in zip(idx2, w2)})
         report = operator_identities_check(rep, mu, nu)
-        assert report.ok, report.violations()
+        assert report.ok, report
 
 
 def test_csr_apply_matches_atom_gathers():
@@ -439,42 +439,50 @@ def test_restricted_norm_z1024_closed_form_with_error_bound():
     assert est.iterations > 0
 
 
+def _dense_defect(op, k):
+    """|A^k - P| in the weighted 2-norm, from the dense matrices."""
+    sw = np.sqrt(op.rep.action.weights)
+    diff = np.linalg.matrix_power(op.dense(), k) - op.decomposition.mean_matrix()
+    return np.linalg.norm(diff * (sw[:, None] / sw[None, :]), 2)
+
+
+def _sampled_defects(op, k_max, seed):
+    """The p != 2 curve, each k from the same seeded fields drawn afresh with
+    A^k applied anew."""
+    curve = []
+    for k in range(k_max + 1):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(16):
+            f = rng.standard_normal(op.n_points)
+            residual = op.apply_power(f, k) - op.decomposition.mean(f)
+            worst = max(worst, op.rep.norm(residual) / op.rep.norm(f))
+        curve.append(worst)
+    return curve
+
+
 @pytest.mark.parametrize("m", [4, 8])  # 16 points go dense, 64 go to Lanczos
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_iterate_defect_matches_dense_svd(m, k):
     act = build_sl2_quotient(m, variant="b")
-    rep = Representation(act)
-    # a non-self-adjoint measure: A* has the inverse generators
-    mu = DiscreteMeasure({act.identity_element(): 0.5,
-                          act.generator_element("e12"): 0.3,
-                          act.generator_element("e21"): 0.2})
-    op = markov_operator(rep, mu)
-    assert not np.allclose(op.dense(), op.dense().T)
-    sw = np.sqrt(act.weights)
-    diff = np.linalg.matrix_power(op.dense(), k) - op.decomposition.mean_matrix()
-    reference = np.linalg.norm(diff * (sw[:, None] / sw[None, :]), 2)
-    assert abs(defect_curve(op, k)[k] - reference) <= 1e-12
+    op = markov_operator(Representation(act), lazy_uniform(act))
+    assert op.self_adjoint
+    assert abs(defect_curve(op, k)[k] - _dense_defect(op, k)) <= 1e-12
 
 
-def test_defect_curve_non_self_adjoint_matches_dense_svd_per_k(monkeypatch):
+def test_defect_curve_refuses_non_self_adjoint_at_p2():
     act = build_sl2_quotient(8, variant="b")
-    rep = Representation(act)
+    # a one-sided measure: A* has the inverse generators
     mu = DiscreteMeasure({act.identity_element(): 0.5,
                           act.generator_element("e12"): 0.3,
                           act.generator_element("e21"): 0.2})
-    op = markov_operator(rep, mu)
-    solved = []
-    gram_defect = rep_markov._gram_defect
-    monkeypatch.setattr(rep_markov, "_gram_defect",
-                        lambda op, k: solved.append(k) or gram_defect(op, k))
-    curve = defect_curve(op, 7)
-    assert solved == list(range(8))  # one solve per k: A is not self-adjoint
-    sw = np.sqrt(act.weights)
-    a, p = op.dense(), op.decomposition.mean_matrix()
-    for k in range(8):
-        diff = np.linalg.matrix_power(a, k) - p
-        reference = np.linalg.norm(diff * (sw[:, None] / sw[None, :]), 2)
-        assert abs(curve[k] - reference) <= 1e-12
+    op = markov_operator(Representation(act), mu)
+    assert not op.self_adjoint
+    with pytest.raises(ValueError, match="self-adjoint"):
+        defect_curve(op, 7)
+    # the sampled curve of p != 2 needs no adjoint
+    op = markov_operator(Representation(act, p=1.5), mu)
+    assert defect_curve(op, 7, seed=5).tolist() == _sampled_defects(op, 7, seed=5)
 
 
 def test_defect_curve_self_adjoint_agrees_with_per_k_solves():
@@ -485,7 +493,7 @@ def test_defect_curve_self_adjoint_agrees_with_per_k_solves():
     curve = defect_curve(op, 30)
     assert len(curve) == 31
     for k in range(31):
-        per_k = rep_markov._gram_defect(op, k)
+        per_k = _dense_defect(op, k)
         assert abs(curve[k] - per_k) <= 1e-12 * per_k
 
 
@@ -493,17 +501,7 @@ def test_defect_curve_self_adjoint_agrees_with_per_k_solves():
                          ids=["z4", "torus-8"])
 def test_defect_curve_lp_matches_per_k_sampling_bit_for_bit(act):
     op = markov_operator(Representation(act, p=1.5), lazy_uniform(act))
-    seed, k_max = 5, 12
-    curve = defect_curve(op, k_max, seed=seed)
-    for k in range(k_max + 1):
-        # the per-k reference: the same seeded fields drawn afresh, A^k applied anew
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(16):
-            f = rng.standard_normal(act.n_points)
-            residual = op.apply_power(f, k) - op.decomposition.mean(f)
-            worst = max(worst, op.rep.norm(residual) / op.rep.norm(f))
-        assert curve[k] == worst
+    assert defect_curve(op, 12, seed=5).tolist() == _sampled_defects(op, 12, seed=5)
 
 
 def _small_spectra():

@@ -343,8 +343,9 @@ def test_ghost_defect_curves():
     report = ghost_defect(levels, k_max=12)
     assert report.gapped
     assert report.sup_lambda < 1.0
+    ks = np.arange(1, 13)
     for row in report.levels:
-        assert row.bound_ok()
+        assert np.all(row.defects <= row.lam**ks + rep_markov.DECAY_TOL)
     assert report.bound_ok()
     # defect curves decay geometrically
     cone = report.cone_defects()
