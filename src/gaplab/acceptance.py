@@ -429,7 +429,7 @@ def criterion_9(seed: int) -> CriterionResult:
                              seed=seed + s).two_a
         for s in range(3)
     ]
-    del table64  # 9.6 MB, freed before the m = 32 table and walk below
+    del table64  # 4.1 MB, freed before the m = 32 table and walk below
     mean_drift = sum(drifts) / 3.0
     spread = max(abs(d - mean_drift) for d in drifts) / mean_drift
     details["drift"] = {"estimates": drifts, "relative_spread": spread}

@@ -155,6 +155,8 @@ def build_fixture(spec: dict) -> FiniteAction:
         variant = spec.get("variant", "b")
         if variant not in ("a", "b"):
             raise ConfigError("$.fixture.variant", "must be 'a' or 'b'")
+        if variant == "a":
+            _refuse_large_sl2(m, "$.fixture.m")
         try:
             action = build_sl2_quotient(m, variant=variant)
         except ValueError as exc:
@@ -184,6 +186,22 @@ def build_fixture(spec: dict) -> FiniteAction:
             raise InvariantFailure("fixture-invariant", str(exc)) from exc
     raise ConfigError("$.fixture.builder",
                       "must be one of 'cyclic', 'sl2', 'explicit'")
+
+
+def _refuse_large_sl2(m: int, path: str) -> None:
+    """A ``ConfigError`` at ``path`` if SL2(Z/m) has more than
+    ``SL2_GROUP_LIMIT`` elements.  Its order exceeds 6 m^3 / pi^2, so m >= 75
+    is refused before m is factored (the bound holds for m capped at 10^100,
+    which keeps it a float)."""
+    floor = 6 * min(m, 10 ** 100) ** 3 / math.pi ** 2
+    if floor > SL2_GROUP_LIMIT:
+        size = f"more than {floor:.4g}"
+    else:
+        size = Sl2Quotient(m).n_points
+        if size <= SL2_GROUP_LIMIT:
+            return
+    raise ConfigError(path, f"refusing to build SL2(Z/{m}): {size} elements, "
+                            f"above the limit {SL2_GROUP_LIMIT}")
 
 
 def _int_list(value) -> bool:
@@ -362,13 +380,7 @@ def certify_family(config: ExperimentConfig) -> PoincareReport:
                    for j, m in enumerate(moduli)]
         for j, member in enumerate(members):
             if member.needs_group(budget):
-                # |SL2(Z/m)| > 6 m^3 / pi^2: m >= 75 is refused before it is factored
-                floor = 6 * member.m ** 3 / math.pi ** 2
-                size = f"more than {floor:.4g}" if floor > SL2_GROUP_LIMIT else member.n_points
-                if floor > SL2_GROUP_LIMIT or member.n_points > SL2_GROUP_LIMIT:
-                    raise ConfigError(f"$.fixture.moduli[{j}]",
-                                      f"refusing to build {member.name}: {size} "
-                                      f"elements, above the limit {SL2_GROUP_LIMIT}")
+                _refuse_large_sl2(member.m, f"$.fixture.moduli[{j}]")
             elif member.block_basis_bytes() > DENSE_LIMIT ** 2 * 8:
                 raise ConfigError(f"$.fixture.moduli[{j}]",
                                   f"refusing the blocks of {member.name}: a Lanczos basis of "

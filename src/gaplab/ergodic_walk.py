@@ -64,9 +64,8 @@ class ShrinkingTargetPlan:
         for t in self.targets:
             if t.size and (t.min() < 0 or t.max() >= n):
                 raise ValueError("target indices out of range")
-        self.measures = np.array(
-            [float(action.weights[t].sum()) for t in self.targets]
-        )
+        self.measures = np.fromiter((action.weights[t].sum() for t in self.targets),
+                                    float, len(self.targets))
         self.s_partial = np.cumsum(self.measures)
 
     @property
@@ -97,11 +96,20 @@ def plan_from_sets(action: FiniteAction, targets: Sequence[Sequence[int]]
 def plan_from_radii(action: FiniteAction, center: int, radii: Sequence[float]
                     ) -> ShrinkingTargetPlan:
     """Closed metric-ball targets around one center, from its distance field;
-    measures are exact counting measures of the balls."""
+    measures are exact counting measures of the balls.
+
+    The balls are nested, so each target is a prefix of one stable distance
+    order, a view of that one read-only array: the plan holds n indices
+    however long the horizon.  A target holds the points of
+    dist <= r + 1e-15, nearest first.
+    """
     if action.metric is None:
         raise ValueError("action carries no metric; use plan_from_sets")
     dist = action.metric.distances_from(center)
-    return ShrinkingTargetPlan(action, [np.flatnonzero(dist <= float(r) + 1e-15) for r in radii])
+    order = np.argsort(dist, kind="stable")
+    order.flags.writeable = False  # shared by every target
+    ends = np.searchsorted(dist[order], np.asarray(radii, dtype=float) + 1e-15, "right")
+    return ShrinkingTargetPlan(action, [order[:end] for end in ends])
 
 
 # -- quantitative ergodic decay ------------------------------------------------
@@ -450,7 +458,8 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
     index_of = np.full(m * m, -1, dtype=np.int64)
     index_of[points[:, 0] * m + points[:, 1]] = np.arange(action.n_points)
     ga, gb, gc, gd = table.elements.T
-    db, ac = (gd * m + gb).astype(np.int16), (ga * m + gc).astype(np.int16)  # m^2 <= 4096
+    # each compact column is widened to int16 on its own: m^2 <= 4096
+    db, ac = gd.astype(np.int16) * m + gb, ga.astype(np.int16) * m + gc
 
     def images(start: int) -> np.ndarray:
         """Point index of g^-1 (x, y) = (d x - b y, a y - c x), g = (a b; c d), for all g."""

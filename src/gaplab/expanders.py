@@ -351,11 +351,12 @@ def _ratio_gradient(graph: CayleyGraph, f: np.ndarray, p: float) -> np.ndarray:
 
 # -- sequences ---------------------------------------------------------------
 
-# The largest group order a sequence member is built at.  On a 2-vCPU machine
-# the expander run on [5, 61] with a vector bound takes 2.1 s at a 151 MB peak,
-# and on [5, 64] (196,608 elements, the full-graph kernel) 5.1 s at 208 MB;
-# the built route on SL2(Z/101), 1,030,200 elements, took 432 MB.  Every
-# modulus up to 64 is below it.
+# The largest group order a sequence member or an "sl2" variant "a" fixture is
+# built at (``gaplab run`` refuses larger ones as config errors).  On a 2-vCPU
+# machine the expander run on [5, 61] with a vector bound takes 2.1 s at a
+# 151 MB peak, and on [5, 64] (196,608 elements, the full-graph kernel) 5.1 s at
+# 208 MB; the built route on SL2(Z/101), 1,030,200 elements, took 432 MB.
+# Every modulus up to 64 is below it.
 SL2_GROUP_LIMIT = 250_000
 
 

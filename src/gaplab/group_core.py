@@ -424,14 +424,16 @@ def _sl2_key(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
     The second column runs over the coset (b0, d0) + t (a, c), t in Z/m.  With
     g = gcd(a, m), b fixes t mod m / g, and c is a unit mod g, so d // (m / g),
     in [0, g), fixes the rest of t: (a m + c) m + (b // g) g + d // (m / g) is
-    injective for every m, also where neither a nor c is a unit.
+    injective for every m, also where neither a nor c is a unit.  The entries
+    are widened to int64 first, so compact rows do not wrap.
     """
+    a, b, c, d = (np.asarray(x, dtype=np.int64) for x in (a, b, c, d))
     g = np.gcd(np.arange(m, dtype=np.int64), m)[a]  # a length-m lookup
     return (a * m + c) * m + (b // g) * g + d // (m // g)
 
 
 # parents expanded at a time by the closure: about 0.6 kB of temporaries each
-_CLOSURE_CHUNK = 4096
+_CLOSURE_CHUNK = 1024
 
 
 def _sl2_order(m: int) -> int:
@@ -457,7 +459,9 @@ def _sl2_closure(m: int):
     s * element i for the j-th label s of ``SL2_GENERATOR_MATRICES``.
     Candidates are looked up in an id table of m^3 entries, the id of each
     element at its ``_sl2_key`` and -1 elsewhere, which is dropped on
-    return.  Ids are int32 and lengths int8.
+    return.  Ids are int32, lengths int8, and the entries are stored in the
+    smallest unsigned dtype that holds m - 1 (uint8 for m <= 256); the
+    candidate products are taken in int64.
 
     The element, length and left-product arrays are allocated once at the
     group's order and filled level by level; each level is expanded
@@ -467,7 +471,7 @@ def _sl2_closure(m: int):
     """
     gens = np.array(list(SL2_GENERATOR_MATRICES.values()), dtype=np.int64).reshape(-1, 2, 2) % m
     n = _sl2_order(m)
-    elements = np.empty((n, 4), dtype=np.int64)
+    elements = np.empty((n, 4), dtype=np.min_scalar_type(m - 1))
     lengths = np.empty(n, dtype=np.int8)
     left = np.empty((n, len(gens)), dtype=np.int32)
     elements[0] = (1 % m, 0, 0, 1 % m)
@@ -481,7 +485,8 @@ def _sl2_closure(m: int):
         for lo in range(start, stop, _CLOSURE_CHUNK):
             hi = min(lo + _CLOSURE_CHUNK, stop)
             # one row per parent, one column per generator: the order of discovery
-            cands = ((gens @ elements[lo:hi].reshape(-1, 1, 2, 2)) % m).reshape(-1, 4)
+            parents = elements[lo:hi].astype(np.int64).reshape(-1, 1, 2, 2)
+            cands = ((gens @ parents) % m).reshape(-1, 4)
             keys = _sl2_key(*cands.T, m)
             ids = table[keys]
             fresh = np.flatnonzero(ids < 0)
@@ -515,8 +520,8 @@ class Sl2GroupTable:
     inverse of a walk is a left walk of the same word length.
     """
 
-    # |SL2(Z/64)| = 196,608 elements: 9.6 MB of int64 elements, int32 left products
-    # and int8 word lengths; the build peaks at 12.7 MB (tracemalloc) with the id table
+    # |SL2(Z/64)| = 196,608 elements: 4.1 MB of uint8 elements, int32 left products
+    # and int8 word lengths; the build peaks at 5.7 MB (tracemalloc) with the id table
     MAX_MODULUS = 64
 
     def __init__(self, m: int) -> None:
@@ -645,6 +650,7 @@ def build_sl2_quotient(m: int, variant: str = "b") -> FiniteAction:
         elements, _lengths, left = _sl2_closure(m)
         n = len(elements)
         weights = np.full(n, 1.0 / n)
+        # the compact rows become int64 points here
         return FiniteAction(elements, weights, _SL2_GENS,
                             dict(zip(SL2_GENERATOR_MATRICES, left.T)), name=f"SL2(Z/{m})")
     if m < 1:

@@ -432,7 +432,13 @@ def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
 
 
 def _symmetrized_top(op: MarkovOperator, k: int = 1) -> _TopEigenpair:
-    """Top k eigenpairs of (A + A*) / 2 on the mean-zero complement."""
+    """Top k eigenpairs of (A + A*) / 2 on the mean-zero complement.
+
+    A self-adjoint A is applied alone: its transpose would run the same
+    arrays, and (x + x) / 2 == x in floating point, so the values do not move.
+    """
+    if op.self_adjoint:
+        return _top_eigenpair(op.apply, op.decomposition, k)
     return _top_eigenpair(lambda f: (op.apply(f) + op.apply_transpose(f)) / 2.0,
                           op.decomposition, k)
 

@@ -761,6 +761,35 @@ def test_run_refuses_huge_sl2_moduli_in_bounded_time(tmp_path, modulus):
     assert f"SL2(Z/{modulus})" in done.stderr
 
 
+@pytest.mark.parametrize("modulus", [
+    2_000_000_014,  # 2 x 1,000,000,007
+    1_000_000_007 * 1_000_000_009,  # trial division would run to 1e9
+], ids=["2p", "semiprime"])
+def test_sl2_fixture_refuses_huge_moduli_in_bounded_time(tmp_path, modulus):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = _write_config(tmp_path, {"kind": "markov", "fixture": {
+        "builder": "sl2", "m": modulus, "variant": "a"}})
+    done = subprocess.run([sys.executable, "-m", "gaplab", "run", str(path),
+                           "--out-dir", str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=10)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(
+        f"config error at $.fixture.m: refusing to build SL2(Z/{modulus}): more than ")
+
+
+def test_sl2_fixture_refuses_an_exact_order_above_the_limit(tmp_path, capsys, monkeypatch):
+    # 6 m^3 / pi^2 stays below the limit at m = 73, the exact order 388,944 does not
+    _refuse_sl2_builds(monkeypatch)
+    path = _write_config(tmp_path, {"kind": "markov", "fixture": {
+        "builder": "sl2", "m": 73, "variant": "a"}})
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error at $.fixture.m: refusing to build SL2(Z/73): 388944 "
+                   "elements, above the limit 250000\n")
+
+
 def test_run_refuses_a_prime_whose_block_basis_exceeds_a_dense_matrix(tmp_path, capsys,
                                                                       monkeypatch):
     import time

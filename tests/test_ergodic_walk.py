@@ -232,6 +232,43 @@ def test_plan_from_radii_uses_exact_counting_measure():
     assert len(plan.targets[0]) >= len(plan.targets[1]) >= len(plan.targets[2])
 
 
+@pytest.mark.parametrize("m, orbit", [(8, False), (64, True)], ids=["torus-8", "orbit-64"])
+def test_radius_plan_targets_are_prefixes_of_one_distance_order(m, orbit):
+    act = build_sl2_quotient(m, variant="b")
+    if orbit:
+        act = orbit_restriction(act, act.point_index((1, 0)))
+        assert act.n_points == 3072
+    center = act.point_index((1, 0))
+    dist = act.metric.distances_from(center)
+    # radii on exact distances, below and above every distance, and criterion 8's
+    radii = [0.0, 1 / m, np.sqrt(2) / m, 2.0, -1.0,
+             *(0.45 * n ** (-0.125) for n in range(1, 301))]
+    plan = plan_from_radii(act, center, radii)
+    base = plan.targets[0].base
+    assert base is not None and all(t.base is base for t in plan.targets)
+    assert not base.flags.writeable  # a write through one target would move the others
+    for r, target, measure in zip(radii, plan.targets, plan.measures):
+        ball = np.flatnonzero(dist <= float(r) + 1e-15)
+        assert np.array_equal(np.sort(target), ball)
+        assert measure == float(act.weights[ball].sum())
+
+
+def test_radius_plan_memory_does_not_grow_with_the_ball_sizes():
+    # 20,000 balls on the 3,072-point orbit: one index per point, not per ball entry
+    torus = build_sl2_quotient(64, variant="b")
+    sub = orbit_restriction(torus, torus.point_index((1, 0)))
+    center = sub.point_index((1, 0))
+    radii = [0.45 * n ** (-0.125) for n in range(1, 20001)]
+    tracemalloc.start()
+    try:
+        plan = plan_from_radii(sub, center, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(t.size for t in plan.targets) > 4e6  # separate arrays would take 35 MB
+    assert peak < 4e6
+
+
 # -- Monte Carlo -----------------------------------------------------------------
 
 
@@ -397,7 +434,7 @@ def _right_mult_drift(table, mu_labels, n_steps, trials, seed):
     each looked up from the matrix product g s."""
     m = table.m
     ids = {tuple(row): i for i, row in enumerate(table.elements.tolist())}
-    x = table.elements
+    x = table.elements.astype(np.int64)
     right = {}
     for lab in mu_labels:
         e, f, g, h = SL2_GENERATOR_MATRICES[lab] if lab != "e" else (1, 0, 0, 1)
@@ -742,8 +779,8 @@ def test_conditioned_series_memory_at_the_largest_modulus():
 
 
 def test_drift_walks_on_the_largest_table_stay_compact():
-    # criterion 9's first phase: int64 elements, int32 left products and int8
-    # word lengths (9.6 MB), and no stacked copy of the step rows
+    # criterion 9's first phase: uint8 elements, int32 left products and int8
+    # word lengths (4.1 MB), and no stacked copy of the step rows
     tracemalloc.start()
     try:
         table = Sl2GroupTable(Sl2GroupTable.MAX_MODULUS)
@@ -752,7 +789,7 @@ def test_drift_walks_on_the_largest_table_stay_compact():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14e6
+    assert peak < 8e6
 
 
 # -- input checks --------------------------------------------------------------------

@@ -141,8 +141,9 @@ def _sl2_order(m):
 @pytest.mark.parametrize("m", range(2, 65))
 def test_sl2_key_is_injective_and_below_m_cubed(m):
     elements = _sl2_closure(m)[0]
-    a, b, c, d = elements.T
-    keys = _sl2_key(a, b, c, d, m)
+    assert elements.dtype == np.uint8  # compact rows: the key widens them itself
+    keys = _sl2_key(*elements.T, m)
+    a, b, c, d = elements.astype(np.int64).T
     assert keys.min() >= 0 and keys.max() < m ** 3
     # distinct keys make the rows distinct, so with the determinant and the
     # order they are all of SL2(Z/m), and the key is injective on it
@@ -155,8 +156,8 @@ def test_sl2_key_is_injective_and_below_m_cubed(m):
 
 def _matrix_products(x, y, m):
     """Rows x y mod m of 2x2 matrices (a, b, c, d), one side possibly a single matrix."""
-    a, b, c, d = np.asarray(x).T
-    e, f, g, h = np.asarray(y).T
+    a, b, c, d = np.asarray(x, dtype=np.int64).T
+    e, f, g, h = np.asarray(y, dtype=np.int64).T
     return np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h], axis=-1) % m
 
 
@@ -174,7 +175,7 @@ def test_sl2_table_right_mult_is_the_matrix_product(m):
     # the left products carry right multiplication too: g s = (s^-1 g^-1)^-1
     table = Sl2GroupTable(m)
     ids = {tuple(row): i for i, row in enumerate(table.elements.tolist())}
-    a, b, c, d = table.elements.T
+    a, b, c, d = table.elements.astype(np.int64).T
     inv = np.array([ids[tuple(row)] for row in
                     np.stack([d, -b % m, -c % m, a], axis=-1).tolist()])
     for lab, s in SL2_GENERATOR_MATRICES.items():

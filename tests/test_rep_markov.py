@@ -554,6 +554,44 @@ def test_kernel_top_three_are_eigenvalues_but_may_skip_copies():
         assert np.min(np.abs(dense - theta)) <= 1e-12
 
 
+def _symmetrized_reference(op, k):
+    return rep_markov._top_eigenpair(lambda f: (op.apply(f) + op.apply_transpose(f)) / 2.0,
+                                     op.decomposition, k)
+
+
+@pytest.mark.parametrize("build", [lambda: build_cyclic(512),
+                                   lambda: build_sl2_quotient(32, "b")],
+                         ids=["Z/512", "torus-32"])
+def test_symmetrized_top_applies_a_self_adjoint_operator_alone(build, monkeypatch):
+    act = build()
+    op = markov_operator(Representation(act), lazy_uniform(act))
+    assert op.self_adjoint
+    want = _symmetrized_reference(op, 3)
+
+    def refuse(values):
+        raise AssertionError("applied the transpose of a self-adjoint operator")
+
+    monkeypatch.setattr(op, "apply_transpose", refuse)
+    top = rep_markov._symmetrized_top(op, k=3)
+    assert np.array_equal(top.values, want.values)
+    assert np.array_equal(top.vectors, want.vectors)
+    assert top.applications == want.applications
+
+
+def test_symmetrized_top_still_symmetrizes_an_asymmetric_operator(monkeypatch):
+    act = build_cyclic(3)
+    op = markov_operator(Representation(act), uniform_on([act.generator_element("g")]))
+    assert not op.self_adjoint
+    want = _symmetrized_reference(op, 1)
+    calls = []
+    transpose = op.apply_transpose
+    monkeypatch.setattr(op, "apply_transpose", lambda f: calls.append(1) or transpose(f))
+    top = rep_markov._symmetrized_top(op)
+    assert calls
+    assert np.array_equal(top.values, want.values)
+    assert abs(top.value + 0.5) <= 1e-12  # cos(2 pi / 3), not an eigenvalue of the shift
+
+
 def test_small_spectra_replay_bit_identical():
     before = _small_spectra()
     big = build_sl2_quotient(16, variant="b")
