@@ -411,11 +411,14 @@ def estimate_drift_mc(table: Sl2GroupTable, mu_labels: Dict[str, float],
 # -- conditioned series -----------------------------------------------------------
 
 
-def _walk_step(x: np.ndarray, steps: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] x[steps[i]], added up in place in the order given."""
-    out = weights[0] * x[steps[0]]
-    for step, w in zip(steps[1:], weights[1:]):
-        out += w * x[step]
+def _walk_step(x: np.ndarray, steps: Sequence[Optional[np.ndarray]],
+               weights: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] x[steps[i]], added up in place in the order given; a
+    step None is the identity, whose term weights[i] x needs no gather."""
+    terms = (w * (x if step is None else x[step]) for step, w in zip(steps, weights))
+    out = next(terms)
+    for term in terms:
+        out += term
     return out
 
 
@@ -478,9 +481,8 @@ def conditioned_series(action: FiniteAction, mu_labels: Dict[str, float],
         if image[table.identity] != x:
             raise ValueError("group table does not act compatibly on the fixture")
         row[:] = image[:len(row)]
-    perms = [np.arange(action.n_points) if lab == "e" else action.perms[lab] for lab in mu_labels]
-    rows = [np.arange(table.n_elements) if j < 0 else table.left[:, j].astype(np.intp)
-            for j in columns]
+    perms = [None if lab == "e" else action.perms[lab] for lab in mu_labels]
+    rows = [None if j < 0 else table.left[:, j].astype(np.intp) for j in columns]
     dist = np.zeros(table.n_elements)
     dist[table.identity] = 1.0
     walk = np.zeros((action.n_points, len(starts)))  # one column per start

@@ -37,9 +37,9 @@ from .group_core import (
     GroupElement,
     _components,
     _sl2_order,
-    _sl2_section,
     build_sl2_quotient,
     sl2_coset_coordinates,
+    sl2_coset_translates,
     sl2_induced_blocks,
 )
 from .measures import DiscreteMeasure
@@ -107,15 +107,17 @@ def _label_weights(labels: Sequence[str]) -> Dict[str, float]:
     return weights
 
 
-def _block_solve(p: int, weights: Dict[str, float]) -> Tuple[float, np.ndarray, List[int]]:
+def _block_solve(p: int, weights: Dict[str, float],
+                 translates: Dict[str, Tuple[np.ndarray, np.ndarray]]
+                 ) -> Tuple[float, np.ndarray, List[int]]:
     """lambda_2 of SL2(Z/p), p prime: the top eigenvalue of the direct sum of
     the blocks of ``_character_classes``, which is the largest of their top
     eigenvalues.  Returns it with its unit eigenvector x on the direct sum
     and the classes a: each block's F as n = p^2 - 1 (Re F(v), Im F(v))
     pairs, so that x viewed as complex numbers is their F, one after the
-    other."""
+    other.  ``translates`` are the ``sl2_coset_translates`` of the labels."""
     classes = _character_classes(p)
-    total = _direct_sum(sl2_induced_blocks(p, classes, weights))
+    total = _direct_sum(sl2_induced_blocks(p, classes, weights, translates))
 
     def matvec(x: np.ndarray) -> np.ndarray:
         # a complex block X + iY acts on the pairs (Re F, Im F) as
@@ -155,21 +157,8 @@ def _lift(action: FiniteAction, p: int, x: np.ndarray, classes: List[int]) -> np
     return part - part.mean()
 
 
-def _block_translates(p: int, labels: Sequence[str]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per label s, for each nonzero vector v (numbered as in the blocks): the
-    number of s^-1 v and the t of s^-1 sigma(v) = sigma(s^-1 v) u_t."""
-    codes = np.arange(1, p * p, dtype=np.int64)
-    sections = _sl2_section(np.stack(np.divmod(codes, p), axis=-1), p).reshape(-1, 2, 2)
-    out = []
-    for lab in labels:
-        a, b, c, d = SL2_GENERATOR_MATRICES[lab]
-        inverse = np.array([[d, -b], [-c, a]]) % p
-        out.append(sl2_coset_coordinates((inverse @ sections % p).reshape(-1, 4), p))
-    return out
-
-
 def _blocks_connected(p: int, labels: Sequence[str],
-                      translates: List[Tuple[np.ndarray, np.ndarray]]) -> bool:
+                      translates: Dict[str, Tuple[np.ndarray, np.ndarray]]) -> bool:
     """Whether the Cayley graph of SL2(Z/p) with generators ``labels`` is
     connected, exactly, from block 0 alone.
 
@@ -183,7 +172,8 @@ def _blocks_connected(p: int, labels: Sequence[str],
     """
     unipotent = any(a % p == 1 and c % p == 0 and d % p == 1 and b % p
                     for a, b, c, d in (SL2_GENERATOR_MATRICES[lab] for lab in labels))
-    return unipotent and _components(p * p - 1, [col for col, _t in translates])[0] == 1
+    pattern = [col for col, _t in translates.values()]
+    return unipotent and _components(p * p - 1, pattern)[0] == 1
 
 
 def _twisted_ratio(p: int, x: np.ndarray, classes: List[int],
@@ -192,7 +182,8 @@ def _twisted_ratio(p: int, x: np.ndarray, classes: List[int],
     twisted Dirichlet form sum_s sum_v |F(v) - chi_a(t(s, v)) F(s^-1 v)|^2
     of every block.  This is ``poincare_ratio`` of the field that x lifts
     to on G, whose sums are p times these; a nontrivial chi_a makes that
-    field mean-zero."""
+    field mean-zero.  ``translates`` holds the ``sl2_coset_translates`` of
+    each s, a repeated label once per repeat."""
     fields = _block_fields(x, classes)
     numerator = float(sum(np.vdot(f, f).real for f in fields))
     roots = np.exp(2j * np.pi * np.arange(p) / p)
@@ -463,11 +454,12 @@ def _block_row(p: int, labels: Sequence[str]
     """The row of SL2(Z/p), p prime, with generators ``labels``, from its
     induced blocks alone, and the block solve (None if disconnected)."""
     name, n = f"SL2(Z/{p})", _sl2_order(p)
-    translates = _block_translates(p, labels)
+    translates = sl2_coset_translates(p, labels)
     if not _blocks_connected(p, labels, translates):
         return QuotientRow(name, n, 1.0, math.inf, math.nan, False), None
-    solve = value, x, classes = _block_solve(p, _label_weights(labels))
-    residual = _relation_residual(_twisted_ratio(p, x, classes, translates), len(labels), value)
+    solve = value, x, classes = _block_solve(p, _label_weights(labels), translates)
+    ratio = _twisted_ratio(p, x, classes, [translates[lab] for lab in labels])
+    residual = _relation_residual(ratio, len(labels), value)
     kappa = 1.0 / (2.0 * len(labels) * (1.0 - value))
     return QuotientRow(name, n, value, kappa, residual, True), solve
 

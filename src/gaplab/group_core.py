@@ -42,6 +42,7 @@ __all__ = [
     "SL2_GENERATOR_MATRICES",
     "Sl2GroupTable",
     "sl2_coset_coordinates",
+    "sl2_coset_translates",
     "sl2_induced_blocks",
 ]
 
@@ -592,8 +593,23 @@ def sl2_coset_coordinates(mats: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndar
     return v[:, 0] * p + v[:, 1] - 1, t
 
 
-def sl2_induced_blocks(p: int, classes: Sequence[int],
-                       weights: Dict[str, float]) -> List[FixedDegreeMatrix]:
+def sl2_coset_translates(p: int, labels: Iterable[str]
+                         ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """Per distinct label s of ``SL2_GENERATOR_MATRICES``, p prime: for each
+    nonzero vector v of F_p^2 (numbered p v_1 + v_2 - 1) the number of
+    s^-1 v and the t with s^-1 sigma(v) = sigma(s^-1 v) u_t."""
+    codes = np.arange(1, p * p, dtype=np.int64)
+    sections = _sl2_section(np.stack(np.divmod(codes, p), axis=-1), p)
+    out = {}
+    for lab in dict.fromkeys(labels):
+        inverse = SL2_GENERATOR_MATRICES[_SL2_GENS.inverse_label(lab)]
+        out[lab] = sl2_coset_coordinates(_sl2_mul([x % p for x in inverse], sections, p), p)
+    return out
+
+
+def sl2_induced_blocks(p: int, classes: Sequence[int], weights: Dict[str, float],
+                       translates: Dict[str, Tuple[np.ndarray, np.ndarray]]
+                       ) -> List[FixedDegreeMatrix]:
     """The blocks of A = sum_s mu(s) pi_s on Ind_U^G chi_a, for G = SL2(Z/p),
     one per a in ``classes``.
 
@@ -611,16 +627,13 @@ def sl2_induced_blocks(p: int, classes: Sequence[int],
     (|supp mu| for a symmetric measure, whose M and M^H share columns).  The
     columns do not depend on a, so the blocks are built together.  At a = 0,
     chi_0 = 1 and A_0 is the linear action on the nonzero vectors, a real
-    matrix.
+    matrix.  ``translates`` holds the ``sl2_coset_translates`` of (at least)
+    the labels of ``weights``.
     """
-    n = p * p - 1
-    codes = np.arange(n, dtype=np.int64)
-    sections = _sl2_section(np.stack(np.divmod(codes + 1, p), axis=-1), p)
     roots = np.exp(2j * np.pi * np.arange(p) / p)
     cols, vals = [], []
     for lab, w in weights.items():
-        inverse = SL2_GENERATOR_MATRICES[_SL2_GENS.inverse_label(lab)]
-        col, t = sl2_coset_coordinates(_sl2_mul([x % p for x in inverse], sections, p), p)
+        col, t = translates[lab]
         cols.append(col)
         vals.append(w * roots[np.outer(t, classes) % p])  # roots[0] = 1 exactly
     # M^H from the transposed slots, merged in the same slot order, is the

@@ -23,7 +23,6 @@ import numpy as np
 from .group_core import GroupElement, element_ball
 from .measures import uniform_on
 from .rep_markov import (
-    Decomposition,
     MarkovOperator,
     Representation,
     _lp_grad,
@@ -122,7 +121,7 @@ def kazhdan_constant_oracle(rep: Representation, Q: Iterable[GroupElement],
     q_set = list(dict.fromkeys(Q))
     if not q_set:
         raise ValueError("empty Kazhdan set")
-    dec = Decomposition(rep)
+    dec = rep.decomposition
     if dec.complement_dim() == 0:
         return KazhdanOracleResult(best=math.inf, lower_bound=math.inf, minimizer=None)
     q_inv = np.stack([el.inverse().perm for el in q_set])  # (|Q|, n)

@@ -72,6 +72,12 @@ class Representation:
     def n_points(self) -> int:
         return self.action.n_points
 
+    @cached_property
+    def decomposition(self) -> "Decomposition":
+        """The splitting into invariant fields and their complement, built
+        once per representation."""
+        return Decomposition(self)
+
     def _coerce(self, values: np.ndarray) -> np.ndarray:
         f = np.asarray(values, dtype=float)
         if f.shape != (self.n_points,):
@@ -112,7 +118,10 @@ class Decomposition:
 
     def mean(self, values: np.ndarray) -> np.ndarray:
         """Weighted mean on each orbit, broadcast back as an invariant field."""
-        f = self.rep._coerce(values)
+        return self._orbit_mean(self.rep._coerce(values))
+
+    def _orbit_mean(self, f: np.ndarray) -> np.ndarray:
+        """``mean`` of a float field of shape (n_points,), unchecked."""
         sums = np.bincount(self.orbit_of, weights=self.rep.action.weights * f,
                            minlength=self.n_orbits)
         return (sums / self.orbit_mass)[self.orbit_of]
@@ -162,7 +171,6 @@ class MarkovOperator:
         self.rep = rep
         self.measure = measure
         self.matrix = self._slots(lambda el: el.inverse().perm)
-        self.decomposition = Decomposition(rep)
 
     def _slots(self, column: Callable[[GroupElement], np.ndarray]) -> FixedDegreeMatrix:
         atoms = list(self.measure.items())
@@ -170,6 +178,10 @@ class MarkovOperator:
         return FixedDegreeMatrix.from_slots(
             np.stack([column(el) for el, _ in atoms]),
             np.broadcast_to(weights, (len(atoms), self.n_points)))
+
+    @property
+    def decomposition(self) -> Decomposition:
+        return self.rep.decomposition
 
     @cached_property
     def transposed(self) -> FixedDegreeMatrix:
@@ -188,7 +200,7 @@ class MarkovOperator:
         ``restricted_norm`` and ``defect_curve`` both read it; callers must not
         write to its vector.
         """
-        return _top_eigenpair(lambda f: self.apply_transpose(self.apply(f)),
+        return _top_eigenpair(lambda f: self.transposed @ (self.matrix @ f),
                               self.decomposition)
 
     @property
@@ -266,28 +278,46 @@ class _TopEigenpair:
         return float(self.residuals[0])
 
 
-# Sums over every coordinate go through einsum, which runs on one thread:
-# OpenBLAS splits long ddot and gemv sums by thread (at 51,000 coordinates,
-# the p = 101 blocks, gemv of 10 or more rows did), and their last bits then
-# follow the thread count.  Products that only sum over the basis, such as
-# h @ span, keep each output on one thread and stay on BLAS, through
-# ``_basis_product``.
+# Every sum in the kernel runs on BLAS, in calls small enough that OpenBLAS
+# computes each on the calling thread.  A larger call wakes the thread pool:
+# the sum is split by thread, so its last bits follow the thread count, and
+# the idle pool threads spin for about 0.13 s of CPU after each wake (on a
+# 2-vCPU machine that was a third of certify-sl2's CPU time).
+#
+# Sums over the coordinates (the coefficients span @ w, the three-term step's
+# alpha and ``_norm``) go through ``_coordinate_sum``.  Probed with OpenBLAS
+# 0.3.31 by per-thread CPU and the result bytes at 1 and 2 threads, a dot
+# product woke the pool above 10,000 coordinates, and a gemv (of 10, 24 or 57
+# rows) from 460,800 = 115,200 x 4 multiply-adds on; the woken sums changed
+# their last bits on some inputs.  A block of 8,192 coordinates keeps a dot
+# product, and a gemv of up to 56 rows (the basis has LANCZOS_BASIS = 24), on
+# one thread.  einsum stays on one thread too, but takes two to three times
+# as long.
+BLAS_ONE_THREAD_COORDINATES = 8192
 
-# OpenBLAS runs a GEMM of at most SMP_THRESHOLD_MIN x GEMM_MULTITHREAD_THRESHOLD
-# = 65,536 x 4 multiply-adds on the calling thread (interface/gemm.c; its gemv
-# threshold is higher).  A larger product wakes the thread pool, whose idle
-# threads then spin for about 0.13 s of CPU after each wake: on a 2-vCPU
-# machine that was a third of certify-sl2's CPU time.
+# Products that sum over the basis only, such as h @ span, go through
+# ``_basis_product``.  OpenBLAS runs a GEMM of at most SMP_THRESHOLD_MIN x
+# GEMM_MULTITHREAD_THRESHOLD = 65,536 x 4 multiply-adds on the calling thread
+# (interface/gemm.c; its gemv threshold is higher).
 BLAS_ONE_THREAD_MADDS = 2 ** 18
 
 
+def _coordinate_sum(a: np.ndarray, x: np.ndarray) -> Union[float, np.ndarray]:
+    """a @ x, for x of shape (size,) and a of shape (size,) or (r, size), r at
+    most 56: one call up to ``BLAS_ONE_THREAD_COORDINATES`` coordinates, else
+    one call per block of that many coordinates, added up in block order.
+    No sum depends on the BLAS thread count."""
+    width = BLAS_ONE_THREAD_COORDINATES
+    if x.shape[0] <= width:
+        return np.matmul(a, x)
+    out = np.matmul(a[..., :width], x[:width])
+    for lo in range(width, x.shape[0], width):
+        out += np.matmul(a[..., lo:lo + width], x[lo:lo + width])
+    return out
+
+
 def _norm(x: np.ndarray) -> float:
-    return math.sqrt(np.einsum("i,i", x, x))
-
-
-def _coefficients(span: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """span @ w: one sum over the coordinates per row of span."""
-    return np.einsum("ij,j->i", span, w)
+    return math.sqrt(_coordinate_sum(x, x))
 
 
 def _basis_product(c: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -301,9 +331,11 @@ def _basis_product(c: np.ndarray, span: np.ndarray) -> np.ndarray:
     columns past the last multiple of 8 of a product above 10^6
     multiply-adds by another kernel than smaller products use, and there
     the last bits may differ.  No entry depends on the BLAS thread count."""
-    width = BLAS_ONE_THREAD_MADDS // max(1, c.size) // 64 * 64
     size = span.shape[1]
-    if not 0 < width < size:
+    if c.size * size <= BLAS_ONE_THREAD_MADDS:
+        return c @ span
+    width = BLAS_ONE_THREAD_MADDS // c.size // 64 * 64
+    if width == 0:
         return c @ span
     out = np.empty(c.shape[:-1] + (size,))
     for lo in range(0, size, width):
@@ -341,20 +373,21 @@ def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
     rng = None
     kept = applications = 0
     beta = 0.0
+    local = np.empty(2)  # (beta, alpha) of the three-term step
     while True:
         for j in range(kept, m):
             w = matvec(basis[j])
             applications += 1
             span = basis[:j + 1]
             if j > kept:  # A v_j lies along v_j and v_{j-1}, up to rounding
-                local = np.array([beta, np.einsum("i,i", basis[j], w)])
+                local[0], local[1] = beta, _coordinate_sum(basis[j], w)
                 w -= _basis_product(local, basis[j - 1:j + 1])
-            h = _coefficients(span, w)
+            h = _coordinate_sum(span, w)
             w -= _basis_product(h, span)
             beta = _norm(w)
             # the pass took |h| off a vector of norm sqrt(beta^2 + |h|^2)
             if beta * beta < 0.717 ** 2 * (beta * beta + h @ h):
-                again = _coefficients(span, w)
+                again = _coordinate_sum(span, w)
                 w -= _basis_product(again, span)
                 h += again
                 before, beta = beta, _norm(w)
@@ -363,7 +396,7 @@ def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], size: int,
                         rng = np.random.default_rng(0)
                     w = rng.standard_normal(size)
                     for _ in range(2):
-                        w -= _basis_product(_coefficients(span, w), span)
+                        w -= _basis_product(_coordinate_sum(span, w), span)
                     w /= _norm(w)
                     beta = 0.0
             if j > kept:
@@ -410,12 +443,14 @@ def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
 
     ``apply`` maps fields to fields, is self-adjoint for the weighted pairing
     and is the identity on invariant fields, as every averaging operator and
-    its Gram powers are.  In the coordinates x = sqrt(w) f that pairing is
-    Euclidean and the orbit mean is an orthogonal projector P; the kernel
-    solves M = S - 2P by ``_euclidean_top``, which keeps the complement
-    spectrum of S and shifts the invariant fields to -1, below it.  The
-    vectors come back as fields, orthonormal in the weighted pairing and, for
-    k at most the complement's dimension, in the complement up to rounding.
+    its Gram powers are.  It is called with float arrays of shape (n_points,)
+    only, so it may skip ``Representation``'s checks.  In the coordinates
+    x = sqrt(w) f that pairing is Euclidean and the orbit mean is an
+    orthogonal projector P; the kernel solves M = S - 2P by
+    ``_euclidean_top``, which keeps the complement spectrum of S and shifts
+    the invariant fields to -1, below it.  The vectors come back as fields,
+    orthonormal in the weighted pairing and, for k at most the complement's
+    dimension, in the complement up to rounding.
     """
     rep = dec.rep
     sw = np.sqrt(rep.action.weights)
@@ -425,7 +460,7 @@ def _top_eigenpair(apply: Callable[[np.ndarray], np.ndarray],
         nonlocal applications
         applications += 1
         f = x / sw
-        return sw * (apply(f) - 2.0 * dec.mean(f))
+        return sw * (apply(f) - 2.0 * dec._orbit_mean(f))
 
     vals, vecs, residuals = _euclidean_top(matvec, rep.n_points, k)
     return _TopEigenpair(vals, vecs.T / sw, residuals, applications)
@@ -438,7 +473,7 @@ def _symmetrized_top(op: MarkovOperator, k: int = 1) -> _TopEigenpair:
     arrays, and (x + x) / 2 == x in floating point, so the values do not move.
     """
     if op.self_adjoint:
-        return _top_eigenpair(op.apply, op.decomposition, k)
+        return _top_eigenpair(op.matrix.__matmul__, op.decomposition, k)
     return _top_eigenpair(lambda f: (op.apply(f) + op.apply_transpose(f)) / 2.0,
                           op.decomposition, k)
 

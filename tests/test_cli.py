@@ -606,10 +606,11 @@ def test_markov_curve_identical_across_processes_and_blas_threads(tmp_path):
 
 def test_expander_quotients_identical_across_processes_and_blas_threads(tmp_path):
     # every modulus solves its induced blocks by Lanczos: one block for
-    # p = 3 mod 4 (7, 11, 31), two for p = 1 mod 4 (5, 13)
+    # p = 3 mod 4 (7, 11, 31), two for p = 1 mod 4 (5, 13, 61); the 14,880
+    # coordinates of p = 61 take its coordinate sums past one BLAS call
     blobs = _outputs_under_blas_threads(tmp_path, {
         "kind": "expander",
-        "fixture": {"family": "sl2", "moduli": [5, 7, 11, 13, 31]},
+        "fixture": {"family": "sl2", "moduli": [5, 7, 11, 13, 31, 61]},
         "seed": 3,
     }, ["report.json", "quotients.csv"])
     assert blobs[0] == blobs[1]
@@ -801,7 +802,7 @@ def test_run_refuses_a_prime_whose_block_basis_exceeds_a_dense_matrix(tmp_path, 
         raise AssertionError("built an induced block")
 
     monkeypatch.setattr(expanders, "sl2_induced_blocks", refuse)
-    monkeypatch.setattr(expanders, "_block_translates", refuse)
+    monkeypatch.setattr(expanders, "sl2_coset_translates", refuse)
     # 25 x 4 x (409^2 - 1) float64 = 133,824,000 B fit in 4096^2 x 8 B
     assert expanders.Sl2Quotient(409).block_basis_bytes() <= DENSE_LIMIT ** 2 * 8
     path = _write_config(tmp_path, {"kind": "expander",

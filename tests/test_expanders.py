@@ -11,6 +11,7 @@ from gaplab.group_core import (
     GeneratorSystem,
     build_cyclic,
     build_sl2_quotient,
+    sl2_coset_translates,
     sl2_induced_blocks,
 )
 from gaplab.expanders import (
@@ -154,9 +155,9 @@ def test_certify_sequence_solves_each_quotient_once_for_the_vector_bound(monkeyp
     solved = []
     solve = expanders._block_solve
 
-    def counting(p, weights):
+    def counting(p, *args):
         solved.append(p)
-        return solve(p, weights)
+        return solve(p, *args)
 
     monkeypatch.setattr(expanders, "_block_solve", counting)
     seq = QuotientSequence([expanders.Sl2Quotient(5), expanders.Sl2Quotient(7)])
@@ -234,6 +235,14 @@ UNIFORM = {lab: 0.25 for lab in SL2_GENERATOR_MATRICES}
 SKEWED = {"e12": 0.4, "e12^-1": 0.1, "e21": 0.3, "e21^-1": 0.2}
 
 
+def _blocks(p, classes, weights):
+    return sl2_induced_blocks(p, classes, weights, sl2_coset_translates(p, weights))
+
+
+def _block_solve(p, weights):
+    return expanders._block_solve(p, weights, sl2_coset_translates(p, weights))
+
+
 def _generator_operator(act, weights):
     atoms = {}
     for lab, w in weights.items():
@@ -249,7 +258,7 @@ def test_induced_block_spectra_make_up_the_full_spectrum(p, weights):
     a = _generator_operator(act, weights).dense()
     full = np.linalg.eigvalsh((a + a.T) / 2.0)  # uniform weights: A* = A^T
     blocks = []
-    for block in sl2_induced_blocks(p, range(p), weights):
+    for block in _blocks(p, range(p), weights):
         block = block.toarray()
         assert block.shape == (p * p - 1,) * 2
         assert np.array_equal(block, block.conj().T)
@@ -261,7 +270,7 @@ def test_induced_block_spectra_make_up_the_full_spectrum(p, weights):
 def test_block_lambda2_matches_the_kernel_and_its_lift_the_relation(p):
     act = build_sl2_quotient(p, "a")
     graph = CayleyGraph(act)
-    value, x, classes = expanders._block_solve(p, UNIFORM)
+    value, x, classes = _block_solve(p, UNIFORM)
     assert abs(value - poincare_scalar(graph).lambda2) <= 1e-13  # the kernel
     vec = expanders._lift(act, p, x, classes)
     assert vec.shape == (act.n_points,) and np.all(np.isfinite(vec))
@@ -274,7 +283,7 @@ def test_block_lambda2_matches_the_kernel_and_its_lift_the_relation(p):
 def test_induced_eigensolve_lifts_an_eigenvector_of_the_full_operator(weights):
     act = build_sl2_quotient(11, "a")
     op = _generator_operator(act, weights)
-    value, x, classes = expanders._block_solve(11, weights)
+    value, x, classes = _block_solve(11, weights)
     vec = expanders._lift(act, 11, x, classes)
     assert abs(value - _symmetrized_top(op).value) <= 1e-13
     image = (op.apply(vec) + op.apply_transpose(vec)) / 2.0
@@ -293,7 +302,7 @@ def test_kept_blocks_hold_block_0s_spectrum_but_the_constants(p, weights):
     assert kept == ([1, _least_non_square(p)] if p % 4 == 1 else [1])
     extra = [_least_non_square(p)] if p % 4 == 3 else []
     zero, *blocks = [np.linalg.eigvalsh(block.toarray())
-                     for block in sl2_induced_blocks(p, [0] + kept + extra, weights)]
+                     for block in _blocks(p, [0] + kept + extra, weights)]
     assert abs(zero[-1] - 1.0) <= 1e-12  # the constants; eigvalsh is ascending
     spectrum = np.concatenate(blocks[:len(kept)])
     assert np.max(np.min(np.abs(zero[:-1, None] - spectrum), axis=1)) <= 1e-12
@@ -319,7 +328,7 @@ def _three_block_lambda2(p, weights):
     non-square, block 0's constants shifted to -1 (M - 2P)."""
     classes = [0, 1, _least_non_square(p)]
     n = p * p - 1
-    total = expanders._direct_sum(sl2_induced_blocks(p, classes, weights))
+    total = expanders._direct_sum(_blocks(p, classes, weights))
     field = np.empty(total.n, dtype=complex)
 
     def matvec(x):
@@ -336,7 +345,7 @@ def _three_block_lambda2(p, weights):
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_block_lambda2_matches_the_three_block_solve(p):
     for weights in (UNIFORM, SKEWED):
-        value, _x, _classes = expanders._block_solve(p, weights)
+        value, _x, _classes = _block_solve(p, weights)
         assert abs(value - _three_block_lambda2(p, weights)) <= 1e-13
 
 
@@ -389,36 +398,44 @@ def test_certify_family_builds_no_prime_quotient(monkeypatch):
     report = cli.certify_family(cli.ExperimentConfig(
         "expander", {"family": "sl2", "moduli": [5, 7, 31]}))
     # the rows of the in-house Lanczos kernel on the blocks of
-    # _character_classes; the three-block solve (block 0 shifted) and the
-    # route that built each group, lifted its eigenvector and solved by
-    # ARPACK gave the rows below them, which these match to 1e-12
+    # _character_classes; the kernel with its coordinate sums on einsum, the
+    # three-block solve (block 0 shifted) and the route that built each
+    # group, lifted its eigenvector and solved by ARPACK gave the rows below
+    # them, which these match to 1e-12
     rows = [(r.name, r.n_vertices, r.lambda2.hex(), r.kappa_p.hex(), r.connected,
              r.vector_lower) for r in report.rows]
     assert rows == [
-        ("SL2(Z/5)", 120, "0x1.9e3779b97f4a1p-1", "0x1.4f1bbcdcbfa3dp-1", True, None),
-        ("SL2(Z/7)", 336, "0x1.b504f333f9de5p-1", "0x1.b504f333f9ddfp-1", True, None),
-        ("SL2(Z/31)", 29760, "0x1.e2e96f5ce49bep-1", "0x1.19a07399657e6p+1", True, None)]
+        ("SL2(Z/5)", 120, "0x1.9e3779b97f4acp-1", "0x1.4f1bbcdcbfa62p-1", True, None),
+        ("SL2(Z/7)", 336, "0x1.b504f333f9defp-1", "0x1.b504f333f9e19p-1", True, None),
+        ("SL2(Z/31)", 29760, "0x1.e2e96f5ce49e8p-1", "0x1.19a073996597dp+1", True, None)]
+    einsum = [("0x1.9e3779b97f4a1p-1", "0x1.4f1bbcdcbfa3dp-1"),
+              ("0x1.b504f333f9de5p-1", "0x1.b504f333f9ddfp-1"),
+              ("0x1.e2e96f5ce49bep-1", "0x1.19a07399657e6p+1")]
     three_blocks = [("0x1.9e3779b97f4aep-1", "0x1.4f1bbcdcbfa69p-1"),
                     ("0x1.b504f333f9de8p-1", "0x1.b504f333f9df0p-1"),
                     ("0x1.e2e96f5ce49e0p-1", "0x1.19a073996592fp+1")]
     arpack = [("0x1.9e3779b97f4a7p-1", "0x1.4f1bbcdcbfa51p-1"),
               ("0x1.b504f333f9de6p-1", "0x1.b504f333f9de5p-1"),
               ("0x1.e2e96f5ce4a09p-1", "0x1.19a0739965abcp+1")]
-    for row, *olds in zip(rows, three_blocks, arpack):
+    for row, *olds in zip(rows, einsum, three_blocks, arpack):
         for old in olds:
             for got, want in zip(row[2:4], map(float.fromhex, old)):
                 assert abs(float.fromhex(got) - want) <= 1e-12 * want
-    # the three-block solve gave residuals 3.7e-15, 1.3e-15 and 6.9e-15, and
-    # ARPACK's vectors 4.4e-16, 2.2e-16 and 7.4e-14
-    for row, residual in zip(report.rows, [3.552713678800501e-15, 8.881784197001252e-16,
-                                           7.30526750203353e-14]):
+    # the einsum sums gave residuals 3.6e-15, 8.9e-16 and 7.3e-14, the
+    # three-block solve 3.7e-15, 1.3e-15 and 6.9e-15, and ARPACK's vectors
+    # 4.4e-16, 2.2e-16 and 7.4e-14
+    for row, residual in zip(report.rows, [2.6645352591003757e-15, 6.661338147750939e-15,
+                                           9.2148511043888e-15]):
         assert abs(row.relation_residual - residual) <= 1e-15
-    # three blocks: 0x1.d1690a31b6200p-5 and 0x1.bcff572ab2950p-3;
-    # ARPACK: 0x1.d1690a31b5f70p-5 and 0x1.bcff572ab2b96p-3
-    assert report.epsilon0.hex() == "0x1.d1690a31b6420p-5"
-    assert report.growth_slope.hex() == "0x1.bcff572ab27a7p-3"
-    for got, olds in [(report.epsilon0, ("0x1.d1690a31b6200p-5", "0x1.d1690a31b5f70p-5")),
-                      (report.growth_slope, ("0x1.bcff572ab2950p-3", "0x1.bcff572ab2b96p-3"))]:
+    # einsum: 0x1.d1690a31b6420p-5 and 0x1.bcff572ab27a7p-3; three blocks:
+    # 0x1.d1690a31b6200p-5 and 0x1.bcff572ab2950p-3; ARPACK:
+    # 0x1.d1690a31b5f70p-5 and 0x1.bcff572ab2b96p-3
+    assert report.epsilon0.hex() == "0x1.d1690a31b6180p-5"
+    assert report.growth_slope.hex() == "0x1.bcff572ab29b7p-3"
+    for got, olds in [(report.epsilon0, ("0x1.d1690a31b6420p-5", "0x1.d1690a31b6200p-5",
+                                         "0x1.d1690a31b5f70p-5")),
+                      (report.growth_slope, ("0x1.bcff572ab27a7p-3", "0x1.bcff572ab2950p-3",
+                                             "0x1.bcff572ab2b96p-3"))]:
         for old in map(float.fromhex, olds):
             assert abs(got - old) <= 1e-12 * old
     assert report.uniform
@@ -466,8 +483,8 @@ def test_a_wrong_block_eigenvalue_fails_the_relation(tmp_path, monkeypatch):
 
     solve = expanders._block_solve
 
-    def off_by_a_little(p, weights):
-        value, x, classes = solve(p, weights)
+    def off_by_a_little(*args):
+        value, x, classes = solve(*args)
         return value - 1e-6, x, classes
 
     monkeypatch.setattr(expanders, "_block_solve", off_by_a_little)
@@ -482,10 +499,12 @@ def test_a_wrong_block_eigenvalue_fails_the_relation(tmp_path, monkeypatch):
 def test_block_lambda2_at_31_and_61():
     report = certify_sequence(QuotientSequence([expanders.Sl2Quotient(p) for p in (31, 61)]))
     lambdas = [r.lambda2 for r in report.rows]
-    assert lambdas == [0.9431872177977352, 0.9536370794533435]
-    # the three-block solve gave 0.943187217797739 and 0.9536370794533443,
-    # ARPACK 0.9431872177977435 and 0.9536370794533505
-    for olds in [(0.943187217797739, 0.9536370794533443),
+    assert lambdas == [0.9431872177977398, 0.9536370794533462]
+    # the einsum sums gave 0.9431872177977352 and 0.9536370794533435, the
+    # three-block solve 0.943187217797739 and 0.9536370794533443, ARPACK
+    # 0.9431872177977435 and 0.9536370794533505
+    for olds in [(0.9431872177977352, 0.9536370794533435),
+                 (0.943187217797739, 0.9536370794533443),
                  (0.9431872177977435, 0.9536370794533505)]:
         assert all(abs(got - old) <= 1e-12 for got, old in zip(lambdas, olds))
     assert [r.n_vertices for r in report.rows] == [29760, 226920]

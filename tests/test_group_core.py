@@ -15,7 +15,9 @@ from gaplab.group_core import (
     Sl2GroupTable,
     _sl2_closure,
     _sl2_key,
+    _sl2_mul,
     _sl2_order,
+    _sl2_section,
     action_fingerprint,
     action_to_json,
     build_cyclic,
@@ -23,6 +25,7 @@ from gaplab.group_core import (
     element_ball,
     orbit_restriction,
     sl2_coset_coordinates,
+    sl2_coset_translates,
     word_ball,
 )
 from gaplab.measures import DiscreteMeasure, lazy_uniform, power
@@ -540,6 +543,20 @@ def test_sl2_coset_coordinates_rebuild_each_element(p):
     assert len(set(zip(v.tolist(), t.tolist()))) == len(elements) == (p * p - 1) * p
     sigma_col = (elements[:, [1, 3]] - t[:, None] * elements[:, [0, 2]]) % p
     assert len(set(zip(v.tolist(), map(tuple, sigma_col.tolist())))) == p * p - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_sl2_coset_translates_factor_each_translated_section(p):
+    translates = sl2_coset_translates(p, ["e12", "e21^-1", "e12"])
+    assert list(translates) == ["e12", "e21^-1"]  # one entry per distinct label
+    codes = np.arange(1, p * p)
+    sections = _sl2_section(np.stack(np.divmod(codes, p), axis=-1), p)
+    for lab, (col, t) in translates.items():
+        a, b, c, d = SL2_GENERATOR_MATRICES[lab]
+        moved = _sl2_mul([d % p, -b % p, -c % p, a % p], sections, p)  # s^-1 sigma(v)
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        unipotent = np.stack([one, t, zero, one], axis=-1)  # u_t
+        assert np.array_equal(_sl2_mul(sections[col], unipotent, p), moved)
 
 
 def test_cayley_graph_connectivity_counts_only_its_labels():

@@ -365,6 +365,16 @@ def test_submultiplicativity_of_restricted_norm():
     assert lam_conv <= lam_mu * lam_nu + 1e-9
 
 
+def test_operators_on_one_representation_share_its_decomposition():
+    act = build_sl2_quotient(4, variant="b")
+    rep = Representation(act)
+    ops = [markov_operator(rep, lazy_uniform(act)),
+           markov_operator(rep, uniform_on([act.generator_element("e12")]))]
+    assert all(op.decomposition is rep.decomposition for op in ops)
+    f = np.random.default_rng(4).standard_normal(act.n_points)
+    assert np.array_equal(rep.decomposition.mean(f), Decomposition(rep).mean(f))
+
+
 def test_torus_action_per_orbit_decomposition():
     act = build_sl2_quotient(4, variant="b")
     rep = Representation(act)
@@ -807,6 +817,52 @@ def test_basis_product_past_the_last_multiple_of_8_columns(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(c) @ np.abs(span))
 
 
+def _recorded_coordinate_sum(a, x, monkeypatch):
+    """``_coordinate_sum(a, x)`` and the coordinates of each call."""
+    blocks = []
+    matmul = np.matmul
+
+    def recording(a, b, **kwargs):
+        blocks.append(b.shape[0])
+        return matmul(a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", recording)
+        got = rep_markov._coordinate_sum(a, x)
+    return got, blocks
+
+
+# (rows of a, coordinates): a norm and an alpha at the bound, and the
+# coefficients of a full basis on the p = 29 and p = 31 blocks
+@pytest.mark.parametrize("shape", [((), 8192), ((), 3360), ((24,), 3360), ((24,), 1920)],
+                         ids=["norm-8192", "alpha", "coefficients-29", "coefficients-31"])
+def test_coordinate_sum_below_the_bound_is_the_one_call_product(shape, monkeypatch):
+    rows, size = shape
+    rng = np.random.default_rng(size)
+    a, x = rng.standard_normal(rows + (size,)), rng.standard_normal(size)
+    got, blocks = _recorded_coordinate_sum(a, x, monkeypatch)
+    assert blocks == [size] and size <= rep_markov.BLAS_ONE_THREAD_COORDINATES
+    assert np.array_equal(got, a @ x)
+
+
+# one coordinate past the bound, the p = 61 alpha and coefficients (14,880
+# coordinates) and 56 rows of the p = 101 blocks (40,800)
+@pytest.mark.parametrize("shape", [((), 8193), ((), 14880), ((24,), 14880), ((56,), 40800)],
+                         ids=["norm-8193", "alpha-61", "coefficients-61", "rows-56"])
+def test_coordinate_sum_above_the_bound_adds_blocks_in_order(shape, monkeypatch):
+    rows, size = shape
+    rng = np.random.default_rng(size)
+    a, x = rng.standard_normal(rows + (size,)), rng.standard_normal(size)
+    got, blocks = _recorded_coordinate_sum(a, x, monkeypatch)
+    width = rep_markov.BLAS_ONE_THREAD_COORDINATES
+    assert width == 8192 and blocks == [min(width, size - lo) for lo in range(0, size, width)]
+    want = a[..., :width] @ x[:width]
+    for lo in range(width, size, width):
+        want = want + a[..., lo:lo + width] @ x[lo:lo + width]
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(got - a @ x)) <= 1e-14 * np.max(np.abs(a) @ np.abs(x))
+
+
 def _numpy_blas_is_openblas() -> bool:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return "openblas" in str(blas.get("name", "")).lower()
@@ -829,7 +885,7 @@ def pool_cpu():
 out = Path(sys.argv[1])
 config = out / "config.json"
 config.write_text(json.dumps({"kind": "expander",
-                              "fixture": {"family": "sl2", "moduli": [17, 31]}}))
+                              "fixture": {"family": "sl2", "moduli": [17, 31, 61]}}))
 level = wc.build_warped_level(64)
 time.sleep(0.3)
 before = pool_cpu()
@@ -845,8 +901,9 @@ print(code, pool_cpu() - before)
                     reason="reads Linux per-thread CPU times of a 2-thread OpenBLAS pool")
 def test_kernel_and_ball_profile_leave_the_blas_pool_asleep(tmp_path):
     # a woken OpenBLAS pool thread spins for about 0.13 s of CPU; the Lanczos
-    # products of the SL2(Z/17) and SL2(Z/31) expander blocks and the m = 64
-    # ball measures all stay below its one-thread size
+    # products and coordinate sums of the SL2(Z/17), SL2(Z/31) and SL2(Z/61)
+    # expander blocks and the m = 64 ball measures all stay below its
+    # one-thread size
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
     out = subprocess.run([sys.executable, "-c", POOL_PROBE, str(tmp_path)], env=env,
